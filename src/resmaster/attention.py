@@ -2,6 +2,13 @@
 summed with the image branch scaled by the bundle's weighting factor.
 
 Single-head only. The scaling denominator uses the head width.
+
+``attend`` computes this folded: the query projection and the scale are
+multiplied into the stacked text and image keys once per call, so the
+scores of both branches come from one matmul against the inputs, and the
+text values and ``lam``-scaled image values form one block for the output
+matmul. Scores are held token-major, ``(tokens, n)``, so each branch's
+softmax reduces across a few contiguous rows.
 """
 
 from __future__ import annotations
@@ -100,7 +107,12 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights) -> np.ndarray:
     """Queries from ``x`` attend over the text tokens and, weighted by
-    ``bundle.lam``, over the image tokens; the two results are summed."""
+    ``bundle.lam``, over the image tokens; the two results are summed.
+
+    Equal to ``softmax_rows(q k_t^T s) v_t + lam softmax_rows(q k_i^T s) v_i``
+    with ``q = x W_q`` and ``s = 1/sqrt(d_head)``, reassociated as
+    ``x (W_q k^T s)`` over the stacked keys.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"x must be (n, d_model), got shape {x.shape}")
@@ -111,10 +123,13 @@ def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights) -> np.nd
     if bundle.image.dim != w.image_dim:
         raise ValueError(f"image embedding dim {bundle.image.dim} != weights image_dim {w.image_dim}")
 
-    q = x @ w.w_query
-    scale = 1.0 / math.sqrt(w.d_head)
-    text_scores = softmax_rows((q @ (bundle.text.data @ w.w_key_text).T) * scale)
-    image_scores = softmax_rows((q @ (bundle.image.data @ w.w_key_image).T) * scale)
-    text_term = text_scores @ (bundle.text.data @ w.w_value_text)
-    image_term = image_scores @ (bundle.image.data @ w.w_value_image)
-    return text_term + bundle.lam * image_term
+    text, image = bundle.text.data, bundle.image.data
+    keys = np.concatenate([text @ w.w_key_text, image @ w.w_key_image])
+    values = np.concatenate([text @ w.w_value_text, bundle.lam * (image @ w.w_value_image)])
+    fold = (keys @ w.w_query.T) * (1.0 / math.sqrt(w.d_head))  # (tokens, d_model)
+    scores = fold @ x.T  # (tokens, n): one column per query
+    for branch in (scores[: bundle.text.tokens], scores[bundle.text.tokens :]):
+        branch -= branch.max(axis=0)
+        np.exp(branch, out=branch)
+        branch /= branch.sum(axis=0)
+    return scores.T @ values

@@ -182,8 +182,8 @@ def load_caption_manifest(path, expected_patches: int | None = None) -> CaptionM
     """Read a manifest file, filling missing or empty captions from the global prompt.
 
     Raises ManifestError on parse failure (naming line/column), on a patch
-    count that disagrees with ``expected_patches``, or when a patch would fall
-    back to an empty global prompt.
+    count that is not a JSON integer or disagrees with ``expected_patches``,
+    or when a patch would fall back to an empty global prompt.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -212,6 +212,11 @@ def load_caption_manifest(path, expected_patches: int | None = None) -> CaptionM
     patch_count = doc.get("patch_count")
     if patch_count is None:
         raise ManifestError(f"manifest {path}: missing required field patch_count")
+    if isinstance(patch_count, bool) or not isinstance(patch_count, int):
+        raise ManifestError(
+            f"manifest {path}: patch_count must be a JSON integer, "
+            f"got {type(patch_count).__name__} {patch_count!r}"
+        )
     if expected_patches is not None and patch_count != expected_patches:
         raise ManifestError(
             f"manifest {path} describes {patch_count} patches but the layout has {expected_patches}"
@@ -244,7 +249,7 @@ def load_caption_manifest(path, expected_patches: int | None = None) -> CaptionM
         )
     return CaptionManifest(
         global_prompt=global_prompt,
-        patch_count=int(patch_count),
+        patch_count=patch_count,
         captions=captions,
         instruction=instruction,
     )

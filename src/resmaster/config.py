@@ -2,7 +2,7 @@
 
 Configs are single JSON objects with a leading version field. Precedence is
 defaults < file < CLI flags, and every invariant violation is collected into
-one aggregated report rather than failing on the first.
+one aggregated one-line report rather than failing on the first.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from .pipeline import PipelineConfig
+from .pipeline import PipelineConfig, problem_report
 
 CONFIG_VERSION = 1
 
@@ -107,11 +107,11 @@ def parse_config(path=None, cli_overrides: dict | None = None) -> PipelineConfig
             values[name] = coerced
 
     if problems:
-        raise ConfigError("invalid configuration:\n" + "\n".join(f"  - {p}" for p in problems))
+        raise ConfigError(problem_report(problems))
     config = PipelineConfig(**values)
     problems = config.problems()
     if problems:
-        raise ConfigError("invalid configuration:\n" + "\n".join(f"  - {p}" for p in problems))
+        raise ConfigError(problem_report(problems))
     return config
 
 

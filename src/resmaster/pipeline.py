@@ -58,6 +58,14 @@ DENOISER_CHOICES = ("analytic", "toy")
 # resolve fine-scale data; "linear" is the classic long-schedule convention.
 SCHEDULE_CHOICES = ("geometric", "linear")
 
+# Seeds are hashed as signed 64-bit integers by the embedding stubs.
+SEED_LIMIT = 2**63
+
+
+def problem_report(problems: list[str]) -> str:
+    """All invariant violations of a configuration, on one line."""
+    return "invalid configuration: " + "; ".join(problems)
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -111,8 +119,8 @@ class PipelineConfig:
             out.append(f"d0 must be > 0, got {self.d0}")
         if not self.lam >= 0.0:
             out.append(f"lambda must be >= 0, got {self.lam}")
-        if self.seed < 0:
-            out.append(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            out.append(f"seed must lie in [0, 2**63), got {self.seed}")
         if not 0 <= self.guidance_stop_step <= self.steps:
             out.append(f"guidance_stop must lie in [0, steps={self.steps}], got {self.guidance_stop_step}")
         if self.codec not in CODECS:
@@ -134,7 +142,7 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         problems = self.problems()
         if problems:
-            raise ValueError("invalid configuration:\n" + "\n".join(f"  - {p}" for p in problems))
+            raise ValueError(problem_report(problems))
         return self
 
     def make_schedule(self):

@@ -10,6 +10,12 @@ frequencies are f_u = min(u, H-u)/H and f_v = min(v, W-v)/W, each in
 [0, 1/2], and the radial distance D = sqrt(f_u^2 + f_v^2) / (1/sqrt(2)) is
 scaled so D = 1 at the Nyquist corner. A cutoff d0 therefore lives in
 (0, 1]; changing to another convention is a one-line edit of ``_distance``.
+
+The swap is linear in both grids, so it runs as
+``estimate + lowpass(reference - estimate)``: one real forward transform
+(``rfft2``) of the difference, a multiply by the mask's non-negative-frequency
+half, and one real inverse (``irfft2``). ``fft2d``/``ifft2d`` are the full
+complex transforms, kept for analysis and tests.
 """
 
 from __future__ import annotations
@@ -22,10 +28,11 @@ from .util import as_grid, as_spectrum, require_same_shape
 
 
 class ImaginaryResidueError(ValueError):
-    """Inverse transform produced an imaginary part above tolerance.
+    """A spectrum or mask would give a grid with an imaginary part.
 
-    Raised when the input spectrum was not (numerically) conjugate-symmetric,
-    i.e. it does not correspond to a real grid.
+    Raised by ``ifft2d`` when the inverse leaves an imaginary residue above
+    tolerance, and by ``swap_low_frequency`` when its mask is not
+    (numerically) conjugate-symmetric, so the blend would not be a real grid.
     """
 
 
@@ -83,6 +90,18 @@ def gaussian_lowpass_mask(height: int, width: int, d0: float) -> np.ndarray:
     return _cached_mask(int(height), int(width), float(d0))
 
 
+def _require_conjugate_symmetric(mask: np.ndarray, tol: float = 1e-9) -> None:
+    """A real mask keeps a real grid's spectrum conjugate-symmetric only if
+    mask[u, v] == mask[-u, -v] (indices mod H, W)."""
+    mirrored = np.roll(mask[::-1, ::-1], (1, 1), axis=(0, 1))
+    asymmetry = float(np.abs(mask - mirrored).max())
+    if asymmetry >= tol:
+        raise ImaginaryResidueError(
+            f"mask asymmetry {asymmetry:.3e} exceeds {tol:.1e}; "
+            "mask is not conjugate-symmetric"
+        )
+
+
 def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Replace the low-frequency band of ``estimate`` with that of ``reference``.
 
@@ -90,6 +109,10 @@ def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, mask: np.nda
     returned through the inverse transform. With mask values in [0, 1] this is
     a per-bin convex blend; the DC bin (mask = 1) is always fully swapped, so
     the output inherits the reference's per-channel mean.
+
+    Computed as ``estimate + lowpass(reference - estimate)`` with real
+    transforms; the mask must be conjugate-symmetric (ImaginaryResidueError
+    otherwise), which every ``gaussian_lowpass_mask`` is.
     """
     estimate = as_grid(estimate, "estimate")
     reference = as_grid(reference, "reference")
@@ -99,6 +122,8 @@ def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, mask: np.nda
         raise ValueError(
             f"mask shape {mask.shape} does not match grid plane {estimate.shape[:2]}"
         )
-    m = mask[:, :, None]
-    blended = fft2d(reference) * m + fft2d(estimate) * (1.0 - m)
-    return ifft2d(blended)
+    _require_conjugate_symmetric(mask)
+    height, width = mask.shape
+    half = np.fft.rfft2(reference - estimate, axes=(0, 1))
+    half *= mask[:, : width // 2 + 1, None]
+    return estimate + np.fft.irfft2(half, s=(height, width), axes=(0, 1))

@@ -127,6 +127,24 @@ def fuse_direct(patches, layout) -> np.ndarray:
     return acc / count
 
 
+def fuse_first_plus_deviation(patches, layout) -> np.ndarray:
+    """Fusion as "first covering value + mean of deviations", with the cover
+    map and first values rebuilt from the rects by loops on every call."""
+    channels = patches[0].shape[2]
+    base = np.zeros((layout.grid_h, layout.grid_w, channels))
+    count = np.zeros((layout.grid_h, layout.grid_w), dtype=np.int64)
+    for patch, (top, left, h, w) in zip(patches, layout.rects):
+        for r in range(h):
+            for c in range(w):
+                if count[top + r, left + c] == 0:
+                    base[top + r, left + c] = patch[r, c]
+                count[top + r, left + c] += 1
+    deviation = np.zeros_like(base)
+    for patch, (top, left, h, w) in zip(patches, layout.rects):
+        deviation[top : top + h, left : left + w] += patch - base[top : top + h, left : left + w]
+    return base + deviation / count[:, :, None]
+
+
 def attention_direct(x, text, image, lam, w) -> np.ndarray:
     """Double-loop softmax attention over both branches."""
     q = x @ w.w_query

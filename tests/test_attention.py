@@ -72,6 +72,41 @@ class TestAttend:
             attend(rng.normal(size=(4, 8)), short, w)
 
 
+class TestFoldedAttend:
+    """``attend`` reassociates the scores; it must agree with the
+    per-branch ``softmax_rows`` formula it stands for."""
+
+    @staticmethod
+    def _per_branch(x, bundle, w):
+        q = x @ w.w_query
+        scale = 1.0 / np.sqrt(w.d_head)
+        text = softmax_rows((q @ (bundle.text.data @ w.w_key_text).T) * scale)
+        image = softmax_rows((q @ (bundle.image.data @ w.w_key_image).T) * scale)
+        return (text @ (bundle.text.data @ w.w_value_text)
+                + bundle.lam * (image @ (bundle.image.data @ w.w_value_image)))
+
+    @pytest.mark.parametrize("text_tokens, image_tokens", [(8, 4), (1, 3), (5, 1)])
+    def test_matches_per_branch_formula(self, rng, text_tokens, image_tokens):
+        w = make_attention_weights(16, 16, 16, 16, seed=4)
+        x = rng.normal(size=(64, 16))
+        bundle = _bundle(rng, text_tokens, image_tokens, dim=16, lam=0.7)
+        np.testing.assert_allclose(attend(x, bundle, w), self._per_branch(x, bundle, w),
+                                   rtol=0, atol=1e-12)
+
+    def test_scores_near_1e4_stay_finite_and_match(self, rng):
+        w = make_attention_weights(8, 8, 8, 8, seed=6)
+        bundle = _bundle(rng, text_tokens=4, image_tokens=3, dim=8, lam=0.8)
+        x = rng.normal(size=(32, 8))
+        keys = np.concatenate([bundle.text.data @ w.w_key_text,
+                               bundle.image.data @ w.w_key_image])
+        logits = (x @ w.w_query) @ keys.T / np.sqrt(8)
+        x *= 1e4 / np.abs(logits).max()  # the largest |score| is now 1e4
+        out = attend(x, bundle, w)
+        assert np.isfinite(out).all()
+        # Logits of size 1e4 carry rounding of about 1e4 * 2.2e-16 per term.
+        np.testing.assert_allclose(out, self._per_branch(x, bundle, w), rtol=0, atol=1e-9)
+
+
 class TestSoftmax:
     @given(seed=st.integers(0, 2**31), rows=st.integers(1, 6), cols=st.integers(1, 6))
     @settings(max_examples=30, deadline=None)

@@ -124,6 +124,27 @@ class TestUpscale:
         assert code == 1
         assert "analytic" in capsys.readouterr().err
 
+    def test_seed_beyond_64_bits_exits_1_with_one_line(self, tmp_path, reference_file, capsys):
+        manifest = self._plan_and_fill(tmp_path, reference_file)
+        code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                     "--scale", "2", "--window", "16", "--stride", "8",
+                     "--seed", str(2**63), "--out", str(tmp_path / "o.ppm")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed" in err and "Traceback" not in err
+
+    def test_float_patch_count_exits_1_with_one_line(self, tmp_path, reference_file, capsys):
+        manifest = self._plan_and_fill(tmp_path, reference_file)
+        doc = json.loads(manifest.read_text())
+        doc["patch_count"] = 9.0
+        manifest.write_text(json.dumps(doc))
+        code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                     "--scale", "2", "--window", "16", "--stride", "8",
+                     "--out", str(tmp_path / "o.ppm")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "got float 9.0" in err
+
     def test_bad_geometry_reports_and_exits_1(self, tmp_path, reference_file, capsys):
         manifest = self._plan_and_fill(tmp_path, reference_file)
         code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),

@@ -148,6 +148,13 @@ class TestCaptionManifest:
         with pytest.raises(ManifestError, match="4 patches but the layout has 9"):
             load_caption_manifest(path, expected_patches=9)
 
+    @pytest.mark.parametrize("count, type_name", [(9.0, "float"), ("9", "str"),
+                                                  (True, "bool"), ([9], "list")])
+    def test_non_integer_count_rejected_naming_type(self, tmp_path, count, type_name):
+        path = self._write(tmp_path, self._doc(patch_count=count))
+        with pytest.raises(ManifestError, match=f"patch_count must be a JSON integer, got {type_name}"):
+            load_caption_manifest(path, expected_patches=9)
+
     def test_empty_caption_with_empty_global_rejected(self, tmp_path):
         doc = self._doc(global_prompt="")
         doc["patches"]["2"] = ""

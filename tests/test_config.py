@@ -65,6 +65,16 @@ class TestParseConfig:
             parse_config(path, {})
         assert "steps" in str(err.value) and "d0" in str(err.value)
 
+    def test_seed_must_fit_signed_64_bits(self):
+        assert parse_config(None, {"seed": 2**63 - 1}).seed == 2**63 - 1
+        with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*63\)"):
+            parse_config(None, {"seed": 2**63})
+
+    def test_report_is_one_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(None, {"d0": -1.0, "seed": -1})
+        assert "\n" not in str(err.value)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"version": 99}))

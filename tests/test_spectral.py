@@ -179,3 +179,30 @@ class TestSwapLowFrequency:
         blended = fft2d(ref) * mask + fft2d(est) * (1.0 - mask)
         residue = np.abs(np.fft.ifft2(blended, axes=(0, 1)).imag).max()
         assert residue < 1e-9
+
+
+class TestRealTransformSwap:
+    """The real-FFT swap against the direct-DFT blend it replaces."""
+
+    @pytest.mark.parametrize("height, width", [(7, 7), (8, 8), (6, 9), (9, 4)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_matches_direct_blend(self, rng, height, width, channels):
+        est = rng.normal(size=(height, width, channels))
+        ref = rng.normal(size=(height, width, channels))
+        mask = np.asarray(gaussian_lowpass_mask(height, width, 0.6))
+        np.testing.assert_allclose(swap_low_frequency(est, ref, mask),
+                                   swap_direct(est, ref, mask), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("height, width", [(8, 8), (7, 6)])
+    def test_asymmetric_mask_raises(self, rng, height, width):
+        est = rng.normal(size=(height, width, 1))
+        mask = np.array(gaussian_lowpass_mask(height, width, 0.8))
+        mask[1, 2] = 0.0  # its mirror bin (-1, -2) keeps its value
+        with pytest.raises(ImaginaryResidueError):
+            swap_low_frequency(est, rng.normal(size=est.shape), mask)
+
+    def test_binary_symmetric_mask_is_accepted(self, rng):
+        est = rng.normal(size=(9, 9, 2))
+        mask = (np.asarray(gaussian_lowpass_mask(9, 9, 0.8)) > 0.5).astype(float)
+        out = swap_low_frequency(est, est, mask)
+        np.testing.assert_allclose(out, est, rtol=0, atol=1e-12)

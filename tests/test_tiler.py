@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from resmaster.tiler import (
     GeometryError,
+    PatchLayout,
     Rect,
     bicubic_upsample,
     extract_patch,
@@ -12,7 +13,7 @@ from resmaster.tiler import (
     plan_patches,
 )
 
-from oracles import bicubic_direct, extract_direct, fuse_direct
+from oracles import bicubic_direct, extract_direct, fuse_direct, fuse_first_plus_deviation
 
 
 class TestPlanPatches:
@@ -148,6 +149,54 @@ class TestFusePatches:
         bad[2] = rng.normal(size=(4, 5, 1))
         with pytest.raises(ValueError):
             fuse_patches(bad, layout)
+
+
+class TestCoverMaps:
+    def test_first_cover_matches_rect_scan(self):
+        layout = plan_patches(12, 10, 6, 4, 3, 2)
+        maps = layout.cover_maps
+        for y in range(12):
+            for x in range(10):
+                covering = [i for i, (t, l, h, w) in enumerate(layout.rects)
+                            if t <= y < t + h and l <= x < l + w]
+                top, left = layout.rects[covering[0]][:2]
+                expected = (covering[0] * 6 + (y - top)) * 4 + (x - left)
+                assert maps.first[y, x] == expected
+                assert maps.count[y, x, 0] == len(covering)
+
+    def test_maps_are_read_only_and_cached(self):
+        layout = plan_patches(16, 16, 8, 8, 4, 4)
+        maps = layout.cover_maps
+        assert layout.cover_maps is maps
+        for arr in maps:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+
+    def test_maps_are_distinct_per_layout(self):
+        dense = plan_patches(16, 16, 8, 8, 4, 4)
+        sparse = plan_patches(16, 16, 8, 8, 8, 8)
+        assert dense.cover_maps.count is not sparse.cover_maps.count
+        assert dense.cover_maps.count.max() == 4
+        assert sparse.cover_maps.count.max() == 1
+        assert not np.array_equal(dense.cover_maps.first, sparse.cover_maps.first)
+
+    def test_uncovered_hand_built_layout_raises(self, rng):
+        holey = PatchLayout(8, 8, 4, 4, 4, 4, (Rect(0, 0, 4, 4), Rect(4, 4, 4, 4)))
+        patches = [rng.normal(size=(4, 4, 1)) for _ in range(2)]
+        with pytest.raises(ValueError, match="does not cover"):
+            fuse_patches(patches, holey)
+        with pytest.raises(ValueError, match="does not cover"):
+            fuse_patches(patches, holey)
+
+    @pytest.mark.parametrize("geometry", [(16, 16, 8, 8, 4, 4), (20, 18, 8, 6, 4, 6),
+                                          (12, 12, 8, 8, 2, 4)])
+    def test_fusion_equals_per_step_loop_bit_for_bit(self, rng, geometry):
+        layout = plan_patches(*geometry)
+        patches = [rng.normal(size=(layout.win_h, layout.win_w, 3))
+                   for _ in range(layout.patch_count)]
+        assert np.array_equal(fuse_patches(patches, layout),
+                              fuse_first_plus_deviation(patches, layout))
 
 
 class TestBicubicUpsample:
