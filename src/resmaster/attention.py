@@ -8,7 +8,8 @@ multiplied into the stacked text and image keys once per call, so the
 scores of both branches come from one matmul against the inputs, and the
 text values and ``lam``-scaled image values form one block for the output
 matmul. Scores are held token-major, ``(tokens, n)``, so each branch's
-softmax reduces across a few contiguous rows.
+softmax reduces across a few contiguous rows. Both matmuls run over blocks
+of queries small enough that BLAS computes them on the calling thread.
 """
 
 from __future__ import annotations
@@ -127,9 +128,29 @@ def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights) -> np.nd
     keys = np.concatenate([text @ w.w_key_text, image @ w.w_key_image])
     values = np.concatenate([text @ w.w_value_text, bundle.lam * (image @ w.w_value_image)])
     fold = (keys @ w.w_query.T) * (1.0 / math.sqrt(w.d_head))  # (tokens, d_model)
-    scores = fold @ x.T  # (tokens, n): one column per query
+    n = x.shape[0]
+    block = _query_block(fold.shape[0], max(w.d_model, w.d_head))
+    scores = np.empty((fold.shape[0], n))  # (tokens, n): one column per query
+    for lo in range(0, n, block):
+        np.matmul(fold, x[lo : lo + block].T, out=scores[:, lo : lo + block])
     for branch in (scores[: bundle.text.tokens], scores[bundle.text.tokens :]):
         branch -= branch.max(axis=0)
         np.exp(branch, out=branch)
         branch /= branch.sum(axis=0)
-    return scores.T @ values
+    out = np.empty((n, w.d_head))
+    for lo in range(0, n, block):
+        np.matmul(scores[:, lo : lo + block].T, values, out=out[lo : lo + block])
+    return out
+
+
+# Largest matmul, in multiply-adds, that OpenBLAS runs on the calling thread.
+# Above it OpenBLAS splits the product across its own threads; at these sizes
+# that saves little time and makes each call wait on the other cores, so its
+# duration follows their load.
+BLAS_SINGLE_THREAD_MACS = 2**18
+
+
+def _query_block(tokens: int, width: int) -> int:
+    """Queries per matmul in ``attend``, so each product stays within
+    ``BLAS_SINGLE_THREAD_MACS``."""
+    return max(1, BLAS_SINGLE_THREAD_MACS // (tokens * width))

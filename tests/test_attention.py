@@ -106,6 +106,28 @@ class TestFoldedAttend:
         # Logits of size 1e4 carry rounding of about 1e4 * 2.2e-16 per term.
         np.testing.assert_allclose(out, self._per_branch(x, bundle, w), rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("n", [0, 1, 6, 20, 4096])
+    def test_query_blocks_cover_every_query(self, rng, monkeypatch, n):
+        import resmaster.attention as attention
+
+        w = make_attention_weights(8, 8, 8, 8, seed=7)
+        bundle = _bundle(rng, text_tokens=3, image_tokens=2, dim=8, lam=0.6)
+        x = rng.normal(size=(n, 8))
+        # 5 tokens x width 8 = 40 multiply-adds per query: blocks of 3 queries.
+        monkeypatch.setattr(attention, "BLAS_SINGLE_THREAD_MACS", 120)
+        assert attention._query_block(5, 8) == 3
+        out = attend(x, bundle, w)
+        assert out.shape == (n, 8)
+        np.testing.assert_allclose(out, self._per_branch(x, bundle, w), rtol=0, atol=1e-12)
+
+    def test_query_block_keeps_products_single_threaded(self):
+        from resmaster.attention import BLAS_SINGLE_THREAD_MACS, _query_block
+
+        # The toy denoiser's shape: 12 tokens, width 16, 4096 queries a patch.
+        block = _query_block(12, 16)
+        assert 12 * 16 * block <= BLAS_SINGLE_THREAD_MACS < 12 * 16 * (block + 1)
+        assert _query_block(10**6, 10**6) == 1
+
 
 class TestSoftmax:
     @given(seed=st.integers(0, 2**31), rows=st.integers(1, 6), cols=st.integers(1, 6))
