@@ -133,7 +133,7 @@ def _cmd_upscale(args) -> int:
     overrides = {**_overrides_from(args), "height": h, "width": w, "channels": c}
     config = parse_config(args.config, overrides)
     layout = _layout_for(reference, config)
-    captions = load_caption_manifest(args.manifest, expected_patches=layout.patch_count)
+    captions = load_caption_manifest(args.manifest, layout.patch_count, layout.to_dict())
     denoiser = _make_denoiser(config)
     result = resmaster_generate(reference, captions, denoiser, config)
     write_image(result, args.out)

@@ -178,12 +178,16 @@ class CaptionManifest:
         return caption if caption else self.global_prompt
 
 
-def load_caption_manifest(path, expected_patches: int | None = None) -> CaptionManifest:
+def load_caption_manifest(
+    path, expected_patches: int | None = None, expected_layout: dict | None = None
+) -> CaptionManifest:
     """Read a manifest file, filling missing or empty captions from the global prompt.
 
     Raises ManifestError on parse failure (naming line/column), on a patch
-    count that is not a JSON integer or disagrees with ``expected_patches``,
-    or when a patch would fall back to an empty global prompt.
+    count that is not a JSON integer or disagrees with ``expected_patches``, on
+    a ``layout`` block that differs from ``expected_layout`` (a run's
+    ``PatchLayout.to_dict()``; the first differing field is named), or when a
+    patch would fall back to an empty global prompt.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -221,6 +225,14 @@ def load_caption_manifest(path, expected_patches: int | None = None) -> CaptionM
         raise ManifestError(
             f"manifest {path} describes {patch_count} patches but the layout has {expected_patches}"
         )
+    layout = doc.get("layout")
+    if expected_layout is not None and layout is not None:
+        if not isinstance(layout, dict):
+            raise ManifestError(f"manifest {path}: layout must be an object, got {type(layout).__name__}")
+        for key, want in expected_layout.items():
+            if layout.get(key) != want:
+                raise ManifestError(f"manifest {path}: layout {key} {layout.get(key)!r} "
+                                    f"does not match the run's {want!r}; re-run plan with its settings")
 
     captions: dict[int, str] = {}
     for key, value in raw_patches.items():

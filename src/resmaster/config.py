@@ -17,13 +17,8 @@ CONFIG_VERSION = 1
 # JSON keys that expand to (h, w) field pairs.
 _PAIR_KEYS = {"window": ("win_h", "win_w"), "stride": ("stride_h", "stride_w")}
 
-_INT_FIELDS = {
-    "height", "width", "channels", "scale", "steps", "seed",
-    "guidance_stop_step", "text_tokens", "image_tokens", "embed_dim",
-    "win_h", "win_w", "stride_h", "stride_w",
-}
-_FLOAT_FIELDS = {"beta_start", "beta_end", "d0", "lam", "model_mean", "model_std"}
-_STR_FIELDS = {"codec", "denoiser", "schedule"}
+# Each key's kind (int, float or str) is the type of its field's default.
+_KINDS = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
 
 
 class ConfigError(ValueError):
@@ -31,17 +26,18 @@ class ConfigError(ValueError):
 
 
 def _coerce(name: str, value, problems: list[str]):
-    if name in _INT_FIELDS:
+    kind = _KINDS.get(name)
+    if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             problems.append(f"{name} must be an integer, got {value!r}")
             return None
         return value
-    if name in _FLOAT_FIELDS:
+    if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             problems.append(f"{name} must be a number, got {value!r}")
             return None
         return float(value)
-    if name in _STR_FIELDS:
+    if kind is str:
         if not isinstance(value, str):
             problems.append(f"{name} must be a string, got {value!r}")
             return None

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .util import as_grid
+from .util import as_grid, require_finite
 
 
 class ImageFormatError(ValueError):
@@ -95,9 +95,11 @@ def read_image(path) -> np.ndarray:
 def write_image(grid: np.ndarray, path) -> None:
     """Save a 1-channel grid as P5 or a 3-channel grid as P6.
 
-    Values are clamped to [0, 1] and rounded half-up to bytes.
+    Values are clamped to [0, 1] and rounded half-up to bytes. A grid with a
+    NaN or infinite value raises ValueError before the file is opened.
     """
     grid = as_grid(grid, "grid")
+    require_finite(grid, f"grid for {path}")
     channels = grid.shape[2]
     if channels == 1:
         magic = b"P5"

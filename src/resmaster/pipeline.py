@@ -1,12 +1,12 @@
 """End-to-end sampling: low-resolution reference generation and patch-based
 high-resolution generation with structural and fine-grained guidance.
 
-Per sampling step, every patch is denoised independently (optionally across
-threads), its clean estimate has its low-frequency band swapped for the
-reference's, the ancestral step is applied with that patch's own
-counter-based noise substream, and the patches are fused by overlap
-averaging. Timesteps are strictly sequential; outputs are bit-identical for
-a given seed regardless of the thread count.
+Both run one sampler loop. Per step, every patch is denoised independently
+(optionally across threads), its clean estimate has its low band swapped for
+the reference's (guided runs only), the ancestral step uses that patch's own
+noise substream, and the patches are fused by overlap averaging; the
+low-resolution pass is one window covering the whole grid. Outputs are
+bit-identical for a given seed regardless of the thread count.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .denoiser import Denoiser
 from .noise import INIT_STEP, standard_normal_field
 from .schedule import make_geometric_schedule, make_linear_schedule, posterior_step, predict_x0
 from .spectral import gaussian_lowpass_mask, swap_low_frequency
-from .tiler import GeometryError, bicubic_upsample, extract_patch, fuse_patches, plan_patches
+from .tiler import GeometryError, PatchLayout, bicubic_upsample, extract_patch, fuse_patches, plan_patches
 from .util import as_grid
 
 THREADS_ENV = "RESMASTER_THREADS"
@@ -166,25 +166,54 @@ def thread_cap() -> int:
     return cap
 
 
+def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: PatchLayout,
+            channels: int, config: PipelineConfig, ref_patches: list[np.ndarray] | None = None,
+            patch_hook: Callable[[int, int, np.ndarray], None] | None = None) -> np.ndarray:
+    """Ancestral sampling of ``layout``'s grid: window ``i`` is denoised under
+    ``conds[i]`` with noise substream ``i``, and with ``ref_patches`` its low
+    band is swapped for the reference patch's while ``t > guidance_stop_step``.
+    A one-window layout covers the whole grid, so its patch needs no fusion."""
+    s = config.make_schedule()
+    mask = None if ref_patches is None else gaussian_lowpass_mask(layout.win_h, layout.win_w, config.d0)
+    z = standard_normal_field(config.seed, INIT_STEP, 0, (layout.grid_h, layout.grid_w, channels))
+
+    def step_patch(t: int, i: int) -> np.ndarray:
+        z_t = extract_patch(z, layout.rects[i])
+        eps = denoiser.predict(z_t, t, conds[i], s)
+        z0 = predict_x0(z_t, eps, t, s)
+        if ref_patches is not None and t > config.guidance_stop_step:
+            z0 = swap_low_frequency(z0, ref_patches[i], mask)
+        if patch_hook is not None:
+            patch_hook(t, i, z0)
+        step_noise = standard_normal_field(config.seed, t, i, z_t.shape)
+        return posterior_step(z_t, z0, t, step_noise, s)
+
+    workers = min(thread_cap(), layout.patch_count)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    run = map if pool is None else pool.map
+    try:
+        for t in range(s.steps, 0, -1):
+            patches = list(run(lambda i: step_patch(t, i), range(layout.patch_count)))
+            z = patches[0] if layout.patch_count == 1 else fuse_patches(patches, layout)
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return z
+
+
 def generate_low_res(
     denoiser: Denoiser,
     cond: ConditionBundle | None,
     dims: tuple[int, int, int],
     config: PipelineConfig,
 ) -> np.ndarray:
-    """Ancestral sampling from pure noise, without structural guidance."""
+    """Ancestral sampling from pure noise, without structural guidance: the
+    patch sampler over a single window covering the whole grid."""
     config.validate()
     h, w, c = dims
     if min(h, w, c) < 1:
         raise ValueError(f"dims must be positive, got {dims}")
-    s = config.make_schedule()
-    z = standard_normal_field(config.seed, INIT_STEP, 0, (h, w, c))
-    for t in range(s.steps, 0, -1):
-        eps = denoiser.predict(z, t, cond, s)
-        z0 = predict_x0(z, eps, t, s)
-        step_noise = standard_normal_field(config.seed, t, 0, z.shape)
-        z = posterior_step(z, z0, t, step_noise, s)
-    return z
+    return _sample(denoiser, [cond], plan_patches(h, w, h, w, h, w), c, config)
 
 
 def build_patch_bundles(
@@ -207,7 +236,6 @@ def resmaster_generate(
     captions: CaptionManifest,
     denoiser: Denoiser,
     config: PipelineConfig,
-    progress: Callable[[int, int], None] | None = None,
     patch_hook: Callable[[int, int, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Patch-based generation at ``scale`` times the reference resolution.
@@ -215,9 +243,9 @@ def resmaster_generate(
     The reference is bicubically upsampled once; its patches provide both the
     low-frequency bands swapped into every clean estimate (until
     ``guidance_stop_step``) and the image prompts of the per-patch condition
-    bundles. ``progress`` is called as (step, patch) after each patch is
-    sampled and may fire concurrently when threads are enabled; ``patch_hook``
-    additionally receives each clean estimate right after the swap.
+    bundles. ``patch_hook`` is called as (step, patch, clean estimate) right
+    after the swap, once per patch and step, and may fire concurrently when
+    threads are enabled.
     """
     config.validate()
     reference = as_grid(reference, "reference")
@@ -235,41 +263,8 @@ def resmaster_generate(
             f"caption manifest has {captions.patch_count} patches, layout needs {layout.patch_count}"
         )
 
-    s = config.make_schedule()
     codec = config.make_codec()
     upsampled = bicubic_upsample(reference, config.target_h, config.target_w)
     ref_patches = [codec.encode(extract_patch(upsampled, r)) for r in layout.rects]
     bundles = build_patch_bundles(ref_patches, captions, config)
-    mask = gaussian_lowpass_mask(config.win_h, config.win_w, config.d0)
-
-    z = standard_normal_field(
-        config.seed, INIT_STEP, 0, (config.target_h, config.target_w, config.channels)
-    )
-
-    def step_patch(t: int, i: int, full: np.ndarray) -> np.ndarray:
-        z_t = extract_patch(full, layout.rects[i])
-        eps = denoiser.predict(z_t, t, bundles[i], s)
-        z0 = predict_x0(z_t, eps, t, s)
-        if t > config.guidance_stop_step:
-            z0 = swap_low_frequency(z0, ref_patches[i], mask)
-        if patch_hook is not None:
-            patch_hook(t, i, z0)
-        step_noise = standard_normal_field(config.seed, t, i, z_t.shape)
-        out = posterior_step(z_t, z0, t, step_noise, s)
-        if progress is not None:
-            progress(t, i)
-        return out
-
-    workers = min(thread_cap(), layout.patch_count)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for t in range(s.steps, 0, -1):
-            if pool is None:
-                patches = [step_patch(t, i, z) for i in range(layout.patch_count)]
-            else:
-                patches = list(pool.map(lambda i: step_patch(t, i, z), range(layout.patch_count)))
-            z = fuse_patches(patches, layout)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return codec.decode(z)
+    return codec.decode(_sample(denoiser, bundles, layout, config.channels, config, ref_patches, patch_hook))

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .util import as_grid, as_spectrum, require_same_shape
+from .util import as_grid, require_same_shape
 
 
 class ImaginaryResidueError(ValueError):
@@ -48,9 +48,11 @@ def ifft2d(f: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     The imaginary residue left by a conjugate-symmetric spectrum is discarded
     after asserting its magnitude stays below ``tol``.
     """
-    f = as_spectrum(f, "spectrum")
+    f = np.asarray(f, dtype=np.complex128)
+    if f.ndim != 3 or f.size == 0:
+        raise ValueError(f"spectrum must be a non-empty (height, width, channels) array, got shape {f.shape}")
     out = np.fft.ifft2(f, axes=(0, 1))
-    residue = float(np.abs(out.imag).max()) if out.size else 0.0
+    residue = float(np.abs(out.imag).max())
     if residue >= tol:
         raise ImaginaryResidueError(
             f"imaginary residue {residue:.3e} exceeds {tol:.1e}; "

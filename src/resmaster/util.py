@@ -1,7 +1,7 @@
 """Shared array validation helpers.
 
 Grids are plain numpy arrays of shape (height, width, channels), float64,
-row-major. Spectra are the complex counterpart of the same shape.
+row-major.
 """
 
 from __future__ import annotations
@@ -12,16 +12,6 @@ import numpy as np
 def as_grid(g, name: str = "grid") -> np.ndarray:
     """Coerce to a float64 (H, W, C) array, validating rank and size."""
     arr = np.asarray(g, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"{name} must have shape (height, width, channels), got ndim={arr.ndim}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
-    return arr
-
-
-def as_spectrum(f, name: str = "spectrum") -> np.ndarray:
-    """Coerce to a complex128 (H, W, C) array, validating rank and size."""
-    arr = np.asarray(f, dtype=np.complex128)
     if arr.ndim != 3:
         raise ValueError(f"{name} must have shape (height, width, channels), got ndim={arr.ndim}")
     if arr.size == 0:

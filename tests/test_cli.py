@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ class TestLowres:
             assert main(["lowres", "--out", str(out), "--steps", "6", "--seed", "4"]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+    def test_non_finite_output_exits_1_without_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("resmaster.cli.generate_low_res",
+                            lambda den, cond, dims, config: np.full(dims, np.nan))
+        out = tmp_path / "nan.ppm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["lowres", "--out", str(out), "--steps", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestUpscale:
@@ -144,6 +158,22 @@ class TestUpscale:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "got float 9.0" in err
+
+    def test_manifest_from_another_layout_exits_1_with_one_line(self, tmp_path, reference_file, capsys):
+        # 96/16 and 64/32 both tile a 128-cell axis in 3 windows, so only the
+        # manifest's layout block tells the two apart.
+        manifest = tmp_path / "caps.json"
+        assert main(["plan", "--in", str(reference_file), "--scale", "8",
+                     "--window", "96", "--stride", "16", "--manifest", str(manifest)]) == 0
+        _fill_manifest(manifest)
+        capsys.readouterr()
+        out = tmp_path / "o.ppm"
+        code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                     "--scale", "8", "--window", "64", "--stride", "32", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "layout window [96, 96]" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_geometry_reports_and_exits_1(self, tmp_path, reference_file, capsys):
         manifest = self._plan_and_fill(tmp_path, reference_file)

@@ -179,6 +179,23 @@ class TestCaptionManifest:
         manifest = load_caption_manifest(path, expected_patches=9)
         assert manifest.caption_for(0) == "busy market street"
 
+    def test_layout_block_must_match_the_run(self, tmp_path):
+        run = plan_patches(128, 128, 64, 64, 32, 32).to_dict()
+        other = plan_patches(128, 128, 96, 96, 16, 16).to_dict()
+        path = self._write(tmp_path, self._doc(layout=other))
+        with pytest.raises(ManifestError, match=r"layout window \[96, 96\] does not match"):
+            load_caption_manifest(path, expected_patches=9, expected_layout=run)
+        path = self._write(tmp_path, self._doc(layout=run))
+        assert load_caption_manifest(path, expected_patches=9, expected_layout=run).patch_count == 9
+        path = self._write(tmp_path, self._doc(layout=[64, 32]))
+        with pytest.raises(ManifestError, match="layout must be an object"):
+            load_caption_manifest(path, expected_layout=run)
+
+    def test_manifest_without_layout_block_is_accepted(self, tmp_path):
+        run = plan_patches(128, 128, 64, 64, 32, 32).to_dict()
+        path = self._write(tmp_path, self._doc())
+        assert load_caption_manifest(path, expected_layout=run).patch_count == 9
+
     def test_in_memory_manifest_index_bounds(self):
         manifest = CaptionManifest(global_prompt="g", patch_count=2)
         assert manifest.caption_for(1) == "g"

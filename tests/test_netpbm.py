@@ -87,3 +87,12 @@ class TestWriteImage:
         assert (tmp_path / "a.pgm").read_bytes().startswith(b"P5")
         with pytest.raises(ValueError):
             write_image(rng.uniform(size=(2, 2, 4)), tmp_path / "bad.ppm")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_before_opening(self, tmp_path, bad):
+        grid = np.full((2, 2, 3), 0.5)
+        grid[1, 0, 2] = bad
+        path = tmp_path / "bad.ppm"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_image(grid, path)
+        assert not path.exists()

@@ -70,6 +70,16 @@ class TestGenerateLowRes:
         b = generate_low_res(den, None, (8, 8, 2), config)
         assert np.array_equal(a, b)
 
+    def test_single_window_is_never_fused(self, monkeypatch):
+        # The one window covers the whole grid; fusing it would only copy it.
+        def refuse(patches, layout):
+            raise AssertionError("fuse_patches called for a single full-grid window")
+
+        monkeypatch.setattr("resmaster.pipeline.fuse_patches", refuse)
+        den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+        out = generate_low_res(den, None, (8, 6, 3), PipelineConfig(steps=4, seed=2))
+        assert out.shape == (8, 6, 3)
+
     def test_different_seeds_differ(self):
         den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
         a = generate_low_res(den, None, (8, 8, 1), PipelineConfig(steps=10, seed=1))
@@ -160,13 +170,13 @@ class TestResmasterGenerate:
         threaded = resmaster_generate(ref, self._captions(9), den, config)
         assert np.array_equal(serial, threaded)
 
-    def test_progress_callback_sees_every_patch_step(self):
+    def test_patch_hook_sees_every_patch_step(self):
         config = self._config(steps=5)
         ref = smooth_reference(16, 16, 2)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
         seen = set()
         resmaster_generate(ref, self._captions(9), den, config,
-                           progress=lambda t, i: seen.add((t, i)))
+                           patch_hook=lambda t, i, z0: seen.add((t, i)))
         assert seen == {(t, i) for t in range(1, 6) for i in range(9)}
 
     def test_geometry_and_caption_mismatch_fail_before_sampling(self):

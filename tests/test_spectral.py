@@ -70,6 +70,11 @@ class TestIFFT:
         with pytest.raises(ImaginaryResidueError):
             ifft2d(f)
 
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 1, 1), (0, 4, 1)])
+    def test_rejects_bad_rank_and_empty(self, shape):
+        with pytest.raises(ValueError, match="non-empty \\(height, width, channels\\)"):
+            ifft2d(np.zeros(shape, dtype=np.complex128))
+
 
 class TestGaussianMask:
     def test_dc_is_one_for_any_cutoff(self):
