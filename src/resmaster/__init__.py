@@ -27,8 +27,6 @@ from .denoiser import (
 from .netpbm import ImageFormatError, read_image, write_image
 from .noise import standard_normal_field
 from .pipeline import (
-    Codec,
-    IdentityCodec,
     PipelineConfig,
     build_patch_bundles,
     generate_low_res,

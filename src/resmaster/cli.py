@@ -16,14 +16,12 @@ import json
 import logging
 import sys
 
-import numpy as np
-
 from .conditioning import ManifestError, load_caption_manifest, manifest_skeleton, save_manifest
 from .config import ConfigError, parse_config
 from .denoiser import GaussianDataModel, analytic_gaussian_denoiser, toy_conditioned_denoiser
 from .netpbm import ImageFormatError, read_image, write_image
 from .pipeline import PipelineConfig, generate_low_res, resmaster_generate
-from .tiler import GeometryError, plan_patches
+from .tiler import GeometryError
 
 log = logging.getLogger(__name__)
 
@@ -102,20 +100,11 @@ def _cmd_lowres(args) -> int:
     return 0
 
 
-def _layout_for(reference: np.ndarray, config: PipelineConfig):
-    h, w, c = reference.shape
-    return plan_patches(
-        h * config.scale, w * config.scale,
-        config.win_h, config.win_w, config.stride_h, config.stride_w,
-    )
-
-
 def _cmd_plan(args) -> int:
     reference = read_image(args.input)
     h, w, c = reference.shape
     overrides = {**_overrides_from(args), "height": h, "width": w, "channels": c}
-    config = parse_config(args.config, overrides)
-    layout = _layout_for(reference, config)
+    layout = parse_config(args.config, overrides).layout
     skeleton = manifest_skeleton(global_prompt="", layout_dict=layout.to_dict())
     if args.manifest:
         save_manifest(skeleton, args.manifest)
@@ -132,8 +121,7 @@ def _cmd_upscale(args) -> int:
     # The reference file defines the source dims; flags override the rest.
     overrides = {**_overrides_from(args), "height": h, "width": w, "channels": c}
     config = parse_config(args.config, overrides)
-    layout = _layout_for(reference, config)
-    captions = load_caption_manifest(args.manifest, layout.patch_count, layout.to_dict())
+    captions = load_caption_manifest(args.manifest, config.layout.to_dict())
     denoiser = _make_denoiser(config)
     result = resmaster_generate(reference, captions, denoiser, config)
     write_image(result, args.out)

@@ -178,16 +178,14 @@ class CaptionManifest:
         return caption if caption else self.global_prompt
 
 
-def load_caption_manifest(
-    path, expected_patches: int | None = None, expected_layout: dict | None = None
-) -> CaptionManifest:
+def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionManifest:
     """Read a manifest file, filling missing or empty captions from the global prompt.
 
     Raises ManifestError on parse failure (naming line/column), on a patch
-    count that is not a JSON integer or disagrees with ``expected_patches``, on
-    a ``layout`` block that differs from ``expected_layout`` (a run's
-    ``PatchLayout.to_dict()``; the first differing field is named), or when a
-    patch would fall back to an empty global prompt.
+    count that is not a JSON integer or disagrees with the ``patch_count`` of
+    ``expected_layout`` (a run's ``PatchLayout.to_dict()``), on a ``layout``
+    block that differs from ``expected_layout`` (the first differing field is
+    named), or when a patch would fall back to an empty global prompt.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -221,9 +219,10 @@ def load_caption_manifest(
             f"manifest {path}: patch_count must be a JSON integer, "
             f"got {type(patch_count).__name__} {patch_count!r}"
         )
-    if expected_patches is not None and patch_count != expected_patches:
+    if expected_layout is not None and patch_count != expected_layout["patch_count"]:
         raise ManifestError(
-            f"manifest {path} describes {patch_count} patches but the layout has {expected_patches}"
+            f"manifest {path} describes {patch_count} patches "
+            f"but the layout has {expected_layout['patch_count']}"
         )
     layout = doc.get("layout")
     if expected_layout is not None and layout is not None:

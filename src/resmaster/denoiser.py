@@ -73,8 +73,6 @@ class _AnalyticGaussianDenoiser:
     def predict(self, z_t, t, cond, s):
         z_t = as_grid(z_t, "z_t")
         abar = s.alpha_bar_at(t)
-        if abar >= 1.0:
-            return np.zeros_like(z_t)  # noiseless limit
         return (z_t - math.sqrt(abar) * self.posterior_mean(z_t, t, s)) / math.sqrt(1.0 - abar)
 
     def _broadcast_mean(self, z_t: np.ndarray) -> np.ndarray:

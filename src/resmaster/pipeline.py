@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 from concurrent.futures import ThreadPoolExecutor
@@ -33,24 +33,6 @@ from .util import as_grid
 
 THREADS_ENV = "RESMASTER_THREADS"
 
-
-class Codec(Protocol):
-    """Latent codec interface. The identity codec stands in for a real
-    autoencoder; a learned codec can be dropped in behind the same calls."""
-
-    def encode(self, image: np.ndarray) -> np.ndarray: ...
-    def decode(self, latent: np.ndarray) -> np.ndarray: ...
-
-
-class IdentityCodec:
-    def encode(self, image):
-        return image
-
-    def decode(self, latent):
-        return latent
-
-
-CODECS: dict[str, Callable[[], Codec]] = {"identity": IdentityCodec}
 
 DENOISER_CHOICES = ("analytic", "toy")
 
@@ -89,7 +71,6 @@ class PipelineConfig:
     lam: float = 0.8
     seed: int = 0
     guidance_stop_step: int = 0
-    codec: str = "identity"
     denoiser: str = "analytic"
     model_mean: float = 0.5
     model_std: float = 0.2
@@ -105,6 +86,12 @@ class PipelineConfig:
     def target_w(self) -> int:
         return self.width * self.scale
 
+    @property
+    def layout(self) -> PatchLayout:
+        """The tiling of the target grid; raises GeometryError if impossible."""
+        return plan_patches(self.target_h, self.target_w,
+                            self.win_h, self.win_w, self.stride_h, self.stride_w)
+
     def problems(self) -> list[str]:
         """All invariant violations, for an aggregated validation report."""
         out = []
@@ -115,16 +102,14 @@ class PipelineConfig:
                 out.append(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0.0 < self.beta_start <= self.beta_end < 1.0):
             out.append(f"betas must satisfy 0 < start <= end < 1, got ({self.beta_start}, {self.beta_end})")
-        if not self.d0 > 0.0:
-            out.append(f"d0 must be > 0, got {self.d0}")
+        if not (self.d0 > 0.0 and 2.0 * self.d0 * self.d0 > 0.0):
+            out.append(f"d0 must be > 0 and 2*d0*d0 must not underflow to 0, got {self.d0}")
         if not self.lam >= 0.0:
             out.append(f"lambda must be >= 0, got {self.lam}")
         if not 0 <= self.seed < SEED_LIMIT:
             out.append(f"seed must lie in [0, 2**63), got {self.seed}")
         if not 0 <= self.guidance_stop_step <= self.steps:
             out.append(f"guidance_stop must lie in [0, steps={self.steps}], got {self.guidance_stop_step}")
-        if self.codec not in CODECS:
-            out.append(f"unknown codec {self.codec!r}; choices: {sorted(CODECS)}")
         if self.denoiser not in DENOISER_CHOICES:
             out.append(f"unknown denoiser {self.denoiser!r}; choices: {DENOISER_CHOICES}")
         if self.schedule not in SCHEDULE_CHOICES:
@@ -133,8 +118,7 @@ class PipelineConfig:
             out.append(f"model_std must be >= 0, got {self.model_std}")
         if not out:
             try:
-                plan_patches(self.target_h, self.target_w,
-                             self.win_h, self.win_w, self.stride_h, self.stride_w)
+                self.layout
             except GeometryError as exc:
                 out.append(str(exc))
         return out
@@ -149,9 +133,6 @@ class PipelineConfig:
         if self.schedule == "linear":
             return make_linear_schedule(self.steps, self.beta_start, self.beta_end)
         return make_geometric_schedule(self.steps)
-
-    def make_codec(self) -> Codec:
-        return CODECS[self.codec]()
 
 
 def thread_cap() -> int:
@@ -178,7 +159,8 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
     z = standard_normal_field(config.seed, INIT_STEP, 0, (layout.grid_h, layout.grid_w, channels))
 
     def step_patch(t: int, i: int) -> np.ndarray:
-        z_t = extract_patch(z, layout.rects[i])
+        # A lone window is the whole grid; nothing writes to z, which the step replaces.
+        z_t = z if layout.patch_count == 1 else extract_patch(z, layout.rects[i])
         eps = denoiser.predict(z_t, t, conds[i], s)
         z0 = predict_x0(z_t, eps, t, s)
         if ref_patches is not None and t > config.guidance_stop_step:
@@ -254,17 +236,13 @@ def resmaster_generate(
             f"reference shape {reference.shape} does not match config dims "
             f"({config.height}, {config.width}, {config.channels})"
         )
-    layout = plan_patches(
-        config.target_h, config.target_w,
-        config.win_h, config.win_w, config.stride_h, config.stride_w,
-    )
+    layout = config.layout
     if captions.patch_count != layout.patch_count:
         raise ValueError(
             f"caption manifest has {captions.patch_count} patches, layout needs {layout.patch_count}"
         )
 
-    codec = config.make_codec()
     upsampled = bicubic_upsample(reference, config.target_h, config.target_w)
-    ref_patches = [codec.encode(extract_patch(upsampled, r)) for r in layout.rects]
+    ref_patches = [extract_patch(upsampled, r) for r in layout.rects]
     bundles = build_patch_bundles(ref_patches, captions, config)
-    return codec.decode(_sample(denoiser, bundles, layout, config.channels, config, ref_patches, patch_hook))
+    return _sample(denoiser, bundles, layout, config.channels, config, ref_patches, patch_hook)

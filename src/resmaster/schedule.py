@@ -9,7 +9,7 @@ All operations are pure; noise is always supplied by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,24 +18,22 @@ from .util import as_grid, require_same_shape
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step variances beta_t with the derived alpha_t and alpha_bar_t arrays."""
+    """Per-step variances beta_t; alpha_t = 1 - beta_t and alpha_bar_t, their
+    cumulative product, are derived from them."""
 
     beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
+    alpha: np.ndarray = field(init=False)
+    alpha_bar: np.ndarray = field(init=False)
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=np.float64)
-        alpha = np.array(self.alpha, dtype=np.float64)
-        alpha_bar = np.array(self.alpha_bar, dtype=np.float64)
         if beta.ndim != 1 or beta.size < 1:
             raise ValueError("beta must be a 1-D array of length >= 1")
-        if not (beta.shape == alpha.shape == alpha_bar.shape):
-            raise ValueError("beta, alpha, alpha_bar must share a common length")
         if not ((beta > 0.0).all() and (beta < 1.0).all()):
             raise ValueError("every beta_t must lie in (0, 1)")
-        if not np.array_equal(alpha, 1.0 - beta):
-            raise ValueError("alpha must equal 1 - beta exactly")
+        alpha = 1.0 - beta
+        alpha_bar = np.cumprod(alpha)
+        # Rounding can still break these: beta_t = 1e-17 gives alpha_t = 1.0.
         if not ((alpha_bar > 0.0).all() and (alpha_bar < 1.0).all()):
             raise ValueError("alpha_bar must lie in (0, 1)")
         if alpha_bar.size > 1 and not (np.diff(alpha_bar) < 0.0).all():
@@ -73,7 +71,7 @@ class NoiseSchedule:
 
 
 def make_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
-    """Linearly spaced beta_t over T steps, with alpha and alpha_bar derived exactly.
+    """Linearly spaced beta_t over T steps.
 
     Defaults follow the common 1000-step convention (1e-4 .. 0.02) when T=1000;
     shorter schedules reuse the same endpoints.
@@ -85,9 +83,7 @@ def make_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.0
             f"betas must satisfy 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
     beta = np.linspace(beta_start, beta_end, int(T), dtype=np.float64)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    return NoiseSchedule(beta=beta, alpha=alpha, alpha_bar=alpha_bar)
+    return NoiseSchedule(beta=beta)
 
 
 def make_geometric_schedule(
@@ -127,8 +123,7 @@ def make_geometric_schedule(
         )
     alpha_bar = 1.0 - om
     beta = 1.0 - alpha_bar / np.concatenate([[1.0], alpha_bar[:-1]])
-    alpha = 1.0 - beta
-    return NoiseSchedule(beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
+    return NoiseSchedule(beta=beta)
 
 
 def forward_diffuse(z0: np.ndarray, t: int, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray:

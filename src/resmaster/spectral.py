@@ -87,8 +87,8 @@ def gaussian_lowpass_mask(height: int, width: int, d0: float) -> np.ndarray:
     """
     if height < 1 or width < 1:
         raise ValueError(f"mask dims must be positive, got ({height}, {width})")
-    if not d0 > 0.0:
-        raise ValueError(f"cutoff d0 must be > 0, got {d0}")
+    if not (d0 > 0.0 and 2.0 * d0 * d0 > 0.0):
+        raise ValueError(f"cutoff d0 must be > 0 and 2*d0*d0 must not underflow to 0, got {d0}")
     return _cached_mask(int(height), int(width), float(d0))
 
 

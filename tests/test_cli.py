@@ -175,6 +175,34 @@ class TestUpscale:
         assert err.count("\n") == 1 and "layout window [96, 96]" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_codec_key_exits_1_as_unknown(self, tmp_path, reference_file, capsys):
+        manifest = self._plan_and_fill(tmp_path, reference_file)
+        config = tmp_path / "codec.json"
+        config.write_text(json.dumps({"codec": "identity"}))
+        code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                     "--config", str(config), "--scale", "2", "--window", "16", "--stride", "8",
+                     "--out", str(tmp_path / "o.ppm")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown configuration key 'codec'" in err
+
+    def test_d0_whose_square_underflows_exits_1_before_sampling(self, tmp_path, reference_file,
+                                                                 monkeypatch, capsys):
+        manifest = self._plan_and_fill(tmp_path, reference_file)
+        capsys.readouterr()
+        monkeypatch.setattr("resmaster.cli.resmaster_generate",
+                            lambda *args: pytest.fail("sampling started"))
+        out = tmp_path / "o.ppm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                         "--scale", "2", "--window", "16", "--stride", "8",
+                         "--d0", "1e-200", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "d0" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_geometry_reports_and_exits_1(self, tmp_path, reference_file, capsys):
         manifest = self._plan_and_fill(tmp_path, reference_file)
         code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),

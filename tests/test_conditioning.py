@@ -104,6 +104,10 @@ class TestBundleValidation:
             TextEmbedding(np.full((2, 3), 50.0))
 
 
+# The run layout of a 128x128 target tiled by 64/32 windows: 9 patches.
+RUN_LAYOUT = plan_patches(128, 128, 64, 64, 32, 32).to_dict()
+
+
 class TestCaptionManifest:
     def _write(self, tmp_path, doc):
         path = tmp_path / "caps.json"
@@ -123,7 +127,7 @@ class TestCaptionManifest:
 
     def test_loads_full_manifest(self, tmp_path):
         path = self._write(tmp_path, self._doc())
-        manifest = load_caption_manifest(path, expected_patches=9)
+        manifest = load_caption_manifest(path, expected_layout=RUN_LAYOUT)
         assert manifest.patch_count == 9
         assert manifest.caption_for(4) == "patch 4"
         assert manifest.instruction == CAPTION_INSTRUCTION
@@ -133,7 +137,7 @@ class TestCaptionManifest:
         del doc["patches"]["4"]
         path = self._write(tmp_path, doc)
         with caplog.at_level(logging.WARNING):
-            manifest = load_caption_manifest(path, expected_patches=9)
+            manifest = load_caption_manifest(path, expected_layout=RUN_LAYOUT)
         assert manifest.caption_for(4) == "wide scene"
         assert any("[4]" in rec.getMessage() for rec in caplog.records)
 
@@ -146,21 +150,21 @@ class TestCaptionManifest:
     def test_count_mismatch_rejected(self, tmp_path):
         path = self._write(tmp_path, self._doc(n=4))
         with pytest.raises(ManifestError, match="4 patches but the layout has 9"):
-            load_caption_manifest(path, expected_patches=9)
+            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
 
     @pytest.mark.parametrize("count, type_name", [(9.0, "float"), ("9", "str"),
                                                   (True, "bool"), ([9], "list")])
     def test_non_integer_count_rejected_naming_type(self, tmp_path, count, type_name):
         path = self._write(tmp_path, self._doc(patch_count=count))
         with pytest.raises(ManifestError, match=f"patch_count must be a JSON integer, got {type_name}"):
-            load_caption_manifest(path, expected_patches=9)
+            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
 
     def test_empty_caption_with_empty_global_rejected(self, tmp_path):
         doc = self._doc(global_prompt="")
         doc["patches"]["2"] = ""
         path = self._write(tmp_path, doc)
         with pytest.raises(ManifestError, match="global prompt is empty"):
-            load_caption_manifest(path, expected_patches=9)
+            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
 
     def test_out_of_range_index_rejected(self, tmp_path):
         doc = self._doc()
@@ -176,25 +180,23 @@ class TestCaptionManifest:
         assert len(doc["patches"]) == 9
         path = tmp_path / "skel.json"
         save_manifest(doc, path)
-        manifest = load_caption_manifest(path, expected_patches=9)
+        manifest = load_caption_manifest(path, expected_layout=RUN_LAYOUT)
         assert manifest.caption_for(0) == "busy market street"
 
     def test_layout_block_must_match_the_run(self, tmp_path):
-        run = plan_patches(128, 128, 64, 64, 32, 32).to_dict()
         other = plan_patches(128, 128, 96, 96, 16, 16).to_dict()
         path = self._write(tmp_path, self._doc(layout=other))
         with pytest.raises(ManifestError, match=r"layout window \[96, 96\] does not match"):
-            load_caption_manifest(path, expected_patches=9, expected_layout=run)
-        path = self._write(tmp_path, self._doc(layout=run))
-        assert load_caption_manifest(path, expected_patches=9, expected_layout=run).patch_count == 9
+            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
+        path = self._write(tmp_path, self._doc(layout=RUN_LAYOUT))
+        assert load_caption_manifest(path, expected_layout=RUN_LAYOUT).patch_count == 9
         path = self._write(tmp_path, self._doc(layout=[64, 32]))
         with pytest.raises(ManifestError, match="layout must be an object"):
-            load_caption_manifest(path, expected_layout=run)
+            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
 
     def test_manifest_without_layout_block_is_accepted(self, tmp_path):
-        run = plan_patches(128, 128, 64, 64, 32, 32).to_dict()
         path = self._write(tmp_path, self._doc())
-        assert load_caption_manifest(path, expected_layout=run).patch_count == 9
+        assert load_caption_manifest(path, expected_layout=RUN_LAYOUT).patch_count == 9
 
     def test_in_memory_manifest_index_bounds(self):
         manifest = CaptionManifest(global_prompt="g", patch_count=2)

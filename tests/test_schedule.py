@@ -52,11 +52,21 @@ class TestMakeLinearSchedule:
             assert (np.diff(s.alpha_bar) < 0).all()
 
     def test_schedule_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            NoiseSchedule(beta=np.array([0.1]), alpha=np.array([0.89]), alpha_bar=np.array([0.9]))
-        with pytest.raises(ValueError):
-            NoiseSchedule(beta=np.array([0.1, 0.2]), alpha=np.array([0.9, 0.8]),
-                          alpha_bar=np.array([0.9, 0.95]))
+        # beta_t = 1e-17 rounds alpha_t to exactly 1, so alpha_bar leaves (0, 1)
+        # or stops decreasing; beta_t = 1 is outside (0, 1) itself.
+        for beta in ([1e-17], [0.1, 1e-17], [1.0], [0.1, 1.0], [], [[0.1]]):
+            with pytest.raises(ValueError):
+                NoiseSchedule(beta=np.array(beta))
+
+    def test_alpha_and_alpha_bar_are_derived_not_passed(self):
+        s = NoiseSchedule(beta=np.array([0.1, 0.2]))
+        np.testing.assert_array_equal(s.alpha, 1.0 - s.beta)
+        np.testing.assert_array_equal(s.alpha_bar, np.cumprod(1.0 - s.beta))
+        assert not (s.alpha.flags.writeable or s.alpha_bar.flags.writeable)
+        with pytest.raises(TypeError):
+            NoiseSchedule(beta=np.array([0.1, 0.2]), alpha=np.array([0.9, 0.8]))
+        with pytest.raises(TypeError):
+            NoiseSchedule(beta=np.array([0.1, 0.2]), alpha_bar=np.array([0.9, 0.5]))
 
 
 class TestMakeGeometricSchedule:
