@@ -17,8 +17,9 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from resmaster.conditioning import CaptionManifest
+from resmaster.config import PipelineConfig
 from resmaster.denoiser import GaussianDataModel, analytic_gaussian_denoiser
-from resmaster.pipeline import PipelineConfig, resmaster_generate
+from resmaster.pipeline import resmaster_generate
 from resmaster.spectral import fft2d
 from resmaster.tiler import bicubic_upsample
 

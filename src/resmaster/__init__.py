@@ -17,7 +17,7 @@ from .conditioning import (
     encode_image_prompt_stub,
     load_caption_manifest,
 )
-from .config import ConfigError, parse_config, serialize_config
+from .config import ConfigError, PipelineConfig, parse_config, serialize_config
 from .denoiser import (
     Denoiser,
     GaussianDataModel,
@@ -26,12 +26,7 @@ from .denoiser import (
 )
 from .netpbm import ImageFormatError, read_image, write_image
 from .noise import standard_normal_field
-from .pipeline import (
-    PipelineConfig,
-    build_patch_bundles,
-    generate_low_res,
-    resmaster_generate,
-)
+from .pipeline import build_patch_bundles, generate_low_res, resmaster_generate
 from .schedule import (
     NoiseSchedule,
     forward_diffuse,

@@ -17,28 +17,33 @@ import logging
 import sys
 
 from .conditioning import ManifestError, load_caption_manifest, manifest_skeleton, save_manifest
-from .config import ConfigError, parse_config
+from .config import ConfigError, PipelineConfig, parse_config
 from .denoiser import GaussianDataModel, analytic_gaussian_denoiser, toy_conditioned_denoiser
 from .netpbm import ImageFormatError, read_image, write_image
-from .pipeline import PipelineConfig, generate_low_res, resmaster_generate
+from .pipeline import generate_low_res, resmaster_generate
 from .tiler import GeometryError
 
 log = logging.getLogger(__name__)
 
 
+# Flags that override a configuration key, which is the flag's argparse dest.
+_CONFIG_FLAGS = {
+    "scale": dict(type=int),
+    "window": dict(type=int, nargs="+", metavar="N"),
+    "stride": dict(type=int, nargs="+", metavar="N"),
+    "steps": dict(type=int),
+    "d0": dict(type=float),
+    "lambda": dict(type=float, dest="lam"),
+    "seed": dict(type=int),
+    "guidance-stop": dict(type=int, dest="guidance_stop_step"),
+}
+_OVERRIDE_KEYS = tuple(options.get("dest", flag.replace("-", "_"))
+                       for flag, options in _CONFIG_FLAGS.items())
+
+
 def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "scale": dict(type=int),
-        "window": dict(type=int, nargs="+", metavar="N"),
-        "stride": dict(type=int, nargs="+", metavar="N"),
-        "steps": dict(type=int),
-        "d0": dict(type=float),
-        "lambda": dict(type=float, dest="lam"),
-        "seed": dict(type=int),
-        "guidance-stop": dict(type=int, dest="guidance_stop_step"),
-    }
     for name in names:
-        p.add_argument(f"--{name}", **flags[name])
+        p.add_argument(f"--{name}", **_CONFIG_FLAGS[name])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,9 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
-    keys = ("scale", "window", "stride", "steps", "d0", "lam", "seed", "guidance_stop_step")
     out = {}
-    for key in keys:
+    for key in _OVERRIDE_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             out[key] = value
@@ -94,7 +98,7 @@ def _cmd_lowres(args) -> int:
             "per-patch caption conditions, which only upscale provides"
         )
     denoiser = _make_denoiser(config)
-    grid = generate_low_res(denoiser, None, (config.height, config.width, config.channels), config)
+    grid = generate_low_res(denoiser, None, config)
     write_image(grid, args.out)
     log.info("wrote %s (%dx%d, %d channels)", args.out, config.width, config.height, config.channels)
     return 0

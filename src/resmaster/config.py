@@ -1,28 +1,124 @@
-"""Configuration file parsing with CLI-flag overrides.
+"""Run configuration: the ``PipelineConfig`` schema and its JSON file form.
 
-Configs are single JSON objects with a leading version field. Precedence is
-defaults < file < CLI flags, and every invariant violation is collected into
-one aggregated one-line report rather than failing on the first.
+Config files are single JSON objects with a leading version field.
+Precedence is defaults < file < CLI flags, and every invariant violation is
+collected into one aggregated one-line report rather than failing on the first.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from dataclasses import dataclass, field
 
-from .pipeline import PipelineConfig, problem_report
+from .schedule import make_geometric_schedule, make_linear_schedule
+from .spectral import valid_cutoff
+from .tiler import GeometryError, PatchLayout, plan_patches
 
 CONFIG_VERSION = 1
+
+DENOISER_CHOICES = ("analytic", "toy")
+
+# "geometric" log-spaces the noise-variance ladder, which short runs need to
+# resolve fine-scale data; "linear" is the classic long-schedule convention.
+SCHEDULE_CHOICES = ("geometric", "linear")
+
+# Seeds are hashed as signed 64-bit integers by the embedding stubs.
+SEED_LIMIT = 2**63
+
+
+class ConfigError(ValueError):
+    """Aggregated configuration validation report."""
+
+
+def problem_report(problems: list[str]) -> str:
+    """All invariant violations of a configuration, on one line."""
+    return "invalid configuration: " + "; ".join(problems)
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Run parameters. ``height``/``width`` are the low-resolution reference
+    dims; the target is ``scale`` times larger on each axis. Window and stride
+    describe the tiling of the target grid, planned once as ``layout``.
+    Construction raises ConfigError listing every violated invariant."""
+
+    height: int = 32
+    width: int = 32
+    channels: int = 3
+    scale: int = 4
+    win_h: int = 64
+    win_w: int = 64
+    stride_h: int = 32
+    stride_w: int = 32
+    steps: int = 50
+    schedule: str = "geometric"
+    beta_start: float = 1e-4
+    beta_end: float = 0.02
+    d0: float = 0.8
+    lam: float = 0.8
+    seed: int = 0
+    guidance_stop_step: int = 0
+    denoiser: str = "analytic"
+    model_mean: float = 0.5
+    model_std: float = 0.2
+    text_tokens: int = 8
+    image_tokens: int = 4
+    embed_dim: int = 16
+    layout: PatchLayout = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        problems = []
+        for name in ("height", "width", "channels", "scale", "steps",
+                     "win_h", "win_w", "stride_h", "stride_w",
+                     "text_tokens", "image_tokens", "embed_dim"):
+            if getattr(self, name) < 1:
+                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (0.0 < self.beta_start <= self.beta_end < 1.0):
+            problems.append(f"betas must satisfy 0 < start <= end < 1, got ({self.beta_start}, {self.beta_end})")
+        if not valid_cutoff(self.d0):
+            problems.append(f"d0 must be > 0 and 1/(2*d0*d0) must be finite, got {self.d0}")
+        if not self.lam >= 0.0:
+            problems.append(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            problems.append(f"seed must lie in [0, 2**63), got {self.seed}")
+        if not 0 <= self.guidance_stop_step <= self.steps:
+            problems.append(f"guidance_stop must lie in [0, steps={self.steps}], got {self.guidance_stop_step}")
+        if self.denoiser not in DENOISER_CHOICES:
+            problems.append(f"unknown denoiser {self.denoiser!r}; choices: {DENOISER_CHOICES}")
+        if self.schedule not in SCHEDULE_CHOICES:
+            problems.append(f"unknown schedule {self.schedule!r}; choices: {SCHEDULE_CHOICES}")
+        if self.model_std < 0:
+            problems.append(f"model_std must be >= 0, got {self.model_std}")
+        if not problems:
+            try:
+                layout = plan_patches(self.target_h, self.target_w,
+                                      self.win_h, self.win_w, self.stride_h, self.stride_w)
+            except GeometryError as exc:
+                problems.append(str(exc))
+        if problems:
+            raise ConfigError(problem_report(problems))
+        object.__setattr__(self, "layout", layout)
+
+    @property
+    def target_h(self) -> int:
+        return self.height * self.scale
+
+    @property
+    def target_w(self) -> int:
+        return self.width * self.scale
+
+    def make_schedule(self):
+        if self.schedule == "linear":
+            return make_linear_schedule(self.steps, self.beta_start, self.beta_end)
+        return make_geometric_schedule(self.steps)
+
 
 # JSON keys that expand to (h, w) field pairs.
 _PAIR_KEYS = {"window": ("win_h", "win_w"), "stride": ("stride_h", "stride_w")}
 
 # Each key's kind (int, float or str) is the type of its field's default.
-_KINDS = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig)}
-
-
-class ConfigError(ValueError):
-    """Aggregated configuration validation report."""
+_KINDS = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig) if f.init}
 
 
 def _coerce(name: str, value, problems: list[str]):
@@ -64,11 +160,11 @@ def _expand_pairs(doc: dict, problems: list[str]) -> dict:
 
 
 def parse_config(path=None, cli_overrides: dict | None = None) -> PipelineConfig:
-    """Build a validated PipelineConfig from an optional file plus overrides.
+    """Build a PipelineConfig from an optional file plus overrides.
 
     An empty or missing file means all defaults. Raises ConfigError carrying
-    every problem found (unknown keys, bad types, violated invariants,
-    impossible patch geometry).
+    every problem found: unknown keys and bad types here, violated invariants
+    and impossible patch geometry from the PipelineConfig constructor.
     """
     problems: list[str] = []
     doc: dict = {}
@@ -104,16 +200,13 @@ def parse_config(path=None, cli_overrides: dict | None = None) -> PipelineConfig
 
     if problems:
         raise ConfigError(problem_report(problems))
-    config = PipelineConfig(**values)
-    problems = config.problems()
-    if problems:
-        raise ConfigError(problem_report(problems))
-    return config
+    return PipelineConfig(**values)
 
 
 def serialize_config(config: PipelineConfig) -> dict:
     """JSON-ready dict; parse_config(serialize_config(c)) is a fixed point."""
     doc = {"version": CONFIG_VERSION}
     for f in dataclasses.fields(config):
-        doc[f.name] = getattr(config, f.name)
+        if f.init:
+            doc[f.name] = getattr(config, f.name)
     return doc

@@ -11,9 +11,10 @@ import numpy as np
 
 from .attention import attend, make_attention_weights, softmax_rows
 from .conditioning import CaptionManifest, ConditionBundle, embed_text_stub, encode_image_prompt_stub
+from .config import PipelineConfig
 from .denoiser import GaussianDataModel, analytic_gaussian_denoiser
 from .noise import standard_normal_field
-from .pipeline import PipelineConfig, resmaster_generate
+from .pipeline import resmaster_generate
 from .schedule import forward_diffuse, make_linear_schedule, posterior_step, predict_x0
 from .spectral import fft2d, gaussian_lowpass_mask, ifft2d, swap_low_frequency
 from .tiler import extract_patch, fuse_patches, plan_patches

@@ -20,6 +20,7 @@ complex transforms, kept for analysis and tests.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -70,6 +71,12 @@ def _distance(height: int, width: int) -> np.ndarray:
     return np.sqrt(2.0 * (fu[:, None] ** 2 + fv[None, :] ** 2))
 
 
+def valid_cutoff(d0: float) -> bool:
+    """Whether ``d0`` can be a mask cutoff: positive, with 1/(2 d0^2) finite
+    (below about 5e-155 the mask's exponent is 0/0 at DC or overflows)."""
+    return d0 > 0.0 and 2.0 * d0 * d0 > 0.0 and math.isfinite(1.0 / float(2.0 * d0 * d0))
+
+
 @lru_cache(maxsize=128)
 def _cached_mask(height: int, width: int, d0: float) -> np.ndarray:
     d = _distance(height, width)
@@ -87,8 +94,8 @@ def gaussian_lowpass_mask(height: int, width: int, d0: float) -> np.ndarray:
     """
     if height < 1 or width < 1:
         raise ValueError(f"mask dims must be positive, got ({height}, {width})")
-    if not (d0 > 0.0 and 2.0 * d0 * d0 > 0.0):
-        raise ValueError(f"cutoff d0 must be > 0 and 2*d0*d0 must not underflow to 0, got {d0}")
+    if not valid_cutoff(d0):
+        raise ValueError(f"cutoff d0 must be > 0 and 1/(2*d0*d0) must be finite, got {d0}")
     return _cached_mask(int(height), int(width), float(d0))
 
 

@@ -5,6 +5,7 @@ Tolerances are fixed here and nowhere else; oracles come from
 tests/oracles.py and are independent of the library's code paths.
 """
 
+import dataclasses
 import json
 import time
 from contextlib import contextmanager
@@ -15,9 +16,10 @@ import pytest
 from resmaster.attention import attend, make_attention_weights, softmax_rows
 from resmaster.cli import main
 from resmaster.conditioning import CaptionManifest, ConditionBundle, ImageEmbedding, TextEmbedding
+from resmaster.config import PipelineConfig
 from resmaster.denoiser import GaussianDataModel, analytic_gaussian_denoiser
 from resmaster.netpbm import write_image
-from resmaster.pipeline import PipelineConfig, generate_low_res, resmaster_generate
+from resmaster.pipeline import generate_low_res, resmaster_generate
 from resmaster.schedule import forward_diffuse, make_linear_schedule, posterior_step, predict_x0
 from resmaster.spectral import fft2d, gaussian_lowpass_mask, ifft2d, swap_low_frequency
 from resmaster.tiler import bicubic_upsample, extract_patch, fuse_patches, plan_patches
@@ -147,7 +149,7 @@ def test_criterion_07_generative_marginal():
                                 win_h=100, win_w=100, stride_h=100, stride_w=100,
                                 steps=50, seed=0)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.1))
-        cells = generate_low_res(den, None, (100, 100, 1), config).reshape(-1)
+        cells = generate_low_res(den, None, config).reshape(-1)
         assert cells.size == 10_000
         assert abs(cells.mean() - 0.5) < 0.004
         assert abs(cells.var() - 0.01) < 0.10 * 0.01
@@ -166,7 +168,7 @@ def test_criterion_08_end_to_end_structural_guidance():
 
         runs = []
         for seed in range(10):
-            config = PipelineConfig(**{**base.__dict__, "seed": seed})
+            config = dataclasses.replace(base, seed=seed)
             runs.append(resmaster_generate(reference, captions, den, config))
 
         f_avg = np.stack([fft2d(r) for r in runs]).mean(axis=0)

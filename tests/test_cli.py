@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+import resmaster.config
+import resmaster.pipeline
 from resmaster.cli import main
 from resmaster.netpbm import read_image, write_image
 
@@ -70,7 +72,7 @@ class TestLowres:
 
     def test_non_finite_output_exits_1_without_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("resmaster.cli.generate_low_res",
-                            lambda den, cond, dims, config: np.full(dims, np.nan))
+                            lambda den, cond, config: np.full((config.height, config.width, config.channels), np.nan))
         out = tmp_path / "nan.ppm"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -188,20 +190,34 @@ class TestUpscale:
 
     def test_d0_whose_square_underflows_exits_1_before_sampling(self, tmp_path, reference_file,
                                                                  monkeypatch, capsys):
+        # 2*d0*d0 is 0 at 1e-200; at 1e-155 it is > 0 but 1/(2*d0*d0) overflows.
         manifest = self._plan_and_fill(tmp_path, reference_file)
         capsys.readouterr()
         monkeypatch.setattr("resmaster.cli.resmaster_generate",
                             lambda *args: pytest.fail("sampling started"))
         out = tmp_path / "o.ppm"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
-                         "--scale", "2", "--window", "16", "--stride", "8",
-                         "--d0", "1e-200", "--out", str(out)])
+        for d0 in ("1e-200", "1e-155"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                             "--scale", "2", "--window", "16", "--stride", "8",
+                             "--d0", d0, "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "d0" in err and "Traceback" not in err
+            assert not out.exists()
+
+    def test_layout_key_exits_1_as_unknown(self, tmp_path, reference_file, capsys):
+        # layout is derived from window and stride, never read from a file.
+        manifest = self._plan_and_fill(tmp_path, reference_file)
+        config = tmp_path / "layout.json"
+        config.write_text(json.dumps({"layout": json.loads(manifest.read_text())["layout"]}))
+        code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                     "--config", str(config), "--scale", "2", "--window", "16", "--stride", "8",
+                     "--out", str(tmp_path / "o.ppm")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "d0" in err and "Traceback" not in err
-        assert not out.exists()
+        assert err.count("\n") == 1 and "unknown configuration key 'layout'" in err
 
     def test_bad_geometry_reports_and_exits_1(self, tmp_path, reference_file, capsys):
         manifest = self._plan_and_fill(tmp_path, reference_file)
@@ -210,6 +226,35 @@ class TestUpscale:
                      "--out", str(tmp_path / "o.ppm")])
         assert code == 1
         assert "axis" in capsys.readouterr().err
+
+
+class TestTilingPlannedOnce:
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        """Module names of the plan_patches calls, in call order."""
+        calls = []
+        for module in (resmaster.config, resmaster.pipeline):
+            def counted(*args, name=module.__name__.split(".")[-1], original=module.plan_patches):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(module, "plan_patches", counted)
+        return calls
+
+    def test_plan_and_upscale_each_plan_once(self, tmp_path, reference_file, plans):
+        manifest = tmp_path / "caps.json"
+        tiling = ["--scale", "2", "--window", "16", "--stride", "8"]
+        assert main(["plan", "--in", str(reference_file), *tiling, "--manifest", str(manifest)]) == 0
+        assert plans == ["config"]
+        _fill_manifest(manifest)
+        plans.clear()
+        assert main(["upscale", "--in", str(reference_file), "--manifest", str(manifest), *tiling,
+                     "--steps", "2", "--out", str(tmp_path / "o.ppm")]) == 0
+        assert plans == ["config"]
+
+    def test_lowres_plans_the_config_and_its_one_window_grid(self, tmp_path, plans):
+        assert main(["lowres", "--out", str(tmp_path / "low.ppm"), "--steps", "2"]) == 0
+        assert plans == ["config", "pipeline"]
 
 
 class TestUsage:

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from resmaster.config import ConfigError, parse_config, serialize_config
-from resmaster.pipeline import PipelineConfig
+from resmaster.config import ConfigError, PipelineConfig, parse_config, serialize_config
 
 
 class TestParseConfig:
@@ -81,6 +80,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="version"):
             parse_config(path, {})
 
+    def test_constructor_reports_every_problem_on_one_line(self):
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig(d0=-1, lam=-2, scale=0)
+        message = str(err.value)
+        assert "d0" in message and "lambda" in message and "scale" in message
+        assert "\n" not in message
+
+    def test_layout_is_planned_on_construction(self):
+        config = PipelineConfig(seed=1)
+        assert config.layout is config.layout
+        assert config.layout.patch_count == 9
+        assert config == PipelineConfig(seed=1)
+
     def test_unknown_schedule_choice(self):
         with pytest.raises(ConfigError, match="schedule"):
             parse_config(None, {"schedule": "cosine"})
@@ -102,3 +114,6 @@ class TestSerializeConfig:
         doc = serialize_config(PipelineConfig())
         assert doc["version"] == 1
         assert list(doc)[0] == "version"
+
+    def test_serialized_doc_omits_layout(self):
+        assert "layout" not in serialize_config(PipelineConfig())

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from resmaster.conditioning import ConditionBundle, embed_text_stub, encode_image_prompt_stub
+from resmaster.config import PipelineConfig
 from resmaster.denoiser import (
     GaussianDataModel,
     analytic_gaussian_denoiser,
     toy_conditioned_denoiser,
 )
-from resmaster.pipeline import PipelineConfig, generate_low_res
+from resmaster.pipeline import generate_low_res
 from resmaster.schedule import forward_diffuse, make_linear_schedule, predict_x0
 
 from oracles import analytic_eps_direct
@@ -107,7 +108,7 @@ class TestAncestralMarginal:
                                 win_h=60, win_w=60, stride_h=60, stride_w=60,
                                 steps=50, seed=11)
         den = analytic_gaussian_denoiser(GaussianDataModel(m, s_data))
-        cells = generate_low_res(den, None, (60, 60, 1), config).reshape(-1)
+        cells = generate_low_res(den, None, config).reshape(-1)
         assert cells.size == 3600
         assert abs(cells.mean() - m) <= 4.0 * s_data / np.sqrt(cells.size)
         assert abs(cells.var() - s_data**2) <= 0.10 * s_data**2

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from resmaster.cli import main
 from resmaster.conditioning import CaptionManifest, ManifestError, load_caption_manifest
+from resmaster.config import PipelineConfig
 from resmaster.netpbm import write_image
-from resmaster.pipeline import PipelineConfig
 from resmaster.tiler import plan_patches
 
 RUN_LAYOUT = plan_patches(128, 128, 64, 64, 32, 32).to_dict()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,8 @@ from resmaster.denoiser import (
     analytic_gaussian_denoiser,
     toy_conditioned_denoiser,
 )
-from resmaster.pipeline import (
-    PipelineConfig,
-    build_patch_bundles,
-    generate_low_res,
-    resmaster_generate,
-)
+from resmaster.config import PipelineConfig
+from resmaster.pipeline import build_patch_bundles, generate_low_res, resmaster_generate
 from resmaster.spectral import gaussian_lowpass_mask
 from resmaster.tiler import bicubic_upsample, extract_patch, plan_patches
 
@@ -26,6 +24,12 @@ def smooth_reference(h, w, channels, mean=0.5, amp=0.2):
     for c in range(channels):
         out[:, :, c] = mean + amp * base / 2.5 * (1.0 + 0.2 * c)
     return out
+
+
+def grid_config(h, w, channels, **over):
+    """A config whose reference grid is (h, w, channels), tiled by one window."""
+    return PipelineConfig(height=h, width=w, channels=channels, scale=1,
+                          win_h=h, win_w=w, stride_h=h, stride_w=w, **over)
 
 
 def predicted_cell_variance(mask, config, data_std):
@@ -57,17 +61,16 @@ def predicted_cell_variance(mask, config, data_std):
 
 class TestGenerateLowRes:
     def test_point_mass_data_converges_to_mean(self):
-        config = PipelineConfig(height=8, width=8, channels=1, scale=1,
-                                win_h=8, win_w=8, stride_h=8, stride_w=8, steps=30, seed=3)
+        config = grid_config(8, 8, 1, steps=30, seed=3)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.37, 0.0))
-        out = generate_low_res(den, None, (8, 8, 1), config)
+        out = generate_low_res(den, None, config)
         assert np.abs(out - 0.37).max() < 1e-6
 
     def test_same_seed_bit_identical(self):
-        config = PipelineConfig(steps=10, seed=5)
+        config = grid_config(8, 8, 2, steps=10, seed=5)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
-        a = generate_low_res(den, None, (8, 8, 2), config)
-        b = generate_low_res(den, None, (8, 8, 2), config)
+        a = generate_low_res(den, None, config)
+        b = generate_low_res(den, None, config)
         assert np.array_equal(a, b)
 
     def test_single_window_is_never_fused(self, monkeypatch):
@@ -77,14 +80,21 @@ class TestGenerateLowRes:
 
         monkeypatch.setattr("resmaster.pipeline.fuse_patches", refuse)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
-        out = generate_low_res(den, None, (8, 6, 3), PipelineConfig(steps=4, seed=2))
+        out = generate_low_res(den, None, grid_config(8, 6, 3, steps=4, seed=2))
         assert out.shape == (8, 6, 3)
 
     def test_different_seeds_differ(self):
         den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
-        a = generate_low_res(den, None, (8, 8, 1), PipelineConfig(steps=10, seed=1))
-        b = generate_low_res(den, None, (8, 8, 1), PipelineConfig(steps=10, seed=2))
+        a = generate_low_res(den, None, grid_config(8, 8, 1, steps=10, seed=1))
+        b = generate_low_res(den, None, grid_config(8, 8, 1, steps=10, seed=2))
         assert np.abs(a - b).max() > 0
+
+    def test_grid_has_the_config_reference_dims(self):
+        # The reference grid, not the scaled target that the config tiles.
+        config = PipelineConfig(height=6, width=10, channels=2, scale=2,
+                                win_h=4, win_w=4, stride_h=4, stride_w=4, steps=3)
+        den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+        assert generate_low_res(den, None, config).shape == (6, 10, 2)
 
 
 class TestResmasterGenerate:
@@ -146,7 +156,7 @@ class TestResmasterGenerate:
         ref = smooth_reference(16, 16, 2)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.1, 0.4))
         guided = resmaster_generate(ref, self._captions(1), den, config)
-        plain = generate_low_res(den, None, (16, 16, 2), config)
+        plain = generate_low_res(den, None, config)
         assert np.array_equal(guided, plain)
 
     def test_degenerate_config_with_conditioned_denoiser(self):
@@ -157,7 +167,7 @@ class TestResmasterGenerate:
                                        text_dim=config.embed_dim, image_dim=config.embed_dim)
         guided = resmaster_generate(ref, self._captions(1), den, config)
         bundles = build_patch_bundles([ref], self._captions(1), config)
-        plain = generate_low_res(den, bundles[0], (16, 16, 2), config)
+        plain = generate_low_res(den, bundles[0], config)
         assert np.array_equal(guided, plain)
 
     def test_thread_count_does_not_change_output(self, monkeypatch):
@@ -230,7 +240,7 @@ class TestGuidedVarianceOracle:
         captions = CaptionManifest(global_prompt="variance check", patch_count=1)
         runs = []
         for seed in range(12):
-            cfg = PipelineConfig(**{**config.__dict__, "seed": seed})
+            cfg = dataclasses.replace(config, seed=seed)
             runs.append(resmaster_generate(ref, captions, den, cfg))
         stack = np.stack(runs)
         empirical = float(stack.var(axis=0, ddof=1).mean())

@@ -98,8 +98,9 @@ class TestGaussianMask:
         )
 
     def test_rejects_nonpositive_cutoff(self):
-        # 2 * 1e-200**2 is 0.0 in float64, which would make the DC bin 0/0.
-        for d0 in (0.0, -1.0, 1e-200):
+        # 2 * 1e-200**2 is 0.0 in float64, which would make the DC bin 0/0;
+        # 2 * 1e-155**2 is subnormal, so -D^2 / (2 d0^2) overflows.
+        for d0 in (0.0, -1.0, 1e-200, 1e-155):
             with pytest.raises(ValueError, match="d0"):
                 gaussian_lowpass_mask(8, 8, d0)
 
