@@ -20,7 +20,6 @@ from resmaster.conditioning import CaptionManifest
 from resmaster.config import PipelineConfig
 from resmaster.denoiser import GaussianDataModel, analytic_gaussian_denoiser
 from resmaster.pipeline import resmaster_generate
-from resmaster.spectral import fft2d
 from resmaster.tiler import bicubic_upsample
 
 
@@ -49,7 +48,7 @@ def main() -> int:
     reference = smooth_reference(16, 16)
     upsampled = bicubic_upsample(reference, 64, 64)
     low, high = band_masks(64, 64)
-    f_ref = fft2d(upsampled)
+    f_ref = np.fft.fft2(upsampled, axes=(0, 1))
     captions = CaptionManifest(global_prompt="cutoff sweep scene", patch_count=9)
     den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
 
@@ -59,7 +58,7 @@ def main() -> int:
                                 win_h=32, win_w=32, stride_h=16, stride_w=16,
                                 steps=args.steps, seed=args.seed, d0=d0)
         out = resmaster_generate(reference, captions, den, config)
-        f_out = fft2d(out)
+        f_out = np.fft.fft2(out, axes=(0, 1))
         err = np.sqrt(((np.abs(f_out[low]) - np.abs(f_ref[low])) ** 2).sum())
         err /= np.sqrt((np.abs(f_ref[low]) ** 2).sum())
         energy = float((np.abs(f_out[high]) ** 2).sum() / f_out[high].size)

@@ -1,8 +1,9 @@
 """Patch-based diffusion upscaling with frequency-domain structural guidance
 and decoupled text/image-prompt conditioning, driven by pluggable denoisers.
 
-Grids are numpy arrays of shape (height, width, channels): real float64 for
-images/latents/noise, complex128 for spectra.
+Grids are real float64 numpy arrays of shape (height, width, channels), for
+images, latents and noise alike. Structural guidance swaps each patch's low
+band for the reference's with a separable Gaussian low-pass.
 """
 
 from .attention import AttentionWeights, attend, make_attention_weights, softmax_rows
@@ -35,13 +36,7 @@ from .schedule import (
     posterior_step,
     predict_x0,
 )
-from .spectral import (
-    ImaginaryResidueError,
-    fft2d,
-    gaussian_lowpass_mask,
-    ifft2d,
-    swap_low_frequency,
-)
+from .spectral import swap_low_frequency
 from .tiler import (
     GeometryError,
     PatchLayout,

@@ -41,7 +41,8 @@ class PipelineConfig:
     """Run parameters. ``height``/``width`` are the low-resolution reference
     dims; the target is ``scale`` times larger on each axis. Window and stride
     describe the tiling of the target grid, planned once as ``layout``.
-    Construction raises ConfigError listing every violated invariant."""
+    Construction raises ConfigError listing every field of the wrong kind,
+    or else every violated invariant."""
 
     height: int = 32
     width: int = 32
@@ -68,7 +69,10 @@ class PipelineConfig:
     layout: PatchLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        problems = []
+        problems = [f"{name} must be {_KIND_NAMES[kind]}, got {getattr(self, name)!r}"
+                    for name, kind in _KINDS.items() if not _has_kind(getattr(self, name), kind)]
+        if problems:
+            raise ConfigError(problem_report(problems))
         for name in ("height", "width", "channels", "scale", "steps",
                      "win_h", "win_w", "stride_h", "stride_w",
                      "text_tokens", "image_tokens", "embed_dim"):
@@ -121,25 +125,29 @@ _PAIR_KEYS = {"window": ("win_h", "win_w"), "stride": ("stride_h", "stride_w")}
 _KINDS = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig) if f.init}
 
 
-def _coerce(name: str, value, problems: list[str]):
-    kind = _KINDS.get(name)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            problems.append(f"{name} must be an integer, got {value!r}")
-            return None
-        return value
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            problems.append(f"{name} must be a number, got {value!r}")
-            return None
-        return float(value)
-    if kind is str:
-        if not isinstance(value, str):
-            problems.append(f"{name} must be a string, got {value!r}")
-            return None
-        return value
-    problems.append(f"unknown configuration key {name!r}")
-    return None
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _has_kind(value, kind: type) -> bool:
+    """A bool is not an int, and an int is accepted for a float field."""
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+
+
+def _from_json(doc: dict, problems: list[str]) -> dict:
+    """Field values from a JSON object: [h, w] pairs expanded, unknown keys
+    reported, and JSON integers made floats for float fields."""
+    values = {}
+    for name, value in _expand_pairs(doc, problems).items():
+        if name not in _KINDS:
+            problems.append(f"unknown configuration key {name!r}")
+        elif _KINDS[name] is float and type(value) is int:
+            try:
+                values[name] = float(value)
+            except OverflowError:
+                problems.append(f"{name} must be a number in float range, got a larger integer")
+        else:
+            values[name] = value
+    return values
 
 
 def _expand_pairs(doc: dict, problems: list[str]) -> dict:
@@ -163,8 +171,9 @@ def parse_config(path=None, cli_overrides: dict | None = None) -> PipelineConfig
     """Build a PipelineConfig from an optional file plus overrides.
 
     An empty or missing file means all defaults. Raises ConfigError carrying
-    every problem found: unknown keys and bad types here, violated invariants
-    and impossible patch geometry from the PipelineConfig constructor.
+    the problems found: unknown keys and out-of-range JSON integers here, else
+    wrong kinds, violated invariants and impossible patch geometry from the
+    PipelineConfig constructor.
     """
     problems: list[str] = []
     doc: dict = {}
@@ -188,15 +197,8 @@ def parse_config(path=None, cli_overrides: dict | None = None) -> PipelineConfig
     if version != CONFIG_VERSION:
         problems.append(f"unsupported config version {version!r} (expected {CONFIG_VERSION})")
 
-    values: dict = {}
-    for name, value in _expand_pairs(doc, problems).items():
-        coerced = _coerce(name, value, problems)
-        if coerced is not None:
-            values[name] = coerced
-    for name, value in _expand_pairs(dict(cli_overrides or {}), problems).items():
-        coerced = _coerce(name, value, problems)
-        if coerced is not None:
-            values[name] = coerced
+    values = _from_json(doc, problems)
+    values.update(_from_json(dict(cli_overrides or {}), problems))
 
     if problems:
         raise ConfigError(problem_report(problems))

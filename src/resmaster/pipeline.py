@@ -27,7 +27,7 @@ from .config import PipelineConfig
 from .denoiser import Denoiser
 from .noise import INIT_STEP, standard_normal_field
 from .schedule import posterior_step, predict_x0
-from .spectral import gaussian_lowpass_mask, swap_low_frequency
+from .spectral import swap_low_frequency
 from .tiler import PatchLayout, bicubic_upsample, extract_patch, fuse_patches, plan_patches
 from .util import as_grid
 
@@ -54,7 +54,6 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
     ``i``, and with ``ref_patches`` its low band is swapped for the reference patch's while ``t > guidance_stop_step``.
     A one-window layout covers the whole grid, so its patch needs no fusion."""
     s = config.make_schedule()
-    mask = None if ref_patches is None else gaussian_lowpass_mask(layout.win_h, layout.win_w, config.d0)
     z = standard_normal_field(config.seed, INIT_STEP, 0, (layout.grid_h, layout.grid_w, config.channels))
 
     def step_patch(t: int, i: int) -> np.ndarray:
@@ -63,7 +62,7 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
         eps = denoiser.predict(z_t, t, conds[i], s)
         z0 = predict_x0(z_t, eps, t, s)
         if ref_patches is not None and t > config.guidance_stop_step:
-            z0 = swap_low_frequency(z0, ref_patches[i], mask)
+            z0 = swap_low_frequency(z0, ref_patches[i], config.d0)
         if patch_hook is not None:
             patch_hook(t, i, z0)
         step_noise = standard_normal_field(config.seed, t, i, z_t.shape)

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the library.
 
 Everything here deliberately avoids the library's code paths: transforms are
-direct summations, resampling is a scalar kernel sum, attention is a double
-loop, and schedule formulas are re-evaluated in extended precision.
+direct summations over every cell (no FFT), masks are scalar loops,
+resampling is a scalar kernel sum, attention is a double loop, and schedule
+formulas are re-evaluated in extended precision.
 """
 
 from __future__ import annotations
@@ -15,30 +16,27 @@ import numpy as np
 getcontext().prec = 50
 
 
+def _dft_matrix(n: int, sign: int) -> np.ndarray:
+    """exp(sign * 2j pi k m / n), with k m reduced mod n before the exp so
+    every phase lies in [0, 2 pi)."""
+    k = np.arange(n)
+    return np.exp(sign * 2j * np.pi * ((k[:, None] * k[None, :]) % n) / n)
+
+
 def dft2d_direct(grid: np.ndarray) -> np.ndarray:
-    """Direct O(N^2) forward DFT per channel, DC at (0, 0), unnormalized."""
-    h, w, c = grid.shape
-    ys = np.arange(h).reshape(h, 1, 1)
-    xs = np.arange(w).reshape(1, w, 1)
-    out = np.empty((h, w, c), dtype=np.complex128)
-    for u in range(h):
-        for v in range(w):
-            phase = np.exp(-2j * np.pi * (u * ys / h + v * xs / w))
-            out[u, v, :] = (grid * phase).sum(axis=(0, 1))
-    return out
+    """Direct O(N^2) forward DFT per channel, DC at (0, 0), unnormalized:
+    every bin sums every cell, the row and column sums taken as products
+    with the per-axis DFT matrices."""
+    h, w, _ = grid.shape
+    planes = np.moveaxis(grid.astype(np.complex128), 2, 0)
+    return np.moveaxis(_dft_matrix(h, -1) @ planes @ _dft_matrix(w, -1), 0, 2)
 
 
 def idft2d_direct(spectrum: np.ndarray) -> np.ndarray:
     """Direct inverse DFT per channel with 1/(H*W) normalization (complex output)."""
-    h, w, c = spectrum.shape
-    us = np.arange(h).reshape(h, 1, 1)
-    vs = np.arange(w).reshape(1, w, 1)
-    out = np.empty((h, w, c), dtype=np.complex128)
-    for y in range(h):
-        for x in range(w):
-            phase = np.exp(2j * np.pi * (us * y / h + vs * x / w))
-            out[y, x, :] = (spectrum * phase).sum(axis=(0, 1)) / (h * w)
-    return out
+    h, w, _ = spectrum.shape
+    planes = np.moveaxis(spectrum.astype(np.complex128), 2, 0)
+    return np.moveaxis(_dft_matrix(h, 1) @ planes @ _dft_matrix(w, 1), 0, 2) / (h * w)
 
 
 def gaussian_mask_direct(h: int, w: int, d0: float) -> np.ndarray:

@@ -87,6 +87,23 @@ class TestParseConfig:
         assert "d0" in message and "lambda" in message and "scale" in message
         assert "\n" not in message
 
+    @pytest.mark.parametrize("field, value", [
+        ("height", "8"), ("d0", "0.8"), ("steps", True), ("seed", 1.5), ("scale", 2.0),
+    ])
+    def test_constructor_checks_field_kinds(self, field, value):
+        with pytest.raises(ConfigError, match=f"^invalid configuration: {field} must be ") as err:
+            PipelineConfig(**{field: value})
+        assert "\n" not in str(err.value)
+
+    def test_int_is_accepted_for_a_float_field(self):
+        assert PipelineConfig(d0=1, lam=0).d0 == 1
+
+    def test_json_integer_beyond_float_range_is_reported(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"d0": 1' + "0" * 400 + "}")
+        with pytest.raises(ConfigError, match="d0 must be a number in float range"):
+            parse_config(path, {})
+
     def test_layout_is_planned_on_construction(self):
         config = PipelineConfig(seed=1)
         assert config.layout is config.layout

@@ -11,8 +11,9 @@ from resmaster.denoiser import (
 )
 from resmaster.config import PipelineConfig
 from resmaster.pipeline import build_patch_bundles, generate_low_res, resmaster_generate
-from resmaster.spectral import gaussian_lowpass_mask
 from resmaster.tiler import bicubic_upsample, extract_patch, plan_patches
+
+from oracles import gaussian_mask_direct
 
 
 def smooth_reference(h, w, channels, mean=0.5, amp=0.2):
@@ -244,6 +245,6 @@ class TestGuidedVarianceOracle:
             runs.append(resmaster_generate(ref, captions, den, cfg))
         stack = np.stack(runs)
         empirical = float(stack.var(axis=0, ddof=1).mean())
-        mask = gaussian_lowpass_mask(32, 32, 0.8)
+        mask = gaussian_mask_direct(32, 32, 0.8)
         predicted = predicted_cell_variance(mask, config, data_std=1.0)
         assert empirical == pytest.approx(predicted, rel=0.15)
