@@ -1,7 +1,7 @@
-"""Pinned SHA-256 digests of the output bytes of four small CLI runs.
+"""Pinned SHA-256 digests of the output bytes of small CLI runs.
 
-Each run makes its reference with ``lowres``, plans the tiling, captions
-every patch and upscales. The four cases cover the analytic and toy
+One run is a plain ``lowres``. Each of the other four makes its reference
+with ``lowres``, plans the tiling, captions every patch and upscales. The four cases cover the analytic and toy
 denoisers, 1 and 3 channels, and tilings with and without overlap. A change
 that moves any digest changes what the program writes; such a change must
 re-pin the digest here and say so, after showing that the float64 outputs
@@ -14,6 +14,9 @@ import json
 import pytest
 
 from resmaster.cli import main
+
+# sha256 of ``lowres`` on a 16x16, 3-channel grid, 10 steps, seed 3
+LOWRES_PINNED = "28384b659c0fcd87f06ba538277096f34af91b0f06140fc56aa3e25ae3ff7fc1"
 
 # (denoiser, channels, window, stride) -> sha256 of the upscaled image file
 PINNED = {
@@ -60,3 +63,12 @@ def _upscale_digest(tmp_path, denoiser, channels, window, stride):
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, case, threads):
     monkeypatch.setenv("RESMASTER_THREADS", threads)
     assert _upscale_digest(tmp_path, *case) == PINNED[case]
+
+
+def test_lowres_bytes_are_pinned(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"height": 16, "width": 16, "channels": 3}))
+    out = tmp_path / "out.ppm"
+    assert main(["lowres", "--out", str(out), "--config", str(config),
+                 "--steps", "10", "--seed", "3"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LOWRES_PINNED
