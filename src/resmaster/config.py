@@ -41,7 +41,8 @@ class PipelineConfig:
     """Run parameters. ``height``/``width`` are the low-resolution reference
     dims; the target is ``scale`` times larger on each axis. Window and stride
     describe the tiling of the target grid, planned once as ``layout``.
-    Construction raises ConfigError listing every field of the wrong kind,
+    An int given for a float field is stored as a float. Construction raises
+    ConfigError listing every field of the wrong kind or beyond float range,
     or else every violated invariant."""
 
     height: int = 32
@@ -69,8 +70,16 @@ class PipelineConfig:
     layout: PatchLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        problems = [f"{name} must be {_KIND_NAMES[kind]}, got {getattr(self, name)!r}"
-                    for name, kind in _KINDS.items() if not _has_kind(getattr(self, name), kind)]
+        problems = []
+        for name, kind in _KINDS.items():
+            value = getattr(self, name)
+            if not _has_kind(value, kind):
+                problems.append(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+            elif kind is float and isinstance(value, int):
+                try:
+                    object.__setattr__(self, name, float(value))
+                except OverflowError:
+                    problems.append(f"{name} must be a number in float range, got a larger integer")
         if problems:
             raise ConfigError(problem_report(problems))
         for name in ("height", "width", "channels", "scale", "steps",
@@ -134,17 +143,12 @@ def _has_kind(value, kind: type) -> bool:
 
 
 def _from_json(doc: dict, problems: list[str]) -> dict:
-    """Field values from a JSON object: [h, w] pairs expanded, unknown keys
-    reported, and JSON integers made floats for float fields."""
+    """Field values from a JSON object: [h, w] pairs expanded and unknown
+    keys reported."""
     values = {}
     for name, value in _expand_pairs(doc, problems).items():
         if name not in _KINDS:
             problems.append(f"unknown configuration key {name!r}")
-        elif _KINDS[name] is float and type(value) is int:
-            try:
-                values[name] = float(value)
-            except OverflowError:
-                problems.append(f"{name} must be a number in float range, got a larger integer")
         else:
             values[name] = value
     return values
@@ -171,8 +175,8 @@ def parse_config(path=None, cli_overrides: dict | None = None) -> PipelineConfig
     """Build a PipelineConfig from an optional file plus overrides.
 
     An empty or missing file means all defaults. Raises ConfigError carrying
-    the problems found: unknown keys and out-of-range JSON integers here, else
-    wrong kinds, violated invariants and impossible patch geometry from the
+    the problems found: unknown keys here, else wrong kinds, integers beyond
+    float range, violated invariants and impossible patch geometry from the
     PipelineConfig constructor.
     """
     problems: list[str] = []

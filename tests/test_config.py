@@ -98,6 +98,16 @@ class TestParseConfig:
     def test_int_is_accepted_for_a_float_field(self):
         assert PipelineConfig(d0=1, lam=0).d0 == 1
 
+    def test_int_in_a_float_field_is_stored_as_a_float(self):
+        d0 = PipelineConfig(d0=1).d0
+        assert d0 == 1.0 and type(d0) is float
+
+    @pytest.mark.parametrize("field", ["d0", "lam"])
+    def test_constructor_reports_integer_beyond_float_range(self, field):
+        with pytest.raises(ConfigError, match=f"^invalid configuration: {field} must be a number "
+                                              "in float range, got a larger integer$"):
+            PipelineConfig(**{field: 10**400})
+
     def test_json_integer_beyond_float_range_is_reported(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{"d0": 1' + "0" * 400 + "}")
