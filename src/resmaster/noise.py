@@ -1,8 +1,7 @@
-"""Counter-based noise substreams for reproducible, parallel-safe sampling.
+"""Counter-based noise substreams for reproducible sampling.
 
-Every (seed, step, patch) triple keys an independent Philox stream, so the
-noise a patch receives does not depend on how many patches are evaluated
-concurrently or in what order. Step 0 is reserved for the initial draw of
+Every (seed, step) pair keys an independent Philox stream, from which each
+step draws its one noise grid. Step 0 is reserved for the initial draw of
 the fully-noised grid; sampling steps use t >= 1.
 """
 
@@ -13,14 +12,14 @@ import numpy as np
 INIT_STEP = 0
 
 
-def noise_stream(seed: int, step: int, patch: int) -> np.random.Generator:
-    """Independent generator for one (seed, step, patch) substream."""
-    if seed < 0 or step < 0 or patch < 0:
-        raise ValueError(f"stream keys must be non-negative, got ({seed}, {step}, {patch})")
-    ss = np.random.SeedSequence((int(seed), int(step), int(patch)))
+def noise_stream(seed: int, step: int) -> np.random.Generator:
+    """Independent generator for one (seed, step) substream."""
+    if seed < 0 or step < 0:
+        raise ValueError(f"stream keys must be non-negative, got ({seed}, {step})")
+    ss = np.random.SeedSequence((int(seed), int(step)))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def standard_normal_field(seed: int, step: int, patch: int, shape) -> np.ndarray:
-    """Standard-normal grid drawn from the (seed, step, patch) substream."""
-    return noise_stream(seed, step, patch).standard_normal(shape)
+def standard_normal_field(seed: int, step: int, shape) -> np.ndarray:
+    """Standard-normal grid drawn from the (seed, step) substream."""
+    return noise_stream(seed, step).standard_normal(shape)

@@ -1,21 +1,18 @@
 """End-to-end sampling: low-resolution reference generation and patch-based
 high-resolution generation with structural and fine-grained guidance.
 
-Both run one sampler loop. Per step, every patch is denoised independently
-(optionally across threads), its clean estimate has its low band swapped for
-the reference's (guided runs only), the ancestral step uses that patch's own
-noise substream, and the patches are fused by overlap averaging; the
-low-resolution pass is one window covering the whole grid. Outputs are
-bit-identical for a given seed regardless of the thread count.
+Both run one sampler loop. Per step, every patch is denoised, its clean
+estimate has its low band swapped for the reference's (guided runs only),
+the estimates are fused by overlap averaging, and the whole grid takes one
+ancestral step with one noise draw; the low-resolution pass is one window
+covering the whole grid. Outputs are bit-identical for a given seed.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 import numpy as np
-from concurrent.futures import ThreadPoolExecutor
 
 from .conditioning import (
     CaptionManifest,
@@ -31,53 +28,32 @@ from .spectral import swap_low_frequency
 from .tiler import PatchLayout, bicubic_upsample, extract_patch, fuse_patches, plan_patches
 from .util import as_grid
 
-THREADS_ENV = "RESMASTER_THREADS"
-
-
-def thread_cap() -> int:
-    """Parallel patch evaluation cap, from the RESMASTER_THREADS env var."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    return cap
-
 
 def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: PatchLayout,
             config: PipelineConfig, ref_patches: list[np.ndarray] | None = None,
             patch_hook: Callable[[int, int, np.ndarray], None] | None = None) -> np.ndarray:
     """Ancestral sampling of ``layout``'s grid with ``config.channels``
-    channels: window ``i`` is denoised under ``conds[i]`` with noise substream
-    ``i``, and with ``ref_patches`` its low band is swapped for the reference patch's while ``t > guidance_stop_step``.
-    A one-window layout covers the whole grid, so its patch needs no fusion."""
+    channels. Per step, window ``i`` is denoised under ``conds[i]``, and with
+    ``ref_patches`` its clean estimate's low band is swapped for the reference
+    patch's while ``t > guidance_stop_step``. The estimates are fused and the
+    grid takes one ancestral step with noise substream ``(seed, t)``. A
+    one-window layout covers the whole grid, so its estimate needs no fusion."""
     s = config.make_schedule()
-    z = standard_normal_field(config.seed, INIT_STEP, 0, (layout.grid_h, layout.grid_w, config.channels))
-
-    def step_patch(t: int, i: int) -> np.ndarray:
-        # A lone window is the whole grid; nothing writes to z, which the step replaces.
-        z_t = z if layout.patch_count == 1 else extract_patch(z, layout.rects[i])
-        eps = denoiser.predict(z_t, t, conds[i], s)
-        z0 = predict_x0(z_t, eps, t, s)
-        if ref_patches is not None and t > config.guidance_stop_step:
-            z0 = swap_low_frequency(z0, ref_patches[i], config.d0)
-        if patch_hook is not None:
-            patch_hook(t, i, z0)
-        step_noise = standard_normal_field(config.seed, t, i, z_t.shape)
-        return posterior_step(z_t, z0, t, step_noise, s)
-
-    workers = min(thread_cap(), layout.patch_count)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    run = map if pool is None else pool.map
-    try:
-        for t in range(s.steps, 0, -1):
-            patches = list(run(lambda i: step_patch(t, i), range(layout.patch_count)))
-            z = patches[0] if layout.patch_count == 1 else fuse_patches(patches, layout)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    shape = (layout.grid_h, layout.grid_w, config.channels)
+    z = standard_normal_field(config.seed, INIT_STEP, shape)
+    for t in range(s.steps, 0, -1):
+        estimates = []
+        for i, rect in enumerate(layout.rects):
+            # A lone window is the whole grid; nothing writes to z before the step replaces it.
+            z_t = z if layout.patch_count == 1 else extract_patch(z, rect)
+            z0 = predict_x0(z_t, denoiser.predict(z_t, t, conds[i], s), t, s)
+            if ref_patches is not None and t > config.guidance_stop_step:
+                z0 = swap_low_frequency(z0, ref_patches[i], config.d0)
+            if patch_hook is not None:
+                patch_hook(t, i, z0)
+            estimates.append(z0)
+        z0 = estimates[0] if layout.patch_count == 1 else fuse_patches(estimates, layout)
+        z = posterior_step(z, z0, t, standard_normal_field(config.seed, t, shape), s)
     return z
 
 
@@ -121,8 +97,7 @@ def resmaster_generate(
     low-frequency bands swapped into every clean estimate (until
     ``guidance_stop_step``) and the image prompts of the per-patch condition
     bundles. ``patch_hook`` is called as (step, patch, clean estimate) right
-    after the swap, once per patch and step, and may fire concurrently when
-    threads are enabled.
+    after the swap, once per patch and step, before the estimates are fused.
     """
     reference = as_grid(reference, "reference")
     if reference.shape != (config.height, config.width, config.channels):

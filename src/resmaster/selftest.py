@@ -60,7 +60,7 @@ def _checks(seed: int):
     ) < 1e-10
 
     yield "noise substreams are reproducible", bool(
-        np.array_equal(standard_normal_field(seed, 3, 1, (4, 4, 1)), standard_normal_field(seed, 3, 1, (4, 4, 1)))
+        np.array_equal(standard_normal_field(seed, 3, (4, 4, 1)), standard_normal_field(seed, 3, (4, 4, 1)))
     )
 
     config = PipelineConfig(height=8, width=8, channels=1, scale=2, win_h=8, win_w=8,

@@ -171,15 +171,45 @@ class TestResmasterGenerate:
         plain = generate_low_res(den, bundles[0], config)
         assert np.array_equal(guided, plain)
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        config = self._config()
-        ref = smooth_reference(16, 16, 2)
+    def test_one_grid_step_per_sampling_step(self, monkeypatch):
+        import resmaster.pipeline as pipeline
+
+        calls = {"n": 0}
+        real_step = pipeline.posterior_step
+
+        def counting_step(*args):
+            calls["n"] += 1
+            return real_step(*args)
+
+        monkeypatch.setattr(pipeline, "posterior_step", counting_step)
+        config = self._config(steps=5)
+        assert config.layout.patch_count == 9
         den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
-        monkeypatch.setenv("RESMASTER_THREADS", "1")
-        serial = resmaster_generate(ref, self._captions(9), den, config)
-        monkeypatch.setenv("RESMASTER_THREADS", "3")
-        threaded = resmaster_generate(ref, self._captions(9), den, config)
-        assert np.array_equal(serial, threaded)
+        resmaster_generate(smooth_reference(16, 16, 2), self._captions(9), den, config)
+        assert calls["n"] == 5
+
+    def test_output_variance_does_not_depend_on_cover_count(self):
+        # Guidance off: under the analytic denoiser every cell then follows
+        # the same scalar recursion in its own noise, whatever covers it, so
+        # pooled per-cell variance is equal across cover counts. Averaging
+        # independent per-patch steps would halve it per doubling instead.
+        config = PipelineConfig(height=16, width=16, channels=1, scale=4, win_h=16, win_w=16,
+                                stride_h=8, stride_w=8, steps=10, guidance_stop_step=10)
+        layout = config.layout
+        cover = np.zeros((layout.grid_h, layout.grid_w), dtype=int)
+        for top, left, h, w in layout.rects:
+            cover[top:top + h, left:left + w] += 1
+        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
+        ref = smooth_reference(16, 16, 1)
+        outs = np.stack([
+            resmaster_generate(ref, self._captions(layout.patch_count), den,
+                               dataclasses.replace(config, seed=seed))[:, :, 0]
+            for seed in range(8)
+        ])
+        variance = {k: outs[:, cover == k].var() for k in (1, 2, 4)}
+        # 2048 draws at cover 1 give a relative standard error of about 3%.
+        for k in (2, 4):
+            assert abs(variance[k] / variance[1] - 1.0) < 0.2, variance
 
     def test_patch_hook_sees_every_patch_step(self):
         config = self._config(steps=5)
