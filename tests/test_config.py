@@ -96,11 +96,8 @@ class TestParseConfig:
         assert "\n" not in str(err.value)
 
     def test_int_is_accepted_for_a_float_field(self):
-        assert PipelineConfig(d0=1, lam=0).d0 == 1
-
-    def test_int_in_a_float_field_is_stored_as_a_float(self):
-        d0 = PipelineConfig(d0=1).d0
-        assert d0 == 1.0 and type(d0) is float
+        config = PipelineConfig(d0=1, lam=0)
+        assert config.d0 == 1.0 and type(config.d0) is float
 
     @pytest.mark.parametrize("field", ["d0", "lam"])
     def test_constructor_reports_integer_beyond_float_range(self, field):

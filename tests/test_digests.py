@@ -1,12 +1,13 @@
 """Pinned SHA-256 digests of the output bytes of small CLI runs.
 
 One run is a plain ``lowres``. Each of the other four makes its reference
-with ``lowres``, plans the tiling, captions every patch and upscales. The four cases cover the analytic and toy
-denoisers, 1 and 3 channels, and tilings with and without overlap. A change
-that moves any digest changes what the program writes. A numeric refactor
-may re-pin a digest only after showing that the float64 outputs moved by
-less than 1e-12 before quantization. A change of sampler semantics re-pins
-with its statistical evidence recorded in CHANGES.md.
+with ``lowres``, plans the tiling, captions every patch and upscales; they
+cover the analytic and toy denoisers, 1 and 3 channels, and tilings with
+and without overlap. A change that moves any digest changes what the
+program writes. A numeric refactor may re-pin a digest only after showing
+that the float64 outputs moved by less than 1e-12 before quantization. A
+change of sampler semantics re-pins with its statistical evidence recorded
+in CHANGES.md.
 """
 
 import hashlib

@@ -11,6 +11,7 @@ from resmaster.denoiser import (
 )
 from resmaster.config import PipelineConfig
 from resmaster.pipeline import build_patch_bundles, generate_low_res, resmaster_generate
+from resmaster.schedule import posterior_step
 from resmaster.tiler import bicubic_upsample, extract_patch, plan_patches
 
 from oracles import gaussian_mask_direct
@@ -172,16 +173,13 @@ class TestResmasterGenerate:
         assert np.array_equal(guided, plain)
 
     def test_one_grid_step_per_sampling_step(self, monkeypatch):
-        import resmaster.pipeline as pipeline
-
         calls = {"n": 0}
-        real_step = pipeline.posterior_step
 
         def counting_step(*args):
             calls["n"] += 1
-            return real_step(*args)
+            return posterior_step(*args)
 
-        monkeypatch.setattr(pipeline, "posterior_step", counting_step)
+        monkeypatch.setattr("resmaster.pipeline.posterior_step", counting_step)
         config = self._config(steps=5)
         assert config.layout.patch_count == 9
         den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
