@@ -1,7 +1,10 @@
 """Decoupled cross-attention: text and image conditions attended separately,
 summed with the image branch scaled by the bundle's weighting factor.
 
-Single-head only. The scaling denominator uses the head width.
+Single-head only. Queries and keys meet in the head width ``d_head``, which
+sets the scaling denominator; values map to their own width ``d_value``, the
+width of the output, so a network whose head is linear can fold its head
+projection into the value projections.
 
 ``attend`` computes this folded: the query projection and the scale are
 multiplied into the stacked text and image keys once per call, so the
@@ -28,9 +31,9 @@ class AttentionWeights:
 
     w_query: np.ndarray       # (d_model, d_head)
     w_key_text: np.ndarray    # (text_dim, d_head)
-    w_value_text: np.ndarray  # (text_dim, d_head)
+    w_value_text: np.ndarray  # (text_dim, d_value)
     w_key_image: np.ndarray   # (image_dim, d_head)
-    w_value_image: np.ndarray # (image_dim, d_head)
+    w_value_image: np.ndarray # (image_dim, d_value)
 
     def __post_init__(self):
         mats = {
@@ -49,9 +52,11 @@ class AttentionWeights:
             arr.flags.writeable = False
             frozen[name] = arr
         d_head = frozen["w_query"].shape[1]
-        for name in ("w_key_text", "w_value_text", "w_key_image", "w_value_image"):
+        for name in ("w_key_text", "w_key_image"):
             if frozen[name].shape[1] != d_head:
                 raise ValueError(f"{name} maps to width {frozen[name].shape[1]}, expected d_head {d_head}")
+        if frozen["w_value_text"].shape[1] != frozen["w_value_image"].shape[1]:
+            raise ValueError("text and image value projections disagree on the value width")
         if frozen["w_key_text"].shape[0] != frozen["w_value_text"].shape[0]:
             raise ValueError("text key/value projections disagree on the condition dim")
         if frozen["w_key_image"].shape[0] != frozen["w_value_image"].shape[0]:
@@ -66,6 +71,10 @@ class AttentionWeights:
     @property
     def d_head(self) -> int:
         return self.w_query.shape[1]
+
+    @property
+    def d_value(self) -> int:
+        return self.w_value_text.shape[1]
 
     @property
     def text_dim(self) -> int:
@@ -84,7 +93,8 @@ def make_attention_weights(
     seed: int = 0,
     rng: np.random.Generator | None = None,
 ) -> AttentionWeights:
-    """Seeded Gaussian initialization, scaled by 1/sqrt(fan_in)."""
+    """Seeded Gaussian initialization, scaled by 1/sqrt(fan_in); the values
+    map to ``d_head``."""
     if min(d_model, d_head, text_dim, image_dim) < 1:
         raise ValueError("all attention dims must be >= 1")
     if rng is None:
@@ -108,7 +118,8 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights) -> np.ndarray:
     """Queries from ``x`` attend over the text tokens and, weighted by
-    ``bundle.lam``, over the image tokens; the two results are summed.
+    ``bundle.lam``, over the image tokens; the two results are summed into
+    an ``(n, d_value)`` array.
 
     Equal to ``softmax_rows(q k_t^T s) v_t + lam softmax_rows(q k_i^T s) v_i``
     with ``q = x W_q`` and ``s = 1/sqrt(d_head)``, reassociated as
@@ -129,7 +140,7 @@ def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights) -> np.nd
     values = np.concatenate([text @ w.w_value_text, bundle.lam * (image @ w.w_value_image)])
     fold = (keys @ w.w_query.T) * (1.0 / math.sqrt(w.d_head))  # (tokens, d_model)
     n = x.shape[0]
-    block = _query_block(fold.shape[0], max(w.d_model, w.d_head))
+    block = _query_block(fold.shape[0], max(w.d_model, w.d_value))
     scores = np.empty((fold.shape[0], n))  # (tokens, n): one column per query
     for lo in range(0, n, block):
         np.matmul(fold, x[lo : lo + block].T, out=scores[:, lo : lo + block])
@@ -137,7 +148,7 @@ def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights) -> np.nd
         branch -= branch.max(axis=0)
         np.exp(branch, out=branch)
         branch /= branch.sum(axis=0)
-    out = np.empty((n, w.d_head))
+    out = np.empty((n, w.d_value))
     for lo in range(0, n, block):
         np.matmul(scores[:, lo : lo + block].T, values, out=out[lo : lo + block])
     return out

@@ -91,7 +91,8 @@ def _make_denoiser(config: PipelineConfig):
 
 
 def _cmd_lowres(args) -> int:
-    config = parse_config(args.config, _overrides_from(args))
+    # The upscale tiling that a shared config file sets is not lowres's to check.
+    config = parse_config(args.config, _overrides_from(args), one_window=True)
     if config.denoiser != "analytic":
         raise ConfigError(
             "lowres requires the analytic denoiser; the toy denoiser needs "

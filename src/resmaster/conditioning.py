@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,10 +157,20 @@ def encode_image_prompt_stub(patch: np.ndarray, tokens: int, dim: int, seed: int
     if tokens < 1 or dim < 1:
         raise ValueError(f"tokens and dim must be >= 1, got ({tokens}, {dim})")
     feats = patch_features(patch)
-    ss = np.random.SeedSequence((int(seed), _IMAGE_STUB_STREAM, int(tokens), int(dim), feats.size))
-    rng = np.random.Generator(np.random.Philox(ss))
-    projection = rng.normal(size=(tokens * dim, feats.size)) / np.sqrt(feats.size)
+    projection = _image_projection(int(seed), int(tokens), int(dim), feats.size)
     return ImageEmbedding((projection @ feats).reshape(tokens, dim))
+
+
+@lru_cache(maxsize=32)
+def _image_projection(seed: int, tokens: int, dim: int, features: int) -> np.ndarray:
+    """The stub's (tokens * dim, features) projection. It does not depend on
+    the patch, so it is drawn once per key and returned read-only; copy
+    before mutating."""
+    ss = np.random.SeedSequence((seed, _IMAGE_STUB_STREAM, tokens, dim, features))
+    rng = np.random.Generator(np.random.Philox(ss))
+    projection = rng.normal(size=(tokens * dim, features)) / np.sqrt(features)
+    projection.flags.writeable = False
+    return projection
 
 
 @dataclass(frozen=True)

@@ -171,11 +171,15 @@ def _expand_pairs(doc: dict, problems: list[str]) -> dict:
     return out
 
 
-def parse_config(path=None, cli_overrides: dict | None = None) -> PipelineConfig:
+def parse_config(path=None, cli_overrides: dict | None = None,
+                 one_window: bool = False) -> PipelineConfig:
     """Build a PipelineConfig from an optional file plus overrides.
 
-    An empty or missing file means all defaults. Raises ConfigError carrying
-    the problems found: unknown keys here, else wrong kinds, integers beyond
+    An empty or missing file means all defaults. With ``one_window`` the
+    config is tiled by one window covering its (height, width) grid at scale
+    1, whatever the file and overrides set for scale, window and stride: the
+    grid that ``generate_low_res`` samples. Raises ConfigError carrying the
+    problems found: unknown keys here, else wrong kinds, integers beyond
     float range, violated invariants and impossible patch geometry from the
     PipelineConfig constructor.
     """
@@ -206,6 +210,9 @@ def parse_config(path=None, cli_overrides: dict | None = None) -> PipelineConfig
 
     if problems:
         raise ConfigError(problem_report(problems))
+    if one_window:
+        h, w = values.get("height", PipelineConfig.height), values.get("width", PipelineConfig.width)
+        values.update(scale=1, win_h=h, win_w=w, stride_h=h, stride_w=w)
     return PipelineConfig(**values)
 
 

@@ -152,7 +152,7 @@ def attention_direct(x, text, image, lam, w) -> np.ndarray:
     v_i = image @ w.w_value_image
     scale = 1.0 / math.sqrt(w.d_head)
     n = q.shape[0]
-    out = np.zeros((n, w.d_head))
+    out = np.zeros((n, v_t.shape[1]))
     for row in range(n):
         for keys, values, weight in ((k_t, v_t, 1.0), (k_i, v_i, lam)):
             logits = [scale * float(q[row] @ keys[j]) for j in range(keys.shape[0])]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resmaster.attention import attend, make_attention_weights, softmax_rows
+from resmaster.attention import AttentionWeights, attend, make_attention_weights, softmax_rows
 from resmaster.conditioning import ConditionBundle, ImageEmbedding, TextEmbedding
 
 
@@ -46,6 +46,24 @@ class TestAttend:
         bundle = _bundle(rng, lam=0.8)
         expected = attention_direct(x, bundle.text.data, bundle.image.data, 0.8, w)
         np.testing.assert_allclose(attend(x, bundle, w), expected, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("d_model, d_head, d_value", [(3, 16, 3), (8, 8, 5)])
+    def test_value_width_sets_the_output_width(self, rng, d_model, d_head, d_value):
+        from oracles import attention_direct
+
+        w = AttentionWeights(
+            w_query=rng.normal(size=(d_model, d_head)),
+            w_key_text=rng.normal(size=(8, d_head)),
+            w_value_text=rng.normal(size=(8, d_value)),
+            w_key_image=rng.normal(size=(8, d_head)),
+            w_value_image=rng.normal(size=(8, d_value)),
+        )
+        x = rng.normal(size=(6, d_model))
+        bundle = _bundle(rng, lam=0.8)
+        out = attend(x, bundle, w)
+        assert out.shape == (6, d_value)
+        expected = attention_direct(x, bundle.text.data, bundle.image.data, 0.8, w)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_lambda_linearity(self, rng):
         w = make_attention_weights(8, 8, 8, 8, seed=3)
@@ -123,7 +141,8 @@ class TestFoldedAttend:
     def test_query_block_keeps_products_single_threaded(self):
         from resmaster.attention import BLAS_SINGLE_THREAD_MACS, _query_block
 
-        # The toy denoiser's shape: 12 tokens, width 16, 4096 queries a patch.
+        # 12 tokens at width 16: the toy network's shape before its projections
+        # were folded into its attention weights.
         block = _query_block(12, 16)
         assert 12 * 16 * block <= BLAS_SINGLE_THREAD_MACS < 12 * 16 * (block + 1)
         assert _query_block(10**6, 10**6) == 1
@@ -168,8 +187,6 @@ class TestWeights:
         np.testing.assert_array_equal(a.w_value_image, b.w_value_image)
 
     def test_shape_consistency_enforced(self, rng):
-        from resmaster.attention import AttentionWeights
-
         with pytest.raises(ValueError):
             AttentionWeights(
                 w_query=rng.normal(size=(6, 4)),
@@ -177,6 +194,16 @@ class TestWeights:
                 w_value_text=rng.normal(size=(5, 4)),
                 w_key_image=rng.normal(size=(3, 4)),
                 w_value_image=rng.normal(size=(3, 4)),
+            )
+
+    def test_rejects_disagreeing_value_widths(self, rng):
+        with pytest.raises(ValueError, match="value width"):
+            AttentionWeights(
+                w_query=rng.normal(size=(6, 4)),
+                w_key_text=rng.normal(size=(5, 4)),
+                w_value_text=rng.normal(size=(5, 3)),
+                w_key_image=rng.normal(size=(3, 4)),
+                w_value_image=rng.normal(size=(3, 2)),
             )
 
     def test_rejects_nonpositive_dims(self):

@@ -70,6 +70,22 @@ class TestLowres:
         assert outs[0] == outs[1]
 
 
+    def test_ignores_an_upscale_tiling_that_does_not_fit(self, tmp_path, capsys):
+        # The default 64/32 window does not fit this config's 32x40 upscale
+        # target; lowres samples its own 8x10 grid and never uses that tiling.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"height": 8, "width": 10, "channels": 1}))
+        out = tmp_path / "low.pgm"
+        assert main(["lowres", "--out", str(out), "--config", str(config), "--steps", "3"]) == 0
+        assert read_image(out).shape == (8, 10, 1)
+        capsys.readouterr()
+        for argv in (["plan", "--in", str(out)],
+                     ["upscale", "--in", str(out), "--manifest", str(tmp_path / "m.json"),
+                      "--out", str(tmp_path / "up.pgm")]):
+            assert main(argv + ["--config", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: invalid configuration: height axis: window 64 must lie in [1, grid 32]\n"
+
     def test_non_finite_output_exits_1_without_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("resmaster.cli.generate_low_res",
                             lambda den, cond, config: np.full((config.height, config.width, config.channels), np.nan))

@@ -88,6 +88,22 @@ class TestEncodeImagePromptStub:
         with pytest.raises(ValueError):
             encode_image_prompt_stub(rng.normal(size=(4, 4, 1)), 0, 4, seed=0)
 
+    def test_projection_is_drawn_once_per_key_and_read_only(self, rng):
+        from resmaster.conditioning import _image_projection
+
+        patch = rng.normal(size=(12, 9, 3))
+        feats = patch_features(patch)
+        projection = _image_projection(4, 2, 16, feats.size)
+        assert projection is _image_projection(4, 2, 16, feats.size)
+        assert not projection.flags.writeable
+        # The draw the stub made for every patch before it was cached.
+        gen = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((4, 0x1A9E, 2, 16, feats.size))))
+        drawn = gen.normal(size=(32, feats.size)) / np.sqrt(feats.size)
+        np.testing.assert_array_equal(projection, drawn)
+        np.testing.assert_array_equal(encode_image_prompt_stub(patch, 2, 16, seed=4).data,
+                                      (drawn @ feats).reshape(2, 16))
+
 
 class TestBundleValidation:
     def test_lambda_must_be_nonnegative(self):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from resmaster.config import ConfigError, PipelineConfig, parse_config, serialize_config
+from resmaster.tiler import plan_patches
 
 
 class TestParseConfig:
@@ -116,6 +117,18 @@ class TestParseConfig:
         assert config.layout is config.layout
         assert config.layout.patch_count == 9
         assert config == PipelineConfig(seed=1)
+
+    def test_one_window_tiles_the_grid_with_itself(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"height": 8, "width": 10, "scale": 3,
+                                    "window": 64, "stride": [0, 5]}))
+        config = parse_config(path, {"steps": 4}, one_window=True)
+        assert (config.scale, config.win_h, config.win_w, config.stride_h, config.stride_w) == \
+            (1, 8, 10, 8, 10)
+        assert config.layout.rects == plan_patches(8, 10, 8, 10, 8, 10).rects
+        assert config.steps == 4
+        default = parse_config(None, {}, one_window=True)
+        assert (default.win_h, default.win_w, default.layout.patch_count) == (32, 32, 1)
 
     def test_unknown_schedule_choice(self):
         with pytest.raises(ConfigError, match="schedule"):

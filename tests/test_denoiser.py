@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from resmaster.attention import _query_block, attend, make_attention_weights
 from resmaster.conditioning import ConditionBundle, embed_text_stub, encode_image_prompt_stub
 from resmaster.config import PipelineConfig
 from resmaster.denoiser import (
@@ -167,3 +168,38 @@ class TestToyConditionedDenoiser:
         den = toy_conditioned_denoiser(3, channels=2, text_dim=16, image_dim=16)
         z_t = rng.normal(size=(9, 4, 2))
         assert den.predict(z_t, 2, self._bundle(), s).shape == z_t.shape
+
+    @pytest.mark.parametrize("d_model, d_head", [(16, 16), (8, 4)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_equals_the_unfolded_network(self, rng, channels, d_model, d_head):
+        s = make_linear_schedule(10)
+        den = toy_conditioned_denoiser(5, channels, 16, 16, d_model, d_head)
+        # The constructor's draws, in its order, from its stream.
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((5, 0x70F))))
+        w_in = gen.normal(size=(channels, d_model)) / np.sqrt(channels)
+        net = make_attention_weights(d_model, d_head, 16, 16, rng=gen)
+        w_out = gen.normal(size=(d_head, channels)) / np.sqrt(d_head)
+        z_t = rng.normal(size=(6, 7, channels))
+        bundle = self._bundle()
+        unfolded = np.tanh(attend(z_t.reshape(-1, channels) @ w_in, bundle, net) @ w_out)
+        np.testing.assert_allclose(den.predict(z_t, 4, bundle, s), unfolded.reshape(z_t.shape),
+                                   rtol=0, atol=1e-12)
+
+    def test_a_64x64_patch_is_one_query_block(self, rng, monkeypatch):
+        import resmaster.attention as attention
+
+        den = toy_conditioned_denoiser(3, channels=3, text_dim=16, image_dim=16)
+        assert den.attn.d_model == den.attn.d_value == 3
+        # 8 text and 4 image tokens, the config defaults.
+        assert _query_block(12, 3) >= 64 * 64
+        sizes = []
+
+        def recorded(tokens, width):
+            sizes.append((tokens, width))
+            return _query_block(tokens, width)
+
+        monkeypatch.setattr(attention, "_query_block", recorded)
+        bundle = ConditionBundle(embed_text_stub("a stone bridge", 8, 16, 0),
+                                 encode_image_prompt_stub(np.full((6, 6, 3), 0.5), 4, 16, 0), 0.8)
+        den.predict(rng.normal(size=(64, 64, 3)), 4, bundle, make_linear_schedule(10))
+        assert sizes == [(12, 3)]
