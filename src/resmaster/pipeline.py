@@ -36,7 +36,8 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
     channels. Per step, window ``i`` is denoised under ``conds[i]``, and with
     ``ref_patches`` its clean estimate's low band is swapped for the reference
     patch's while ``t > guidance_stop_step``. The estimates are fused and the
-    grid takes one ancestral step with noise substream ``(seed, t)``. A
+    grid takes one ancestral step with noise substream ``(seed, t)``; the
+    final step (t = 1) returns the fused estimate and draws nothing. A
     one-window layout covers the whole grid, so its estimate needs no fusion."""
     s = config.make_schedule()
     shape = (layout.grid_h, layout.grid_w, config.channels)
@@ -53,7 +54,8 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
                 patch_hook(t, i, z0)
             estimates.append(z0)
         z0 = estimates[0] if layout.patch_count == 1 else fuse_patches(estimates, layout)
-        z = posterior_step(z, z0, t, standard_normal_field(config.seed, t, shape), s)
+        noise = standard_normal_field(config.seed, t, shape) if t > 1 else None
+        z = posterior_step(z, z0, t, noise, s)
     return z
 
 

@@ -145,7 +145,7 @@ def predict_x0(z_t: np.ndarray, eps_hat: np.ndarray, t: int, s: NoiseSchedule) -
 
 
 def posterior_step(
-    z_t: np.ndarray, z0_prime: np.ndarray, t: int, noise: np.ndarray, s: NoiseSchedule
+    z_t: np.ndarray, z0_prime: np.ndarray, t: int, noise: np.ndarray | None, s: NoiseSchedule
 ) -> np.ndarray:
     """One ancestral step: sample the Gaussian posterior of z_{t-1} given z_t and
     a clean estimate.
@@ -154,14 +154,18 @@ def posterior_step(
     ``sqrt(abar_{t-1}) * beta_t / (1 - abar_t) * z0' +
     sqrt(alpha_t) * (1 - abar_{t-1}) / (1 - abar_t) * z_t``
     with variance ``(1 - abar_{t-1}) / (1 - abar_t) * beta_t``. The caller
-    provides the standard-normal draw so the step stays deterministic.
+    provides the standard-normal draw so the step stays deterministic; at
+    t = 1, which uses no noise, ``noise`` may be None.
     """
     z_t = as_grid(z_t, "z_t")
     z0_prime = as_grid(z0_prime, "z0_prime")
-    noise = as_grid(noise, "noise")
     require_same_shape(z_t, z0_prime, "z_t", "z0_prime")
-    require_same_shape(z_t, noise, "z_t", "noise")
     s.check_t(t)
+    if noise is not None:
+        noise = as_grid(noise, "noise")
+        require_same_shape(z_t, noise, "z_t", "noise")
+    elif t > 1:
+        raise ValueError(f"noise is required at t = {t}; only the final step t = 1 may omit it")
     if t == 1:
         # The boundary value abar_0 = 1 collapses the step: the z0' coefficient
         # is exactly 1 and the variance is exactly 0. Evaluating the closed form

@@ -10,6 +10,7 @@ from resmaster.denoiser import (
     toy_conditioned_denoiser,
 )
 from resmaster.config import PipelineConfig
+from resmaster.noise import standard_normal_field
 from resmaster.pipeline import build_patch_bundles, generate_low_res, resmaster_generate
 from resmaster.schedule import posterior_step
 from resmaster.tiler import bicubic_upsample, extract_patch, plan_patches
@@ -185,6 +186,19 @@ class TestResmasterGenerate:
         den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
         resmaster_generate(smooth_reference(16, 16, 2), self._captions(9), den, config)
         assert calls["n"] == 5
+
+    def test_last_step_draws_no_noise(self, monkeypatch):
+        steps = []
+
+        def recording_field(seed, step, shape):
+            steps.append(step)
+            return standard_normal_field(seed, step, shape)
+
+        monkeypatch.setattr("resmaster.pipeline.standard_normal_field", recording_field)
+        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
+        resmaster_generate(smooth_reference(16, 16, 2), self._captions(9), den,
+                           self._config(steps=5))
+        assert steps == [0, 5, 4, 3, 2]
 
     def test_output_variance_does_not_depend_on_cover_count(self):
         # Guidance off: under the analytic denoiser every cell then follows

@@ -175,6 +175,19 @@ class TestPosteriorStep:
         noise = rng.normal(size=z_t.shape)
         assert np.array_equal(posterior_step(z_t, z0p, 1, noise, s), z0p)
 
+    def test_final_step_takes_no_noise(self, rng):
+        s = make_linear_schedule(10)
+        z_t = rng.normal(size=(4, 4, 2))
+        z0p = rng.normal(size=z_t.shape)
+        assert np.array_equal(posterior_step(z_t, z0p, 1, None, s), z0p)
+
+    def test_missing_noise_before_the_final_step_is_a_one_line_error(self, rng):
+        s = make_linear_schedule(10)
+        z = rng.normal(size=(3, 3, 1))
+        with pytest.raises(ValueError, match="noise") as err:
+            posterior_step(z, z, 2, None, s)
+        assert "\n" not in str(err.value)
+
     def test_all_zero_inputs_stay_zero(self):
         s = make_linear_schedule(10)
         zeros = np.zeros((3, 3, 1))
