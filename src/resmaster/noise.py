@@ -1,8 +1,11 @@
-"""Counter-based noise substreams for reproducible sampling.
+"""Keyed noise streams for reproducible sampling.
 
-Every (seed, step) pair keys an independent Philox stream, from which each
-step draws its one noise grid. Step 0 is reserved for the initial draw of
-the fully-noised grid; sampling steps use t >= 1.
+Every (seed, step) pair is hashed by ``SeedSequence`` into the state of its
+own SFC64 generator, from which that step draws its one noise grid. Each
+stream is read once from its start, so no counter-based access is needed,
+and SFC64 is the fastest of numpy's bit generators at drawing a grid. Step 0
+is reserved for the initial draw of the fully-noised grid; sampling steps use
+t >= 1.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ def noise_stream(seed: int, step: int) -> np.random.Generator:
     if seed < 0 or step < 0:
         raise ValueError(f"stream keys must be non-negative, got ({seed}, {step})")
     ss = np.random.SeedSequence((int(seed), int(step)))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def standard_normal_field(seed: int, step: int, shape) -> np.ndarray:

@@ -18,18 +18,18 @@ import pytest
 from resmaster.cli import main
 
 # sha256 of ``lowres`` on a 16x16, 3-channel grid, 10 steps, seed 3
-LOWRES_PINNED = "28384b659c0fcd87f06ba538277096f34af91b0f06140fc56aa3e25ae3ff7fc1"
+LOWRES_PINNED = "a341ca36f9b0703466a0b7fc1008298711dbb79d315a9cad665f785d172c7d97"
 
 # (denoiser, channels, window, stride) -> sha256 of the upscaled image file
 PINNED = {
     ("analytic", 3, 16, 8):
-        "5e004905fc9b388feffe44970c9f21f9985ca13aeba85ac184ccebd661c63ef6",
+        "f437425c9b6665b2f219f73f76c85fd96731846d1bdf42fc094daaf7afc7edcc",
     ("analytic", 1, 16, 16):
-        "6a3a9faa162597a7c1a6e65348c650180a73c70f5c95d0059b6c03118bca4d72",
+        "57396aa741a4e30f52533dd49e63ed867e16c5da7edcd1dac2de41535f92e854",
     ("toy", 3, 16, 16):
-        "80bf08c7fffcc25a8a4460391d04d2c5473defb797921af81d71b9835859eb4d",
+        "778d2112e28b40cb0cbf15540a6d90bfc592cf32c4018ea2e820ad2e3a12cef2",
     ("toy", 1, 16, 8):
-        "5033c1d5011d3219c80e69bd73cc0c882d03b0242a52b73264053383e5082d80",
+        "b3634e4a7c5e5ad52b42ee80a18fff171c7de97878afdde4686569650c10424f",
 }
 
 
