@@ -174,11 +174,6 @@ class TestPosteriorStep:
         z0p = rng.normal(size=z_t.shape)
         noise = rng.normal(size=z_t.shape)
         assert np.array_equal(posterior_step(z_t, z0p, 1, noise, s), z0p)
-
-    def test_final_step_takes_no_noise(self, rng):
-        s = make_linear_schedule(10)
-        z_t = rng.normal(size=(4, 4, 2))
-        z0p = rng.normal(size=z_t.shape)
         assert np.array_equal(posterior_step(z_t, z0p, 1, None, s), z0p)
 
     def test_missing_noise_before_the_final_step_is_a_one_line_error(self, rng):
