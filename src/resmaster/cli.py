@@ -16,12 +16,11 @@ import json
 import logging
 import sys
 
-from .conditioning import ManifestError, load_caption_manifest, manifest_skeleton, save_manifest
+from .conditioning import load_caption_manifest, manifest_skeleton, save_manifest
 from .config import ConfigError, PipelineConfig, parse_config
 from .denoiser import GaussianDataModel, analytic_gaussian_denoiser, toy_conditioned_denoiser
-from .netpbm import ImageFormatError, read_image, write_image
+from .netpbm import read_image, write_image
 from .pipeline import generate_low_res, resmaster_generate
-from .tiler import GeometryError
 
 log = logging.getLogger(__name__)
 
@@ -160,7 +159,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ManifestError, ImageFormatError, GeometryError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -99,12 +99,8 @@ class ConditionBundle:
 
 def _hash_floats(payload: bytes, count: int) -> np.ndarray:
     """count floats in [-1, 1) derived from a SHAKE-256 stream over payload."""
-    raw = hashlib.shake_256(payload).digest(count * 8)
-    out = np.empty(count)
-    for i in range(count):
-        u = int.from_bytes(raw[8 * i : 8 * i + 8], "big")
-        out[i] = 2.0 * ((u >> 11) * 2.0 ** -53) - 1.0
-    return out
+    raw = np.frombuffer(hashlib.shake_256(payload).digest(count * 8), ">u8")
+    return 2.0 * ((raw >> 11) * 2.0 ** -53) - 1.0
 
 
 def embed_text_stub(text: str, tokens: int, dim: int, seed: int) -> TextEmbedding:

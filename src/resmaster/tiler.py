@@ -4,9 +4,8 @@ Window/stride tilings must partition the grid exactly: (grid - window) must
 be divisible by the stride on each axis. Rectangles are enumerated row-major
 by (top, left); that order is the canonical iteration order everywhere.
 
-Fusion reads two per-layout maps, built once on first use and cached on the
-(frozen) layout as read-only arrays: where each cell's first covering patch
-value lives, and how many patches cover each cell.
+Fusion reads one per-layout map, built once on first use and cached on the
+(frozen) layout as a read-only array: how many patches cover each cell.
 """
 
 from __future__ import annotations
@@ -31,20 +30,6 @@ class Rect(NamedTuple):
     width: int
 
 
-class CoverMaps(NamedTuple):
-    """Per-layout fusion constants, read-only.
-
-    ``first`` holds, per cell, the flat index ``(patch * win_h + row) * win_w
-    + col`` of the cell inside its first covering patch (canonical rect
-    order), i.e. its position in the stacked ``(patches, win_h, win_w)``
-    cells; ``count`` is the number of covering patches, as float64
-    ``(grid_h, grid_w, 1)``.
-    """
-
-    first: np.ndarray
-    count: np.ndarray
-
-
 @dataclass(frozen=True)
 class PatchLayout:
     grid_h: int
@@ -60,21 +45,16 @@ class PatchLayout:
         return len(self.rects)
 
     @cached_property
-    def cover_maps(self) -> CoverMaps:
-        """Fusion maps of this layout; raises ValueError if a cell is uncovered."""
-        first = np.zeros((self.grid_h, self.grid_w), dtype=np.intp)
+    def cover_count(self) -> np.ndarray:
+        """Number of patches covering each cell, float64 ``(grid_h, grid_w, 1)``;
+        raises ValueError if a cell is uncovered."""
         count = np.zeros((self.grid_h, self.grid_w, 1))
-        cells = np.arange(self.win_h * self.win_w).reshape(self.win_h, self.win_w)
-        for i, (top, left, h, w) in enumerate(self.rects):
-            region = np.s_[top : top + h, left : left + w]
-            fresh = count[region][:, :, 0] == 0
-            first[region][fresh] = (i * cells.size + cells[:h, :w])[fresh]
-            count[region] += 1
+        for top, left, h, w in self.rects:
+            count[top : top + h, left : left + w] += 1
         if (count == 0).any():
             raise ValueError("layout does not cover the full grid")
-        first.flags.writeable = False
         count.flags.writeable = False
-        return CoverMaps(first, count)
+        return count
 
     def to_dict(self) -> dict:
         """JSON-ready description used by the caption-manifest skeleton."""
@@ -103,8 +83,9 @@ def _axis_positions(grid: int, win: int, stride: int, axis: str) -> range:
 
 
 def _nearest_valid_stride(span: int, stride: int) -> int:
-    # Valid strides are the divisors of the leftover span.
-    divisors = [d for d in range(1, span + 1) if span % d == 0]
+    # Valid strides are the divisors of the leftover span. Divisor 1 lies
+    # stride - 1 away, so no divisor above 2 * stride - 1 can be nearer.
+    divisors = [d for d in range(1, min(span, 2 * stride - 1) + 1) if span % d == 0]
     return min(divisors, key=lambda d: (abs(d - stride), d))
 
 
@@ -150,7 +131,8 @@ def fuse_patches(patches: Sequence[np.ndarray], layout: PatchLayout) -> np.ndarr
     "first covering value + mean of deviations from it", which makes cells
     where all covering patches agree pass through bit-exact (a plain
     sum/count would round at cover counts that are not powers of two).
-    The first covering values are one gather through ``layout.cover_maps``.
+    Writing the patches in reverse rect order leaves each cell holding its
+    first covering value.
     """
     if len(patches) != layout.patch_count:
         raise ValueError(f"expected {layout.patch_count} patches, got {len(patches)}")
@@ -163,13 +145,15 @@ def fuse_patches(patches: Sequence[np.ndarray], layout: PatchLayout) -> np.ndarr
                 f"({layout.win_h}, {layout.win_w}, {channels})"
             )
 
-    maps = layout.cover_maps
-    base = np.take(np.stack(grids).reshape(-1, channels), maps.first, axis=0)
+    count = layout.cover_count  # raises first if some cell would stay unwritten
+    base = np.empty((layout.grid_h, layout.grid_w, channels))
+    for patch, (top, left, h, w) in zip(reversed(grids), reversed(layout.rects)):
+        base[top : top + h, left : left + w] = patch
     deviation = np.zeros_like(base)
     for patch, (top, left, h, w) in zip(grids, layout.rects):
         region = np.s_[top : top + h, left : left + w]
         deviation[region] += patch - base[region]
-    return base + deviation / maps.count
+    return base + deviation / count
 
 
 def _keys_cubic(x: np.ndarray) -> np.ndarray:

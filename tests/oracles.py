@@ -8,6 +8,7 @@ formulas are re-evaluated in extended precision.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from decimal import Decimal, getcontext
 
@@ -114,6 +115,16 @@ def extract_direct(grid: np.ndarray, rect) -> np.ndarray:
     return out
 
 
+def nearest_valid_stride_direct(span: int, stride: int) -> int:
+    """The divisor of span nearest to stride, the smaller on a tie, by
+    scanning every integer up to span."""
+    best = 1
+    for d in range(1, span + 1):
+        if span % d == 0 and abs(d - stride) < abs(best - stride):
+            best = d
+    return best
+
+
 def fuse_direct(patches, layout) -> np.ndarray:
     """Naive accumulate-then-divide fusion with an explicit count map."""
     channels = patches[0].shape[2]
@@ -204,3 +215,13 @@ def analytic_eps_direct(z: float, abar: float, m: float, s: float) -> float:
     """Scalar conditional-mean noise estimate for N(m, s^2) data."""
     post = m + math.sqrt(abar) * s * s / (abar * s * s + 1.0 - abar) * (z - math.sqrt(abar) * m)
     return (z - math.sqrt(abar) * post) / math.sqrt(1.0 - abar)
+
+
+def hash_floats_direct(payload: bytes, count: int) -> np.ndarray:
+    """SHAKE-256 floats in [-1, 1), one big-endian 8-byte word at a time."""
+    raw = hashlib.shake_256(payload).digest(count * 8)
+    out = np.empty(count)
+    for i in range(count):
+        u = int.from_bytes(raw[8 * i : 8 * i + 8], "big")
+        out[i] = 2.0 * ((u >> 11) * 2.0 ** -53) - 1.0
+    return out

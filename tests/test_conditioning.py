@@ -12,6 +12,7 @@ from resmaster.conditioning import (
     ConditionBundle,
     ManifestError,
     TextEmbedding,
+    _hash_floats,
     embed_text_stub,
     encode_image_prompt_stub,
     load_caption_manifest,
@@ -20,6 +21,8 @@ from resmaster.conditioning import (
     save_manifest,
 )
 from resmaster.tiler import plan_patches
+
+from oracles import hash_floats_direct
 
 
 class TestEmbedTextStub:
@@ -56,6 +59,16 @@ class TestEmbedTextStub:
         a = embed_text_stub(text, 3, 5, seed)
         b = embed_text_stub(text, 3, 5, seed)
         np.testing.assert_array_equal(a.data, b.data)
+
+
+class TestHashFloats:
+    @pytest.mark.parametrize("size", [0, 3, 200])
+    @pytest.mark.parametrize("count", [0, 1, 2, 17, 1000])
+    def test_matches_word_loop_byte_for_byte(self, size, count):
+        payload = bytes(range(size))
+        out = _hash_floats(payload, count)
+        assert out.dtype == np.float64 and out.dtype.isnative
+        assert out.tobytes() == hash_floats_direct(payload, count).tobytes()
 
 
 class TestEncodeImagePromptStub:

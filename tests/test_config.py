@@ -46,6 +46,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="width axis"):
             parse_config(None, {"stride": [32, 48]})
 
+    def test_invalid_stride_at_huge_scale_is_suggested_at_once(self):
+        # span = 32 * 10**9 - 64: 33 does not divide it, so no rect is built.
+        with pytest.raises(ConfigError, match="nearest valid stride is 32$"):
+            PipelineConfig(scale=10**9, stride_h=33, stride_w=33)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"d_zero": 0.5}))

@@ -13,7 +13,13 @@ from resmaster.tiler import (
     plan_patches,
 )
 
-from oracles import bicubic_direct, extract_direct, fuse_direct, fuse_first_plus_deviation
+from oracles import (
+    bicubic_direct,
+    extract_direct,
+    fuse_direct,
+    fuse_first_plus_deviation,
+    nearest_valid_stride_direct,
+)
 
 
 class TestPlanPatches:
@@ -41,6 +47,16 @@ class TestPlanPatches:
             plan_patches(128, 128, 64, 64, 32, 48)
         with pytest.raises(GeometryError, match="height axis"):
             plan_patches(100, 128, 64, 64, 48, 32)
+
+    def test_suggested_stride_matches_brute_force_scan(self):
+        for span in range(1, 120):
+            for stride in range(1, 40):
+                if span % stride == 0:
+                    continue
+                with pytest.raises(GeometryError) as err:
+                    plan_patches(8 + span, 8, 8, 8, stride, 1)
+                expected = nearest_valid_stride_direct(span, stride)
+                assert str(err.value).endswith(f"nearest valid stride is {expected}")
 
     def test_rejects_degenerate_windows_and_strides(self):
         with pytest.raises(GeometryError):
@@ -152,34 +168,30 @@ class TestFusePatches:
 
 
 class TestCoverMaps:
-    def test_first_cover_matches_rect_scan(self):
+    def test_count_matches_rect_scan(self):
         layout = plan_patches(12, 10, 6, 4, 3, 2)
-        maps = layout.cover_maps
+        count = layout.cover_count
+        assert count.shape == (12, 10, 1)
         for y in range(12):
             for x in range(10):
-                covering = [i for i, (t, l, h, w) in enumerate(layout.rects)
-                            if t <= y < t + h and l <= x < l + w]
-                top, left = layout.rects[covering[0]][:2]
-                expected = (covering[0] * 6 + (y - top)) * 4 + (x - left)
-                assert maps.first[y, x] == expected
-                assert maps.count[y, x, 0] == len(covering)
+                covering = [r for r in layout.rects
+                            if r.top <= y < r.top + r.height and r.left <= x < r.left + r.width]
+                assert count[y, x, 0] == len(covering)
 
-    def test_maps_are_read_only_and_cached(self):
+    def test_count_is_read_only_and_cached(self):
         layout = plan_patches(16, 16, 8, 8, 4, 4)
-        maps = layout.cover_maps
-        assert layout.cover_maps is maps
-        for arr in maps:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0, 0] = 0
+        count = layout.cover_count
+        assert layout.cover_count is count
+        assert not count.flags.writeable
+        with pytest.raises(ValueError):
+            count[0, 0] = 0
 
-    def test_maps_are_distinct_per_layout(self):
+    def test_count_differs_per_layout(self):
         dense = plan_patches(16, 16, 8, 8, 4, 4)
         sparse = plan_patches(16, 16, 8, 8, 8, 8)
-        assert dense.cover_maps.count is not sparse.cover_maps.count
-        assert dense.cover_maps.count.max() == 4
-        assert sparse.cover_maps.count.max() == 1
-        assert not np.array_equal(dense.cover_maps.first, sparse.cover_maps.first)
+        assert dense.cover_count is not sparse.cover_count
+        assert dense.cover_count.max() == 4
+        assert sparse.cover_count.max() == 1
 
     def test_uncovered_hand_built_layout_raises(self, rng):
         holey = PatchLayout(8, 8, 4, 4, 4, 4, (Rect(0, 0, 4, 4), Rect(4, 4, 4, 4)))
@@ -189,14 +201,22 @@ class TestCoverMaps:
         with pytest.raises(ValueError, match="does not cover"):
             fuse_patches(patches, holey)
 
-    @pytest.mark.parametrize("geometry", [(16, 16, 8, 8, 4, 4), (20, 18, 8, 6, 4, 6),
-                                          (12, 12, 8, 8, 2, 4)])
+    @pytest.mark.parametrize("geometry", [
+        plan_patches(16, 16, 8, 8, 4, 4),
+        plan_patches(20, 18, 8, 6, 4, 6),
+        plan_patches(12, 12, 8, 8, 2, 4),
+        # Rects out of row-major order, two of them twice: each cell's first
+        # covering value must come from the first rect in this order.
+        PatchLayout(12, 12, 8, 8, 4, 4, (
+            Rect(4, 4, 8, 8), Rect(0, 4, 8, 8), Rect(4, 4, 8, 8), Rect(0, 0, 8, 8),
+            Rect(4, 0, 8, 8), Rect(0, 4, 8, 8),
+        )),
+    ])
     def test_fusion_equals_per_step_loop_bit_for_bit(self, rng, geometry):
-        layout = plan_patches(*geometry)
-        patches = [rng.normal(size=(layout.win_h, layout.win_w, 3))
-                   for _ in range(layout.patch_count)]
-        assert np.array_equal(fuse_patches(patches, layout),
-                              fuse_first_plus_deviation(patches, layout))
+        patches = [rng.normal(size=(geometry.win_h, geometry.win_w, 3))
+                   for _ in range(geometry.patch_count)]
+        assert np.array_equal(fuse_patches(patches, geometry),
+                              fuse_first_plus_deviation(patches, geometry))
 
 
 class TestBicubicUpsample:
