@@ -26,6 +26,11 @@ SCHEDULE_CHOICES = ("geometric", "linear")
 # Seeds are hashed as signed 64-bit integers by the embedding stubs.
 SEED_LIMIT = 2**63
 
+# Most values (cells times channels) a target grid may hold. Together with
+# the tiler's MAX_PATCHES it bounds a run before any window is planned: a
+# 4096x4096x3 target tiled 64/32 holds 50,331,648 values in 16,129 patches.
+MAX_GRID_VALUES = 2**31
+
 
 class ConfigError(ValueError):
     """Aggregated configuration validation report."""
@@ -43,7 +48,9 @@ class PipelineConfig:
     describe the tiling of the target grid, planned once as ``layout``.
     An int given for a float field is stored as a float. Construction raises
     ConfigError listing every field of the wrong kind or beyond float range,
-    or else every violated invariant."""
+    or else every violated invariant, or else a target grid beyond
+    ``MAX_GRID_VALUES`` values and any fault of the tiling, including more
+    than ``tiler.MAX_PATCHES`` windows."""
 
     height: int = 32
     width: int = 32
@@ -104,6 +111,12 @@ class PipelineConfig:
         if self.model_std < 0:
             problems.append(f"model_std must be >= 0, got {self.model_std}")
         if not problems:
+            values = self.target_h * self.target_w * self.channels
+            if values > MAX_GRID_VALUES:
+                problems.append(f"the {self.target_h}x{self.target_w}x{self.channels} target grid "
+                                f"holds {values} values; at most 2**31 are allowed")
+            # Planning checks the tiling and its window count before it builds
+            # a rect, so it stays cheap for a target beyond the bound.
             try:
                 layout = plan_patches(self.target_h, self.target_w,
                                       self.win_h, self.win_w, self.stride_h, self.stride_w)

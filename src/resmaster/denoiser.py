@@ -3,8 +3,10 @@ data (the ground-truth engine for end-to-end tests) and a small conditioned
 network that exercises the decoupled cross-attention path.
 
 A denoiser is anything with
-``predict(z_t, t, cond, s) -> grid of z_t's shape``; predictions must be
-deterministic functions of the arguments.
+``predict(z_t, t, cond, s, out=None) -> grid of z_t's shape``; predictions
+must be deterministic functions of the arguments. Given ``out``, a float64
+grid of z_t's shape that the caller owns, ``predict`` writes the prediction
+into it and returns it; the sampler passes the same buffer every step.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import numpy as np
 from .attention import AttentionWeights, attend, make_attention_weights
 from .conditioning import ConditionBundle
 from .schedule import NoiseSchedule
-from .util import as_grid
+from .util import as_grid, check_out
 
 
 @runtime_checkable
 class Denoiser(Protocol):
     def predict(
-        self, z_t: np.ndarray, t: int, cond: ConditionBundle | None, s: NoiseSchedule
+        self, z_t: np.ndarray, t: int, cond: ConditionBundle | None, s: NoiseSchedule,
+        out: np.ndarray | None = None,
     ) -> np.ndarray: ...
 
 
@@ -56,7 +59,13 @@ class _AnalyticGaussianDenoiser:
     posterior mean of z0 given z_t is
     ``m + sqrt(abar) s^2 / (abar s^2 + 1 - abar) * (z_t - sqrt(abar) m)``
     and the implied noise estimate is
-    ``(z_t - sqrt(abar) E[z0|z_t]) / sqrt(1 - abar)``.
+    ``(z_t - sqrt(abar) E[z0|z_t]) / sqrt(1 - abar)``. With g the gain above,
+    that is ``(z_t - sqrt(abar) m) * (1 - sqrt(abar) g) / sqrt(1 - abar)``,
+    which ``predict`` evaluates in three passes: subtract, multiply, divide.
+    The factor ``1 - sqrt(abar) g`` is taken as
+    ``(1 - abar) / (abar s^2 + 1 - abar)``, its equal without cancellation:
+    exactly 1 for s = 0, and a small positive number (0 once s^2 overflows)
+    for huge s, so the noise estimate stays finite.
     """
 
     def __init__(self, model: GaussianDataModel):
@@ -70,10 +79,16 @@ class _AnalyticGaussianDenoiser:
         gain = math.sqrt(abar) * var / (abar * var + 1.0 - abar)
         return mean + gain * (z_t - math.sqrt(abar) * mean)
 
-    def predict(self, z_t, t, cond, s):
+    def predict(self, z_t, t, cond, s, out=None):
         z_t = as_grid(z_t, "z_t")
+        # z_t is read by the first pass only, so out may be z_t.
+        check_out(out, z_t.shape)
+        mean = self._broadcast_mean(z_t)
         abar = s.alpha_bar_at(t)
-        return (z_t - math.sqrt(abar) * self.posterior_mean(z_t, t, s)) / math.sqrt(1.0 - abar)
+        var, noise_var = self.model.std * self.model.std, 1.0 - abar
+        out = np.subtract(z_t, math.sqrt(abar) * mean, out=out)
+        np.multiply(out, noise_var / (abar * var + noise_var), out=out)
+        return np.divide(out, math.sqrt(noise_var), out=out)
 
     def _broadcast_mean(self, z_t: np.ndarray) -> np.ndarray:
         mean = self.model.mean
@@ -126,14 +141,16 @@ class _ToyConditionedDenoiser:
             w_value_image=net.w_value_image @ w_out,
         )
 
-    def predict(self, z_t, t, cond, s):
+    def predict(self, z_t, t, cond, s, out=None):
         z_t = as_grid(z_t, "z_t")
         if cond is None:
             raise ValueError("toy conditioned denoiser requires a condition bundle")
         if z_t.shape[2] != self.channels:
             raise ValueError(f"grid has {z_t.shape[2]} channels, denoiser expects {self.channels}")
         s.check_t(t)
-        return np.tanh(attend(z_t.reshape(-1, self.channels), cond, self.attn)).reshape(z_t.shape)
+        check_out(out, z_t.shape)
+        cells = attend(z_t.reshape(-1, self.channels), cond, self.attn)
+        return np.tanh(cells.reshape(z_t.shape), out=out)
 
 
 def toy_conditioned_denoiser(

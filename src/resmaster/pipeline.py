@@ -38,24 +38,29 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
     patch's while ``t > guidance_stop_step``. The estimates are fused and the
     grid takes one ancestral step with noise substream ``(seed, t)``; the
     final step (t = 1) returns the fused estimate and draws nothing. A
-    one-window layout covers the whole grid, so its estimate needs no fusion."""
+    one-window layout covers the whole grid, so its estimate needs no fusion.
+
+    The run owns its buffers: each window's noise prediction, clean estimate
+    and swap are written into that window's estimate grid, allocated once per
+    run, and the grid steps in place. So the array ``patch_hook`` receives is
+    overwritten at the next step; a hook that keeps it must copy it."""
     s = config.make_schedule()
     shape = (layout.grid_h, layout.grid_w, config.channels)
     z = standard_normal_field(config.seed, INIT_STEP, shape)
+    estimates = [np.empty((h, w, config.channels)) for _, _, h, w in layout.rects]
     for t in range(s.steps, 0, -1):
-        estimates = []
         for i, rect in enumerate(layout.rects):
-            # A lone window is the whole grid; nothing writes to z before the step replaces it.
+            # A lone window is the whole grid; nothing writes to z before the step.
             z_t = z if layout.patch_count == 1 else extract_patch(z, rect)
-            z0 = predict_x0(z_t, denoiser.predict(z_t, t, conds[i], s), t, s)
+            eps_hat = denoiser.predict(z_t, t, conds[i], s, out=estimates[i])
+            z0 = predict_x0(z_t, eps_hat, t, s, out=estimates[i])
             if ref_patches is not None and t > config.guidance_stop_step:
-                z0 = swap_low_frequency(z0, ref_patches[i], config.d0)
+                z0 = swap_low_frequency(z0, ref_patches[i], config.d0, out=z0)
             if patch_hook is not None:
                 patch_hook(t, i, z0)
-            estimates.append(z0)
         z0 = estimates[0] if layout.patch_count == 1 else fuse_patches(estimates, layout)
         noise = standard_normal_field(config.seed, t, shape) if t > 1 else None
-        z = posterior_step(z, z0, t, noise, s)
+        z = posterior_step(z, z0, t, noise, s, out=z)
     return z
 
 
@@ -99,7 +104,8 @@ def resmaster_generate(
     low-frequency bands swapped into every clean estimate (until
     ``guidance_stop_step``) and the image prompts of the per-patch condition
     bundles. ``patch_hook`` is called as (step, patch, clean estimate) right
-    after the swap, once per patch and step, before the estimates are fused.
+    after the swap, once per patch and step, before the estimates are fused;
+    the estimate is the sampler's own buffer, valid only during the call.
     """
     reference = as_grid(reference, "reference")
     if reference.shape != (config.height, config.width, config.channels):

@@ -3,7 +3,10 @@ estimate, and the posterior sampling step.
 
 Timesteps are 1-based: t ranges over 1..T, and the cumulative product
 ``alpha_bar`` at t=0 is defined as 1 so the final (t=1) step is well formed.
-All operations are pure; noise is always supplied by the caller.
+Noise is always supplied by the caller. No function changes its inputs:
+``predict_x0`` and ``posterior_step`` write only into their result, which the
+caller may own and pass as ``out=`` (see each function for the inputs that
+``out`` may alias).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import as_grid, require_same_shape
+from .util import as_grid, check_out, require_same_shape
 
 
 @dataclass(frozen=True)
@@ -135,17 +138,24 @@ def forward_diffuse(z0: np.ndarray, t: int, eps: np.ndarray, s: NoiseSchedule) -
     return math.sqrt(abar) * z0 + math.sqrt(1.0 - abar) * eps
 
 
-def predict_x0(z_t: np.ndarray, eps_hat: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
-    """Clean-latent estimate implied by a noisy grid and a noise prediction."""
+def predict_x0(z_t: np.ndarray, eps_hat: np.ndarray, t: int, s: NoiseSchedule,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Clean-latent estimate implied by a noisy grid and a noise prediction,
+    ``(z_t - sqrt(1 - abar_t) * eps_hat) / sqrt(abar_t)``. ``out`` may be
+    ``eps_hat``; it must not overlap ``z_t``."""
     z_t = as_grid(z_t, "z_t")
     eps_hat = as_grid(eps_hat, "eps_hat")
     require_same_shape(z_t, eps_hat, "z_t", "eps_hat")
+    check_out(out, z_t.shape, z_t=z_t)
     abar = s.alpha_bar_at(t)
-    return (z_t - math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(abar)
+    out = np.multiply(eps_hat, math.sqrt(1.0 - abar), out=out)
+    np.subtract(z_t, out, out=out)
+    return np.divide(out, math.sqrt(abar), out=out)
 
 
 def posterior_step(
-    z_t: np.ndarray, z0_prime: np.ndarray, t: int, noise: np.ndarray | None, s: NoiseSchedule
+    z_t: np.ndarray, z0_prime: np.ndarray, t: int, noise: np.ndarray | None, s: NoiseSchedule,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One ancestral step: sample the Gaussian posterior of z_{t-1} given z_t and
     a clean estimate.
@@ -155,7 +165,9 @@ def posterior_step(
     sqrt(alpha_t) * (1 - abar_{t-1}) / (1 - abar_t) * z_t``
     with variance ``(1 - abar_{t-1}) / (1 - abar_t) * beta_t``. The caller
     provides the standard-normal draw so the step stays deterministic; at
-    t = 1, which uses no noise, ``noise`` may be None.
+    t = 1, which uses no noise, ``noise`` may be None. The sum is formed as
+    ``coef_zt * z_t``, plus the ``z0'`` term, plus the noise term, so ``out``
+    may be ``z_t``; it must not overlap ``z0_prime`` or ``noise``.
     """
     z_t = as_grid(z_t, "z_t")
     z0_prime = as_grid(z0_prime, "z0_prime")
@@ -166,12 +178,13 @@ def posterior_step(
         require_same_shape(z_t, noise, "z_t", "noise")
     elif t > 1:
         raise ValueError(f"noise is required at t = {t}; only the final step t = 1 may omit it")
+    check_out(out, z_t.shape, z0_prime=z0_prime, noise=noise)
     if t == 1:
         # The boundary value abar_0 = 1 collapses the step: the z0' coefficient
         # is exactly 1 and the variance is exactly 0. Evaluating the closed form
         # in floats would round the coefficient off 1, so return the estimate
         # directly.
-        return z0_prime.copy()
+        return np.positive(z0_prime, out=out)
     abar_t = s.alpha_bar_at(t)
     abar_prev = s.alpha_bar_before(t)
     beta_t = s.beta_at(t)
@@ -179,4 +192,9 @@ def posterior_step(
     coef_z0 = math.sqrt(abar_prev) * beta_t / (1.0 - abar_t)
     coef_zt = math.sqrt(alpha_t) * (1.0 - abar_prev) / (1.0 - abar_t)
     var = (1.0 - abar_prev) / (1.0 - abar_t) * beta_t
-    return coef_z0 * z0_prime + coef_zt * z_t + math.sqrt(var) * noise
+    # IEEE addition commutes, so these are the bytes of
+    # coef_z0 * z0' + coef_zt * z_t + sqrt(var) * noise.
+    out = np.multiply(z_t, coef_zt, out=out)
+    out += coef_z0 * z0_prime
+    out += math.sqrt(var) * noise
+    return out

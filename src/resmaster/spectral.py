@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .util import as_grid, require_same_shape
+from .util import as_grid, check_out, require_same_shape
 
 
 def valid_cutoff(d0: float) -> bool:
@@ -47,20 +47,23 @@ def _lowpass_matrix(n: int, d0: float) -> np.ndarray:
     return matrix
 
 
-def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, d0: float) -> np.ndarray:
+def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, d0: float,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Replace the low-frequency band of ``estimate`` with that of ``reference``.
 
     Per channel this is the per-bin convex blend
     F' = FFT(reference) * m + FFT(estimate) * (1 - m) with the Gaussian
     low-pass m = g(f_u) g(f_v); the DC bin (m = 1) is always fully swapped,
     so the output inherits the reference's per-channel mean. It is computed
-    as ``estimate + L_H (reference - estimate) L_W^T`` per channel.
+    as ``estimate + L_H (reference - estimate) L_W^T`` per channel. Only
+    that final sum writes to ``out``, so ``out`` may be ``estimate``.
     """
     estimate = as_grid(estimate, "estimate")
     reference = as_grid(reference, "reference")
     require_same_shape(estimate, reference, "estimate", "reference")
+    check_out(out, estimate.shape)
     height, width, _ = estimate.shape
     l_h, l_w = _lowpass_matrix(height, d0), _lowpass_matrix(width, d0)
     # Channel-major, so each product is one channel's plane.
     low = l_h @ np.moveaxis(reference - estimate, 2, 0) @ l_w.T
-    return estimate + np.moveaxis(low, 0, 2)
+    return np.add(estimate, np.moveaxis(low, 0, 2), out=out)

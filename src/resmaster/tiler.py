@@ -10,6 +10,7 @@ Fusion reads one per-layout map, built once on first use and cached on the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -20,7 +21,16 @@ from .util import as_grid
 
 
 class GeometryError(ValueError):
-    """Window/stride geometry does not tile the grid exactly."""
+    """Window/stride geometry does not tile the grid exactly, or needs more
+    than MAX_PATCHES windows."""
+
+
+# Most windows a tiling may have; the count is checked before any is built.
+MAX_PATCHES = 2**16
+
+# Most trial divisions a stride suggestion may take: enough for every span
+# below 2**32.
+_SUGGESTION_DIVISIONS = 2**16
 
 
 class Rect(NamedTuple):
@@ -77,15 +87,25 @@ def _axis_positions(grid: int, win: int, stride: int, axis: str) -> range:
         suggestion = _nearest_valid_stride(span, stride)
         raise GeometryError(
             f"{axis} axis: (grid {grid} - window {win}) = {span} is not divisible "
-            f"by stride {stride}; nearest valid stride is {suggestion}"
+            f"by stride {stride}; " + ("a valid stride divides it" if suggestion is None
+                                       else f"nearest valid stride is {suggestion}")
         )
     return range(0, span + 1, stride)
 
 
-def _nearest_valid_stride(span: int, stride: int) -> int:
-    # Valid strides are the divisors of the leftover span. Divisor 1 lies
-    # stride - 1 away, so no divisor above 2 * stride - 1 can be nearer.
-    divisors = [d for d in range(1, min(span, 2 * stride - 1) + 1) if span % d == 0]
+def _nearest_valid_stride(span: int, stride: int) -> int | None:
+    # Valid strides are the divisors of the leftover span, found in pairs
+    # (d, span // d) by trial division up to sqrt(span). Divisor 1 lies
+    # stride - 1 away, so no divisor above 2 * stride - 1 can be nearer, and
+    # each divisor up to that bound pairs with a d no larger than it. None
+    # when that takes more than _SUGGESTION_DIVISIONS divisions.
+    limit = min(math.isqrt(span), 2 * stride - 1)
+    if limit > _SUGGESTION_DIVISIONS:
+        return None
+    divisors = []
+    for d in range(1, limit + 1):
+        if span % d == 0:
+            divisors += (d, span // d)
     return min(divisors, key=lambda d: (abs(d - stride), d))
 
 
@@ -96,10 +116,15 @@ def plan_patches(
 
     The patch count is ((grid_h - win_h)/stride_h + 1) * ((grid_w - win_w)/stride_w + 1);
     non-divisible geometry raises a GeometryError naming the offending axis
-    rather than silently clamping.
+    rather than silently clamping, and so does a count above MAX_PATCHES,
+    before any rect is built.
     """
     tops = _axis_positions(int(grid_h), int(win_h), int(stride_h), "height")
     lefts = _axis_positions(int(grid_w), int(win_w), int(stride_w), "width")
+    # Positions per axis from the range ends, since len() overflows past sys.maxsize.
+    count = ((tops.stop - 1) // tops.step + 1) * ((lefts.stop - 1) // lefts.step + 1)
+    if count > MAX_PATCHES:
+        raise GeometryError(f"the tiling has {count} windows; at most 2**16 are allowed")
     rects = tuple(
         Rect(top, left, int(win_h), int(win_w)) for top in tops for left in lefts
     )

@@ -1,7 +1,9 @@
 """Shared array validation helpers.
 
 Grids are plain numpy arrays of shape (height, width, channels), float64,
-row-major.
+row-major. A stage that takes ``out=`` writes its result into that caller-owned
+grid and returns it; with ``out=None`` the same operations write into one
+freshly allocated grid.
 """
 
 from __future__ import annotations
@@ -27,3 +29,18 @@ def require_same_shape(a: np.ndarray, b: np.ndarray, a_name: str, b_name: str) -
 def require_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
+
+
+def check_out(out, shape: tuple, **read_after_write) -> None:
+    """Check a caller-owned result grid: None, or a float64 array of ``shape``
+    sharing no memory with the named inputs, which the stage reads after its
+    first write into ``out``."""
+    if out is None:
+        return
+    if not isinstance(out, np.ndarray) or out.dtype != np.float64 or out.shape != shape:
+        got = (f"{out.dtype} array of shape {out.shape}" if isinstance(out, np.ndarray)
+               else type(out).__name__)
+        raise ValueError(f"out must be a float64 array of shape {shape}, got {got}")
+    for name, arr in read_after_write.items():
+        if arr is not None and np.may_share_memory(out, arr):
+            raise ValueError(f"out overlaps {name}, which is read after out is written")

@@ -217,6 +217,26 @@ def analytic_eps_direct(z: float, abar: float, m: float, s: float) -> float:
     return (z - math.sqrt(abar) * post) / math.sqrt(1.0 - abar)
 
 
+def analytic_eps_decimal(z_t: np.ndarray, abar: float, mean, std: float) -> np.ndarray:
+    """The analytic denoiser's noise estimate in its two stages, per element in
+    Decimal: the posterior mean
+    E = m + sqrt(abar) s^2 / (abar s^2 + 1 - abar) * (z - sqrt(abar) m), then
+    (z - sqrt(abar) E) / sqrt(1 - abar). ``mean`` is a scalar or one value per
+    channel."""
+    dabar = Decimal(float(abar))
+    root_abar = dabar.sqrt()
+    root_om = (Decimal(1) - dabar).sqrt()
+    var = Decimal(float(std)) ** 2
+    gain = root_abar * var / (dabar * var + Decimal(1) - dabar)
+    means = np.broadcast_to(np.atleast_1d(np.asarray(mean, dtype=np.float64)), z_t.shape)
+    out = np.empty_like(z_t)
+    for idx in np.ndindex(z_t.shape):
+        z, m = Decimal(float(z_t[idx])), Decimal(float(means[idx]))
+        post = m + gain * (z - root_abar * m)
+        out[idx] = float((z - root_abar * post) / root_om)
+    return out
+
+
 def hash_floats_direct(payload: bytes, count: int) -> np.ndarray:
     """SHAKE-256 floats in [-1, 1), one big-endian 8-byte word at a time."""
     raw = hashlib.shake_256(payload).digest(count * 8)

@@ -51,6 +51,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="nearest valid stride is 32$"):
             PipelineConfig(scale=10**9, stride_h=33, stride_w=33)
 
+    def test_huge_scale_fails_from_the_closed_forms_before_planning(self, monkeypatch):
+        built = []
+        monkeypatch.setattr("resmaster.tiler.Rect", lambda *args: built.append(args))
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig(scale=10**5)
+        message = str(err.value)
+        assert "\n" not in message and not built
+        assert "holds 30720000000000 values; at most 2**31 are allowed" in message
+        assert "the tiling has 9999800001 windows; at most 2**16 are allowed" in message
+
+    def test_bounds_sit_at_2_to_the_31_values_and_2_to_the_16_windows(self):
+        # 2**15 x 2**15 x 2 is exactly 2**31 values; one more channel is over.
+        whole = dict(height=2**15, width=2**15, scale=1, win_h=2**15, win_w=2**15,
+                     stride_h=2**15, stride_w=2**15)
+        assert PipelineConfig(channels=2, **whole).layout.patch_count == 1
+        with pytest.raises(ConfigError, match="holds 3221225472 values"):
+            PipelineConfig(channels=3, **whole)
+        cells = dict(width=256, scale=1, win_h=1, win_w=1, stride_h=1, stride_w=1)
+        assert PipelineConfig(height=256, **cells).layout.patch_count == 2**16
+        with pytest.raises(ConfigError, match="the tiling has 65792 windows"):
+            PipelineConfig(height=257, **cells)
+
+    def test_4k_target_fits_both_bounds(self):
+        assert PipelineConfig(height=1024, width=1024, scale=4).layout.patch_count == 16129
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"d_zero": 0.5}))

@@ -176,9 +176,9 @@ class TestResmasterGenerate:
     def test_one_grid_step_per_sampling_step(self, monkeypatch):
         calls = {"n": 0}
 
-        def counting_step(*args):
+        def counting_step(*args, **kwargs):
             calls["n"] += 1
-            return posterior_step(*args)
+            return posterior_step(*args, **kwargs)
 
         monkeypatch.setattr("resmaster.pipeline.posterior_step", counting_step)
         config = self._config(steps=5)

@@ -58,6 +58,25 @@ class TestPlanPatches:
                 expected = nearest_valid_stride_direct(span, stride)
                 assert str(err.value).endswith(f"nearest valid stride is {expected}")
 
+    def test_suggested_stride_is_exact_for_a_large_span(self):
+        # span = 2**31 - 2 = 2 * 3**2 * 7 * 11 * 31 * 151 * 331; its divisors
+        # come from that factorisation, not from a scan.
+        divisors = [1]
+        for prime, power in ((2, 1), (3, 2), (7, 1), (11, 1), (31, 1), (151, 1), (331, 1)):
+            divisors = [d * prime**k for d in divisors for k in range(power + 1)]
+        for stride in (1000, 46000, 70000, 5 * 10**8, 2**31 - 3):
+            expected = min(divisors, key=lambda d: (abs(d - stride), d))
+            with pytest.raises(GeometryError) as err:
+                plan_patches(2**31 - 1, 8, 1, 8, stride, 1)
+            assert str(err.value).endswith(f"nearest valid stride is {expected}")
+
+    def test_window_count_is_bounded_before_rects_are_built(self):
+        with pytest.raises(GeometryError, match=r"the tiling has 65792 windows; at most 2\*\*16"):
+            plan_patches(257, 256, 1, 1, 1, 1)
+        # Far beyond sys.maxsize windows, and still refused at once.
+        with pytest.raises(GeometryError, match=f"the tiling has {(10**20 + 1) ** 2} windows"):
+            plan_patches(10**20 + 1, 10**20 + 1, 1, 1, 1, 1)
+
     def test_rejects_degenerate_windows_and_strides(self):
         with pytest.raises(GeometryError):
             plan_patches(16, 16, 0, 8, 4, 4)
