@@ -3,10 +3,9 @@ estimate, and the posterior sampling step.
 
 Timesteps are 1-based: t ranges over 1..T, and the cumulative product
 ``alpha_bar`` at t=0 is defined as 1 so the final (t=1) step is well formed.
-Noise is always supplied by the caller. No function changes its inputs:
-``predict_x0`` and ``posterior_step`` write only into their result, which the
-caller may own and pass as ``out=`` (see each function for the inputs that
-``out`` may alias).
+Noise is always supplied by the caller. Every function writes only into its
+result; ``predict_x0`` and ``posterior_step`` write it into a caller-owned
+grid passed as ``out=``, which may be the one input each names.
 """
 
 from __future__ import annotations
