@@ -65,40 +65,30 @@ class _AnalyticGaussianDenoiser:
     The factor ``1 - sqrt(abar) g`` is taken as
     ``(1 - abar) / (abar s^2 + 1 - abar)``, its equal without cancellation:
     exactly 1 for s = 0, and a small positive number (0 once s^2 overflows)
-    for huge s, so the noise estimate stays finite.
+    for huge s, so the noise estimate stays finite. The mean is shaped to
+    ``(1, 1, channels)`` once, on construction, and broadcasts over z_t (a
+    scalar mean over any channel count).
     """
 
     def __init__(self, model: GaussianDataModel):
         self.model = model
-
-    def posterior_mean(self, z_t: np.ndarray, t: int, s: NoiseSchedule) -> np.ndarray:
-        z_t = as_grid(z_t, "z_t")
-        mean = self._broadcast_mean(z_t)
-        abar = s.alpha_bar_at(t)
-        var = self.model.std ** 2
-        gain = math.sqrt(abar) * var / (abar * var + 1.0 - abar)
-        return mean + gain * (z_t - math.sqrt(abar) * mean)
+        self._mean = model.mean.reshape(1, 1, -1)
 
     def predict(self, z_t, t, cond, s, out=None):
         z_t = as_grid(z_t, "z_t")
         # z_t is read by the first pass only, so out may be z_t.
         check_out(out, z_t.shape)
-        mean = self._broadcast_mean(z_t)
-        abar = s.alpha_bar_at(t)
+        mean = self._mean
+        if mean.size not in (1, z_t.shape[2]):
+            raise ValueError(
+                f"per-channel mean has {mean.size} entries, grid has {z_t.shape[2]} channels"
+            )
+        s.check_t(t)
+        abar = float(s.alpha_bar[t - 1])
         var, noise_var = self.model.std * self.model.std, 1.0 - abar
         out = np.subtract(z_t, math.sqrt(abar) * mean, out=out)
         np.multiply(out, noise_var / (abar * var + noise_var), out=out)
         return np.divide(out, math.sqrt(noise_var), out=out)
-
-    def _broadcast_mean(self, z_t: np.ndarray) -> np.ndarray:
-        mean = self.model.mean
-        if mean.size == 1:
-            return np.full((1, 1, 1), mean[0])
-        if mean.size != z_t.shape[2]:
-            raise ValueError(
-                f"per-channel mean has {mean.size} entries, grid has {z_t.shape[2]} channels"
-            )
-        return mean.reshape(1, 1, -1)
 
 
 def analytic_gaussian_denoiser(model: GaussianDataModel) -> _AnalyticGaussianDenoiser:

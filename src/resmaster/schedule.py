@@ -2,7 +2,8 @@
 estimate, and the posterior sampling step.
 
 Timesteps are 1-based: t ranges over 1..T, and the cumulative product
-``alpha_bar`` at t=0 is defined as 1 so the final (t=1) step is well formed.
+``alpha_bar`` at t=0 is defined as 1 (the first entry of ``alpha_bar_prev``)
+so the final (t=1) step is well formed. Each stage checks t once.
 Noise is always supplied by the caller. Every function writes only into its
 result; ``predict_x0`` and ``posterior_step`` write it into a caller-owned
 grid passed as ``out=``, which may be the one input each names.
@@ -20,12 +21,16 @@ from .util import as_grid, check_out, require_same_shape
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step variances beta_t; alpha_t = 1 - beta_t and alpha_bar_t, their
-    cumulative product, are derived from them."""
+    """Per-step variances beta_t; alpha_t = 1 - beta_t, alpha_bar_t, their
+    cumulative product, and alpha_bar_prev, alpha_bar at t-1 with the
+    boundary value alpha_bar_0 = 1, are derived from them as read-only
+    arrays. Entry t - 1 of each array belongs to timestep t; callers check t
+    with ``check_t`` once and then read the entries they need."""
 
     beta: np.ndarray
     alpha: np.ndarray = field(init=False)
     alpha_bar: np.ndarray = field(init=False)
+    alpha_bar_prev: np.ndarray = field(init=False)
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=np.float64)
@@ -40,11 +45,11 @@ class NoiseSchedule:
             raise ValueError("alpha_bar must lie in (0, 1)")
         if alpha_bar.size > 1 and not (np.diff(alpha_bar) < 0.0).all():
             raise ValueError("alpha_bar must be strictly decreasing")
-        for arr in (beta, alpha, alpha_bar):
+        alpha_bar_prev = np.concatenate([[1.0], alpha_bar[:-1]])
+        for name, arr in (("beta", beta), ("alpha", alpha), ("alpha_bar", alpha_bar),
+                          ("alpha_bar_prev", alpha_bar_prev)):
             arr.flags.writeable = False
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "alpha_bar", alpha_bar)
+            object.__setattr__(self, name, arr)
 
     @property
     def steps(self) -> int:
@@ -53,23 +58,6 @@ class NoiseSchedule:
     def check_t(self, t: int) -> None:
         if not isinstance(t, (int, np.integer)) or not 1 <= t <= self.steps:
             raise ValueError(f"timestep t={t!r} out of range [1, {self.steps}]")
-
-    def beta_at(self, t: int) -> float:
-        self.check_t(t)
-        return float(self.beta[t - 1])
-
-    def alpha_at(self, t: int) -> float:
-        self.check_t(t)
-        return float(self.alpha[t - 1])
-
-    def alpha_bar_at(self, t: int) -> float:
-        self.check_t(t)
-        return float(self.alpha_bar[t - 1])
-
-    def alpha_bar_before(self, t: int) -> float:
-        """alpha_bar at t-1, with the t=1 boundary value of 1."""
-        self.check_t(t)
-        return 1.0 if t == 1 else float(self.alpha_bar[t - 2])
 
 
 def make_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
@@ -133,7 +121,8 @@ def forward_diffuse(z0: np.ndarray, t: int, eps: np.ndarray, s: NoiseSchedule) -
     z0 = as_grid(z0, "z0")
     eps = as_grid(eps, "eps")
     require_same_shape(z0, eps, "z0", "eps")
-    abar = s.alpha_bar_at(t)
+    s.check_t(t)
+    abar = float(s.alpha_bar[t - 1])
     return math.sqrt(abar) * z0 + math.sqrt(1.0 - abar) * eps
 
 
@@ -146,7 +135,8 @@ def predict_x0(z_t: np.ndarray, eps_hat: np.ndarray, t: int, s: NoiseSchedule,
     eps_hat = as_grid(eps_hat, "eps_hat")
     require_same_shape(z_t, eps_hat, "z_t", "eps_hat")
     check_out(out, z_t.shape, z_t=z_t)
-    abar = s.alpha_bar_at(t)
+    s.check_t(t)
+    abar = float(s.alpha_bar[t - 1])
     out = np.multiply(eps_hat, math.sqrt(1.0 - abar), out=out)
     np.subtract(z_t, out, out=out)
     return np.divide(out, math.sqrt(abar), out=out)
@@ -184,10 +174,10 @@ def posterior_step(
         # in floats would round the coefficient off 1, so return the estimate
         # directly.
         return np.positive(z0_prime, out=out)
-    abar_t = s.alpha_bar_at(t)
-    abar_prev = s.alpha_bar_before(t)
-    beta_t = s.beta_at(t)
-    alpha_t = s.alpha_at(t)
+    abar_t = float(s.alpha_bar[t - 1])
+    abar_prev = float(s.alpha_bar_prev[t - 1])
+    beta_t = float(s.beta[t - 1])
+    alpha_t = float(s.alpha[t - 1])
     coef_z0 = math.sqrt(abar_prev) * beta_t / (1.0 - abar_t)
     coef_zt = math.sqrt(alpha_t) * (1.0 - abar_prev) / (1.0 - abar_t)
     var = (1.0 - abar_prev) / (1.0 - abar_t) * beta_t

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's code paths: transforms are
 direct summations over every cell (no FFT), masks are scalar loops,
 resampling is a scalar kernel sum, attention is a double loop, and schedule
-formulas are re-evaluated in extended precision.
+formulas are re-evaluated in extended precision, or cell by cell in scalar
+floats from the betas alone.
 """
 
 from __future__ import annotations
@@ -209,6 +210,59 @@ def posterior_coefficients_decimal(beta: np.ndarray, t: int):
     coef_zt = alpha_t.sqrt() * (Decimal(1) - abar_prev) / (Decimal(1) - abar)
     var = (Decimal(1) - abar_prev) / (Decimal(1) - abar) * beta_t
     return coef_z0, coef_zt, var
+
+
+def schedule_scalars(beta, t: int):
+    """(beta_t, alpha_t, abar_t, abar_{t-1}) at 1-based step t, from the betas
+    alone in scalar floats: abar is the running product of 1 - beta in step
+    order, and abar_0 = 1."""
+    abar_prev, abar = 1.0, 1.0
+    for b in beta[:t]:
+        abar_prev, abar = abar, abar * (1.0 - float(b))
+    beta_t = float(beta[t - 1])
+    return beta_t, 1.0 - beta_t, abar, abar_prev
+
+
+def _per_element(fn, *grids) -> np.ndarray:
+    out = np.empty_like(grids[0])
+    for idx in np.ndindex(out.shape):
+        out[idx] = fn(*(float(g[idx]) for g in grids))
+    return out
+
+
+def forward_diffuse_scalar(z0, t, eps, beta) -> np.ndarray:
+    """sqrt(abar_t) z0 + sqrt(1 - abar_t) eps, one cell at a time with math."""
+    abar = schedule_scalars(beta, t)[2]
+    return _per_element(lambda z, e: math.sqrt(abar) * z + math.sqrt(1.0 - abar) * e, z0, eps)
+
+
+def predict_x0_scalar(z_t, eps_hat, t, beta) -> np.ndarray:
+    """(z_t - sqrt(1 - abar_t) eps_hat) / sqrt(abar_t), one cell at a time with math."""
+    abar = schedule_scalars(beta, t)[2]
+    return _per_element(lambda z, e: (z - math.sqrt(1.0 - abar) * e) / math.sqrt(abar), z_t, eps_hat)
+
+
+def posterior_step_scalar(z_t, z0_prime, t, noise, beta) -> np.ndarray:
+    """The ancestral step's closed form, one cell at a time with math; at t = 1
+    the step is the clean estimate itself."""
+    if t == 1:
+        return np.array(z0_prime, dtype=np.float64)
+    beta_t, alpha_t, abar, abar_prev = schedule_scalars(beta, t)
+    coef_z0 = math.sqrt(abar_prev) * beta_t / (1.0 - abar)
+    coef_zt = math.sqrt(alpha_t) * (1.0 - abar_prev) / (1.0 - abar)
+    sigma = math.sqrt((1.0 - abar_prev) / (1.0 - abar) * beta_t)
+    return _per_element(lambda z, x0, n: coef_z0 * x0 + coef_zt * z + sigma * n,
+                        z_t, z0_prime, noise)
+
+
+def posterior_mean_direct(z_t: np.ndarray, abar: float, mean, std: float) -> np.ndarray:
+    """E[z0 | z_t] for N(mean, std^2) data:
+    m + sqrt(abar) s^2 / (abar s^2 + 1 - abar) * (z_t - sqrt(abar) m), with
+    ``mean`` a scalar or one value per channel."""
+    m = np.atleast_1d(np.asarray(mean, dtype=np.float64))
+    var = std * std
+    gain = math.sqrt(abar) * var / (abar * var + 1.0 - abar)
+    return m + gain * (z_t - math.sqrt(abar) * m)
 
 
 def analytic_eps_direct(z: float, abar: float, m: float, s: float) -> float:

@@ -132,7 +132,7 @@ def test_criterion_06_analytic_denoiser_vs_mc_regression():
         rng = np.random.default_rng(606)
         n = 100_000
         for t in (100, 500, 900):
-            abar = s.alpha_bar_at(t)
+            abar = s.alpha_bar[t - 1]
             z0 = rng.normal(0.25, 0.8, size=n)
             eps = rng.normal(size=n)
             z_t = np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps

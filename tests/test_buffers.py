@@ -114,7 +114,7 @@ class TestClosedFormNoiseEstimate:
         z_t = np.random.default_rng(3).normal(size=(4, 5, 3))
         den = analytic_gaussian_denoiser(GaussianDataModel(mean, std))
         for t in (1, 25, 50):
-            oracle = analytic_eps_decimal(z_t, s.alpha_bar_at(t), mean, std)
+            oracle = analytic_eps_decimal(z_t, s.alpha_bar[t - 1], mean, std)
             gap = np.abs(den.predict(z_t, t, None, s) - oracle).max()
             assert gap <= 1e-13 * np.abs(oracle).max(), (t, gap)
 

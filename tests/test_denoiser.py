@@ -12,14 +12,14 @@ from resmaster.denoiser import (
 from resmaster.pipeline import generate_low_res
 from resmaster.schedule import forward_diffuse, make_linear_schedule, predict_x0
 
-from oracles import analytic_eps_direct
+from oracles import analytic_eps_direct, posterior_mean_direct
 
 
 def mc_regression_gaps(m, s_data, t, schedule, n, seed, bins=20):
     """Per-bin (mean residual, standard error) between simulated noise and the
     closed-form conditional mean, binned by equal-count quantiles of z_t."""
     rng = np.random.default_rng(seed)
-    abar = schedule.alpha_bar_at(t)
+    abar = schedule.alpha_bar[t - 1]
     z0 = rng.normal(m, s_data, size=n)
     eps = rng.normal(size=n)
     z_t = np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps
@@ -39,14 +39,14 @@ class TestAnalyticGaussianDenoiser:
         s = make_linear_schedule(30)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.7, 0.0))
         z_t = rng.normal(size=(5, 5, 1))
-        abar = s.alpha_bar_at(12)
+        abar = s.alpha_bar[11]
         expected = (z_t - np.sqrt(abar) * 0.7) / np.sqrt(1.0 - abar)
         np.testing.assert_allclose(den.predict(z_t, 12, None, s), expected, rtol=0, atol=0)
 
     def test_point_mass_at_scaled_mean_predicts_zero(self):
         s = make_linear_schedule(30)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.7, 0.0))
-        abar = s.alpha_bar_at(12)
+        abar = s.alpha_bar[11]
         z_t = np.full((4, 4, 1), np.sqrt(abar) * 0.7)
         np.testing.assert_array_equal(den.predict(z_t, 12, None, s), np.zeros_like(z_t))
 
@@ -55,7 +55,7 @@ class TestAnalyticGaussianDenoiser:
         den = analytic_gaussian_denoiser(GaussianDataModel(-0.2, 0.6))
         z_t = rng.normal(size=(4, 3, 2))
         out = den.predict(z_t, 57, None, s)
-        abar = s.alpha_bar_at(57)
+        abar = s.alpha_bar[56]
         for idx in np.ndindex(z_t.shape):
             assert out[idx] == pytest.approx(
                 analytic_eps_direct(float(z_t[idx]), abar, -0.2, 0.6), rel=1e-12
@@ -68,7 +68,8 @@ class TestAnalyticGaussianDenoiser:
         for t in (1, 25, 50):
             eps_hat = den.predict(z_t, t, None, s)
             np.testing.assert_allclose(
-                predict_x0(z_t, eps_hat, t, s), den.posterior_mean(z_t, t, s),
+                predict_x0(z_t, eps_hat, t, s),
+                posterior_mean_direct(z_t, s.alpha_bar[t - 1], 0.3, 0.8),
                 rtol=0, atol=1e-10,
             )
 
@@ -89,7 +90,7 @@ class TestAnalyticGaussianDenoiser:
         den = analytic_gaussian_denoiser(GaussianDataModel([0.1, 0.9], 0.0))
         z_t = rng.normal(size=(4, 4, 2))
         out = den.predict(z_t, 8, None, s)
-        abar = s.alpha_bar_at(8)
+        abar = s.alpha_bar[7]
         expected = (z_t - np.sqrt(abar) * np.array([0.1, 0.9])) / np.sqrt(1.0 - abar)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
         with pytest.raises(ValueError):

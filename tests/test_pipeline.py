@@ -48,15 +48,15 @@ def predicted_cell_variance(mask, config, data_std):
     g = np.asarray(mask).reshape(-1)
     v = np.ones_like(g)  # start field is unit white noise
     for t in range(s.steps, 1, -1):
-        abar, abar_prev = s.alpha_bar_at(t), s.alpha_bar_before(t)
-        beta, alpha = s.beta_at(t), s.alpha_at(t)
+        abar, abar_prev = s.alpha_bar[t - 1], 1.0 if t == 1 else s.alpha_bar[t - 2]
+        beta, alpha = s.beta[t - 1], s.alpha[t - 1]
         kappa = np.sqrt(abar) * var / (abar * var + 1.0 - abar)
         c0 = np.sqrt(abar_prev) * beta / (1.0 - abar)
         ct = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar)
         btilde = (1.0 - abar_prev) / (1.0 - abar) * beta
         gain = c0 * kappa * (1.0 - g) + ct
         v = gain ** 2 * v + btilde
-    abar1 = s.alpha_bar_at(1)
+    abar1 = s.alpha_bar[0]
     kappa1 = np.sqrt(abar1) * var / (abar1 * var + 1.0 - abar1)
     v_out = ((1.0 - g) * kappa1) ** 2 * v
     return float(v_out.mean())

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resmaster.denoiser import GaussianDataModel, analytic_gaussian_denoiser
 from resmaster.schedule import (
     NoiseSchedule,
     forward_diffuse,
@@ -12,7 +13,14 @@ from resmaster.schedule import (
     predict_x0,
 )
 
-from oracles import cumprod_decimal, posterior_coefficients_decimal, predict_x0_decimal
+from oracles import (
+    cumprod_decimal,
+    forward_diffuse_scalar,
+    posterior_coefficients_decimal,
+    posterior_step_scalar,
+    predict_x0_decimal,
+    predict_x0_scalar,
+)
 
 # Frozen from the extended-precision cumulative-product oracle below.
 ABAR_1000_LINEAR = 4.035829765375685e-05
@@ -62,11 +70,16 @@ class TestMakeLinearSchedule:
         s = NoiseSchedule(beta=np.array([0.1, 0.2]))
         np.testing.assert_array_equal(s.alpha, 1.0 - s.beta)
         np.testing.assert_array_equal(s.alpha_bar, np.cumprod(1.0 - s.beta))
-        assert not (s.alpha.flags.writeable or s.alpha_bar.flags.writeable)
+        assert not (s.alpha.flags.writeable or s.alpha_bar.flags.writeable
+                    or s.alpha_bar_prev.flags.writeable)
+        with pytest.raises(ValueError):
+            s.alpha_bar_prev[0] = 0.5
         with pytest.raises(TypeError):
             NoiseSchedule(beta=np.array([0.1, 0.2]), alpha=np.array([0.9, 0.8]))
         with pytest.raises(TypeError):
             NoiseSchedule(beta=np.array([0.1, 0.2]), alpha_bar=np.array([0.9, 0.5]))
+        with pytest.raises(TypeError):
+            NoiseSchedule(beta=np.array([0.1, 0.2]), alpha_bar_prev=np.array([1.0, 0.9]))
 
 
 class TestMakeGeometricSchedule:
@@ -99,12 +112,62 @@ class TestMakeGeometricSchedule:
             make_geometric_schedule(10, terminal=1.0)
 
 
+def test_alpha_bar_prev_is_alpha_bar_one_step_earlier_from_one():
+    for s in (make_linear_schedule(1000), make_geometric_schedule(7), make_geometric_schedule(1)):
+        assert s.alpha_bar_prev.shape == s.alpha_bar.shape
+        assert s.alpha_bar_prev[0] == 1.0
+        np.testing.assert_array_equal(s.alpha_bar_prev[1:], s.alpha_bar[:-1])
+
+
+SCHEDULES = {
+    "linear-1000": lambda: make_linear_schedule(1000),
+    **{f"geometric-{T}": (lambda T=T: make_geometric_schedule(T)) for T in (1, 7, 50)},
+}
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+def test_stages_are_bit_equal_to_the_scalar_formulas(name):
+    s = SCHEDULES[name]()
+    T = s.steps
+    gen = np.random.default_rng(1301)
+    a, b, c = (gen.normal(size=(3, 4, 2)) for _ in range(3))
+    for t in sorted({1, min(2, T), (T + 1) // 2, T}):
+        assert np.array_equal(forward_diffuse(a, t, b, s), forward_diffuse_scalar(a, t, b, s.beta))
+        assert np.array_equal(predict_x0(a, b, t, s), predict_x0_scalar(a, b, t, s.beta))
+        assert np.array_equal(posterior_step(a, b, t, c, s),
+                              posterior_step_scalar(a, b, t, c, s.beta))
+
+
+STAGE_CALLS = {
+    "forward_diffuse": lambda z, t, s: forward_diffuse(z, t, z, s),
+    "predict_x0": lambda z, t, s: predict_x0(z, z, t, s),
+    "posterior_step": lambda z, t, s: posterior_step(z, z, t, z, s),
+    "analytic_predict": lambda z, t, s: analytic_gaussian_denoiser(
+        GaussianDataModel(0.0, 1.0)).predict(z, t, None, s),
+}
+
+
+@pytest.mark.parametrize("stage", STAGE_CALLS)
+def test_each_stage_checks_t_once_and_rejects_it_out_of_range(stage, monkeypatch):
+    call, s, z = STAGE_CALLS[stage], make_geometric_schedule(7), np.ones((2, 3, 1))
+    for t in (0, 8):
+        with pytest.raises(ValueError, match=rf"^timestep t={t} out of range \[1, 7\]$") as err:
+            call(z, t, s)
+        assert "\n" not in str(err.value)
+    seen = []
+    check_t = NoiseSchedule.check_t
+    monkeypatch.setattr(NoiseSchedule, "check_t", lambda self, t: seen.append(t) or check_t(self, t))
+    for t in (1, 2, 7):
+        call(z, t, s)
+    assert seen == [1, 2, 7]
+
+
 class TestForwardDiffuse:
     def test_zero_noise_scales_by_sqrt_alpha_bar(self, rng):
         s = make_linear_schedule(10)
         z0 = rng.normal(size=(5, 4, 2))
         out = forward_diffuse(z0, 7, np.zeros_like(z0), s)
-        np.testing.assert_allclose(out, np.sqrt(s.alpha_bar_at(7)) * z0, rtol=0, atol=0)
+        np.testing.assert_allclose(out, np.sqrt(s.alpha_bar[6]) * z0, rtol=0, atol=0)
 
     def test_near_identity_limit_for_tiny_beta(self, rng):
         s = make_linear_schedule(1, 1e-12, 1e-12)
@@ -120,14 +183,14 @@ class TestForwardDiffuse:
         eps_steps = [rng.normal(size=z0.shape) for _ in range(3)]
         z = z0
         for t in range(1, 4):
-            z = np.sqrt(1.0 - s.beta_at(t)) * z + np.sqrt(s.beta_at(t)) * eps_steps[t - 1]
-        b1, b2, b3 = (s.beta_at(t) for t in (1, 2, 3))
-        a2, a3 = (s.alpha_at(t) for t in (2, 3))
+            z = np.sqrt(1.0 - s.beta[t - 1]) * z + np.sqrt(s.beta[t - 1]) * eps_steps[t - 1]
+        b1, b2, b3 = (s.beta[t - 1] for t in (1, 2, 3))
+        a2, a3 = (s.alpha[t - 1] for t in (2, 3))
         combined = (
             np.sqrt(b3) * eps_steps[2]
             + np.sqrt(a3 * b2) * eps_steps[1]
             + np.sqrt(a3 * a2 * b1) * eps_steps[0]
-        ) / np.sqrt(1.0 - s.alpha_bar_at(3))
+        ) / np.sqrt(1.0 - s.alpha_bar[2])
         np.testing.assert_allclose(forward_diffuse(z0, 3, combined, s), z, rtol=0, atol=1e-12)
 
     def test_rejects_shape_mismatch_and_bad_t(self, rng):
@@ -152,13 +215,13 @@ class TestPredictX0:
         s = make_linear_schedule(20)
         z_t = rng.normal(size=(4, 4, 1))
         out = predict_x0(z_t, np.zeros_like(z_t), 9, s)
-        np.testing.assert_allclose(out, z_t / np.sqrt(s.alpha_bar_at(9)), rtol=0, atol=0)
+        np.testing.assert_allclose(out, z_t / np.sqrt(s.alpha_bar[8]), rtol=0, atol=0)
 
     def test_matches_decimal_reevaluation(self, rng):
         s = make_linear_schedule(12)
         z_t = rng.normal(size=(3, 4, 2))
         eps = rng.normal(size=z_t.shape)
-        expected = predict_x0_decimal(z_t, eps, s.alpha_bar_at(8))
+        expected = predict_x0_decimal(z_t, eps, s.alpha_bar[7])
         np.testing.assert_allclose(predict_x0(z_t, eps, 8, s), expected, rtol=1e-13, atol=1e-15)
 
     def test_rejects_shape_mismatch(self, rng):
