@@ -16,7 +16,7 @@ import json
 import logging
 import sys
 
-from .conditioning import load_caption_manifest, manifest_skeleton, save_manifest
+from .conditioning import EMBED_DIM, load_caption_manifest, manifest_skeleton, save_manifest
 from .config import ConfigError, PipelineConfig, parse_config
 from .denoiser import GaussianDataModel, analytic_gaussian_denoiser, toy_conditioned_denoiser
 from .netpbm import read_image, write_image
@@ -84,9 +84,7 @@ def _overrides_from(args: argparse.Namespace) -> dict:
 def _make_denoiser(config: PipelineConfig):
     if config.denoiser == "analytic":
         return analytic_gaussian_denoiser(GaussianDataModel(config.model_mean, config.model_std))
-    return toy_conditioned_denoiser(
-        config.seed, config.channels, config.embed_dim, config.embed_dim
-    )
+    return toy_conditioned_denoiser(config.seed, config.channels, EMBED_DIM, EMBED_DIM)
 
 
 def _cmd_lowres(args) -> int:

@@ -27,6 +27,10 @@ CAPTION_INSTRUCTION = "Describe the following image patch in detail."
 
 MANIFEST_VERSION = 1
 
+# Token counts and width of the stub encoders' embeddings; the toy denoiser's
+# condition width is the same EMBED_DIM.
+TEXT_TOKENS, IMAGE_TOKENS, EMBED_DIM = 8, 4, 16
+
 _IMAGE_STUB_STREAM = 0x1A9E  # namespaces the projection-matrix draw
 _POOL_BINS = 8
 
@@ -215,6 +219,8 @@ def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionM
     if not isinstance(global_prompt, str):
         raise ManifestError(f"manifest {path}: global_prompt must be a string")
     instruction = doc.get("instruction", CAPTION_INSTRUCTION)
+    if not isinstance(instruction, str):
+        raise ManifestError(f"manifest {path}: instruction must be a string")
     raw_patches = doc.get("patches", {})
     if not isinstance(raw_patches, dict):
         raise ManifestError(f"manifest {path}: patches must be an object mapping index to caption")

@@ -45,7 +45,8 @@ def problem_report(problems: list[str]) -> str:
 class PipelineConfig:
     """Run parameters. ``height``/``width`` are the low-resolution reference
     dims; the target is ``scale`` times larger on each axis. Window and stride
-    describe the tiling of the target grid, planned once as ``layout``.
+    describe the tiling of the target grid, planned once as ``layout``; a
+    config file sets them as the ``window``/``stride`` pairs.
     An int given for a float field is stored as a float. Construction raises
     ConfigError listing every field of the wrong kind or beyond float range,
     or else every violated invariant, or else a target grid beyond
@@ -62,8 +63,6 @@ class PipelineConfig:
     stride_w: int = 32
     steps: int = 50
     schedule: str = "geometric"
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
     d0: float = 0.8
     lam: float = 0.8
     seed: int = 0
@@ -71,9 +70,6 @@ class PipelineConfig:
     denoiser: str = "analytic"
     model_mean: float = 0.5
     model_std: float = 0.2
-    text_tokens: int = 8
-    image_tokens: int = 4
-    embed_dim: int = 16
     layout: PatchLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,12 +86,9 @@ class PipelineConfig:
         if problems:
             raise ConfigError(problem_report(problems))
         for name in ("height", "width", "channels", "scale", "steps",
-                     "win_h", "win_w", "stride_h", "stride_w",
-                     "text_tokens", "image_tokens", "embed_dim"):
+                     "win_h", "win_w", "stride_h", "stride_w"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (0.0 < self.beta_start <= self.beta_end < 1.0):
-            problems.append(f"betas must satisfy 0 < start <= end < 1, got ({self.beta_start}, {self.beta_end})")
         if not valid_cutoff(self.d0):
             problems.append(f"d0 must be > 0 and 1/(2*d0*d0) must be finite, got {self.d0}")
         if not self.lam >= 0.0:
@@ -136,18 +129,19 @@ class PipelineConfig:
 
     def make_schedule(self):
         if self.schedule == "linear":
-            return make_linear_schedule(self.steps, self.beta_start, self.beta_end)
+            return make_linear_schedule(self.steps)
         return make_geometric_schedule(self.steps)
 
 
-# JSON keys that expand to (h, w) field pairs.
-_PAIR_KEYS = {"window": ("win_h", "win_w"), "stride": ("stride_h", "stride_w")}
-
-# Each key's kind (int, float or str) is the type of its field's default.
+# Each field's kind (int, float or str) is the type of its default.
 _KINDS = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig) if f.init}
 
-
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+# The tiling's one spelling in files and overrides: each key takes one value
+# or an [h, w] pair and sets two fields. Every other field is its own key.
+_PAIR_KEYS = {"window": ("win_h", "win_w"), "stride": ("stride_h", "stride_w")}
+_SCALAR_KEYS = tuple(name for name in _KINDS if name not in sum(_PAIR_KEYS.values(), ()))
 
 
 def _has_kind(value, kind: type) -> bool:
@@ -156,39 +150,31 @@ def _has_kind(value, kind: type) -> bool:
 
 
 def _from_json(doc: dict, problems: list[str]) -> dict:
-    """Field values from a JSON object: [h, w] pairs expanded and unknown
-    keys reported."""
+    """Field values from a JSON object: each tiling pair expanded to its two
+    fields, and every other key not a field reported as unknown."""
     values = {}
-    for name, value in _expand_pairs(doc, problems).items():
-        if name not in _KINDS:
-            problems.append(f"unknown configuration key {name!r}")
-        else:
-            values[name] = value
-    return values
-
-
-def _expand_pairs(doc: dict, problems: list[str]) -> dict:
-    out = {}
     for key, value in doc.items():
         if key in _PAIR_KEYS:
-            names = _PAIR_KEYS[key]
-            pair = value if isinstance(value, (list, tuple)) else [value, value]
+            pair = value if isinstance(value, (list, tuple)) else [value]
             if len(pair) not in (1, 2):
                 problems.append(f"{key} must be one value or an [h, w] pair, got {value!r}")
                 continue
-            if len(pair) == 1:
-                pair = [pair[0], pair[0]]
-            out[names[0]], out[names[1]] = pair[0], pair[1]
+            values.update(zip(_PAIR_KEYS[key], pair if len(pair) == 2 else pair * 2))
+        elif key in _SCALAR_KEYS:
+            values[key] = value
         else:
-            out[key] = value
-    return out
+            problems.append(f"unknown configuration key {key!r}")
+    return values
 
 
 def parse_config(path=None, cli_overrides: dict | None = None,
                  one_window: bool = False) -> PipelineConfig:
     """Build a PipelineConfig from an optional file plus overrides.
 
-    An empty or missing file means all defaults. With ``one_window`` the
+    File and overrides use the same keys: the field names, except that the
+    tiling has one spelling, ``window`` and ``stride``, each one value or an
+    ``[h, w]`` pair; ``win_h`` and the other per-axis names are unknown
+    keys. An empty or missing file means all defaults. With ``one_window`` the
     config is tiled by one window covering its (height, width) grid at scale
     1, whatever the file and overrides set for scale, window and stride: the
     grid that ``generate_low_res`` samples. Raises ConfigError carrying the
@@ -219,7 +205,7 @@ def parse_config(path=None, cli_overrides: dict | None = None,
         problems.append(f"unsupported config version {version!r} (expected {CONFIG_VERSION})")
 
     values = _from_json(doc, problems)
-    values.update(_from_json(dict(cli_overrides or {}), problems))
+    values.update(_from_json(cli_overrides or {}, problems))
 
     if problems:
         raise ConfigError(problem_report(problems))
@@ -230,9 +216,9 @@ def parse_config(path=None, cli_overrides: dict | None = None,
 
 
 def serialize_config(config: PipelineConfig) -> dict:
-    """JSON-ready dict; parse_config(serialize_config(c)) is a fixed point."""
+    """JSON-ready dict with the tiling as ``window``/``stride`` [h, w] pairs;
+    parse_config(serialize_config(c)) is a fixed point."""
     doc = {"version": CONFIG_VERSION}
-    for f in dataclasses.fields(config):
-        if f.init:
-            doc[f.name] = getattr(config, f.name)
+    doc.update((name, getattr(config, name)) for name in _SCALAR_KEYS)
+    doc.update((key, [getattr(config, name) for name in names]) for key, names in _PAIR_KEYS.items())
     return doc

@@ -15,6 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .conditioning import (
+    EMBED_DIM,
+    IMAGE_TOKENS,
+    TEXT_TOKENS,
     CaptionManifest,
     ConditionBundle,
     embed_text_stub,
@@ -40,18 +43,18 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
     final step (t = 1) returns the fused estimate and draws nothing. A
     one-window layout covers the whole grid, so its estimate needs no fusion.
 
-    The run owns its buffers: each window's noise prediction, clean estimate
-    and swap are written into that window's estimate grid, allocated once per
-    run, and the grid steps in place. So the array ``patch_hook`` receives is
+    The run owns its buffers: each window reads its view of ``z``, its noise
+    prediction, clean estimate and swap are written into that window's
+    estimate grid, allocated once per run, and the grid steps in place. So the array ``patch_hook`` receives is
     overwritten at the next step; a hook that keeps it must copy it."""
     s = config.make_schedule()
     shape = (layout.grid_h, layout.grid_w, config.channels)
     z = standard_normal_field(config.seed, INIT_STEP, shape)
     estimates = [np.empty((h, w, config.channels)) for _, _, h, w in layout.rects]
     for t in range(s.steps, 0, -1):
-        for i, rect in enumerate(layout.rects):
-            # A lone window is the whole grid; nothing writes to z before the step.
-            z_t = z if layout.patch_count == 1 else extract_patch(z, rect)
+        for i, (top, left, h, w) in enumerate(layout.rects):
+            # A view of z, which nothing writes to before the step.
+            z_t = z[top : top + h, left : left + w]
             eps_hat = denoiser.predict(z_t, t, conds[i], s, out=estimates[i])
             z0 = predict_x0(z_t, eps_hat, t, s, out=estimates[i])
             if ref_patches is not None and t > config.guidance_stop_step:
@@ -81,12 +84,13 @@ def build_patch_bundles(
     captions: CaptionManifest,
     config: PipelineConfig,
 ) -> list[ConditionBundle]:
-    """One condition bundle per patch: caption text embedding plus an
-    image-prompt embedding of the matching reference patch."""
+    """One condition bundle per patch: a (TEXT_TOKENS, EMBED_DIM) caption
+    embedding plus an (IMAGE_TOKENS, EMBED_DIM) image-prompt embedding of the
+    matching reference patch."""
     bundles = []
     for i, patch in enumerate(reference_patches):
-        text = embed_text_stub(captions.caption_for(i), config.text_tokens, config.embed_dim, config.seed)
-        image = encode_image_prompt_stub(patch, config.image_tokens, config.embed_dim, config.seed)
+        text = embed_text_stub(captions.caption_for(i), TEXT_TOKENS, EMBED_DIM, config.seed)
+        image = encode_image_prompt_stub(patch, IMAGE_TOKENS, EMBED_DIM, config.seed)
         bundles.append(ConditionBundle(text=text, image=image, lam=config.lam))
     return bundles
 

@@ -60,19 +60,17 @@ class NoiseSchedule:
             raise ValueError(f"timestep t={t!r} out of range [1, {self.steps}]")
 
 
-def make_linear_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
-    """Linearly spaced beta_t over T steps.
+def make_linear_schedule(T: int, start: float = 1e-4, end: float = 0.02) -> NoiseSchedule:
+    """Linearly spaced beta_t over T steps, from ``start`` to ``end``.
 
     Defaults follow the common 1000-step convention (1e-4 .. 0.02) when T=1000;
     shorter schedules reuse the same endpoints.
     """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise ValueError(f"T must be a positive integer, got {T!r}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError(
-            f"betas must satisfy 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
-        )
-    beta = np.linspace(beta_start, beta_end, int(T), dtype=np.float64)
+    if not (0.0 < start <= end < 1.0):
+        raise ValueError(f"betas must satisfy 0 < start <= end < 1, got ({start}, {end})")
+    beta = np.linspace(start, end, int(T), dtype=np.float64)
     return NoiseSchedule(beta=beta)
 
 

@@ -44,6 +44,17 @@ class TestPlan:
         doc = json.loads(capsys.readouterr().out)
         assert doc["patch_count"] == 9
 
+    @pytest.mark.parametrize("key", ["win_h", "win_w", "stride_h", "stride_w", "beta_start",
+                                     "beta_end", "text_tokens", "image_tokens", "embed_dim"])
+    def test_retired_config_key_exits_1_naming_it(self, tmp_path, reference_file, capsys, key):
+        # With win_h beside window, the file must not run with either value.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"window": 64, key: 32}))
+        code = main(["plan", "--in", str(reference_file), "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: invalid configuration: unknown configuration key '{key}'\n"
+
     def test_missing_input_exits_1_with_path(self, tmp_path, capsys):
         code = main(["plan", "--in", str(tmp_path / "absent.ppm"), "--scale", "2"])
         assert code == 1

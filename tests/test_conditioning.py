@@ -176,6 +176,11 @@ class TestCaptionManifest:
         with pytest.raises(ManifestError, match="line 2"):
             load_caption_manifest(path)
 
+    def test_non_string_instruction_rejected(self, tmp_path):
+        path = self._write(tmp_path, self._doc(instruction=[1, {"a": None}]))
+        with pytest.raises(ManifestError, match="^manifest .*: instruction must be a string$"):
+            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
+
     def test_count_mismatch_rejected(self, tmp_path):
         path = self._write(tmp_path, self._doc(n=4))
         with pytest.raises(ManifestError, match="4 patches but the layout has 9"):

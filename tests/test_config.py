@@ -1,9 +1,15 @@
+import dataclasses
 import json
 
 import pytest
 
 from resmaster.config import ConfigError, PipelineConfig, parse_config, serialize_config
 from resmaster.tiler import plan_patches
+
+# Keys that files and overrides reject as unknown: the tiling's per-axis
+# fields (set through window/stride), and names of values the code owns.
+RETIRED_KEYS = ["win_h", "win_w", "stride_h", "stride_w", "beta_start", "beta_end",
+                "text_tokens", "image_tokens", "embed_dim"]
 
 
 class TestParseConfig:
@@ -160,6 +166,15 @@ class TestParseConfig:
         default = parse_config(None, {}, one_window=True)
         assert (default.win_h, default.win_w, default.layout.patch_count) == (32, 32, 1)
 
+    @pytest.mark.parametrize("key", RETIRED_KEYS)
+    def test_retired_key_is_unknown_in_overrides(self, key):
+        with pytest.raises(ConfigError, match=f"^invalid configuration: unknown configuration key '{key}'$"):
+            parse_config(None, {key: 8})
+
+    def test_linear_schedule_uses_the_classic_endpoints(self):
+        beta = parse_config(None, {"schedule": "linear", "steps": 5}).make_schedule().beta
+        assert (beta[0], beta[-1]) == (1e-4, 0.02)
+
     def test_unknown_schedule_choice(self):
         with pytest.raises(ConfigError, match="schedule"):
             parse_config(None, {"schedule": "cosine"})
@@ -184,3 +199,13 @@ class TestSerializeConfig:
 
     def test_serialized_doc_omits_layout(self):
         assert "layout" not in serialize_config(PipelineConfig())
+
+    def test_serialized_tiling_is_window_and_stride_pairs(self):
+        doc = serialize_config(PipelineConfig(win_h=64, win_w=32, stride_h=32, stride_w=16))
+        assert (doc["window"], doc["stride"]) == ([64, 32], [32, 16])
+        assert not set(RETIRED_KEYS) & set(doc)
+
+    def test_config_has_one_field_per_setting(self):
+        names = [f.name for f in dataclasses.fields(PipelineConfig) if f.init]
+        assert len(names) == 17
+        assert set(names).isdisjoint(["beta_start", "beta_end", "text_tokens", "image_tokens", "embed_dim"])

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from resmaster.conditioning import CaptionManifest
+from resmaster.conditioning import EMBED_DIM, CaptionManifest
 from resmaster.denoiser import (
     GaussianDataModel,
     analytic_gaussian_denoiser,
@@ -167,11 +167,36 @@ class TestResmasterGenerate:
                               guidance_stop_step=12, lam=0.0)
         ref = smooth_reference(16, 16, 2)
         den = toy_conditioned_denoiser(7, channels=2,
-                                       text_dim=config.embed_dim, image_dim=config.embed_dim)
+                                       text_dim=EMBED_DIM, image_dim=EMBED_DIM)
         guided = resmaster_generate(ref, self._captions(1), den, config)
         bundles = build_patch_bundles([ref], self._captions(1), config)
         plain = generate_low_res(den, bundles[0], config)
         assert np.array_equal(guided, plain)
+
+    def test_bundles_have_the_stub_shapes(self):
+        ref = smooth_reference(16, 16, 2)
+        (bundle,) = build_patch_bundles([ref], self._captions(1), self._config())
+        assert bundle.text.data.shape == (8, 16)
+        assert bundle.image.data.shape == (4, 16)
+
+    @pytest.mark.parametrize("steps", [3, 7])
+    def test_windows_are_read_in_place(self, monkeypatch, steps):
+        # Only the reference patches are copied, once per window and upscale;
+        # the sampler reads each window of z as a view.
+        calls = []
+
+        def counting_extract(g, rect):
+            calls.append(rect)
+            return extract_patch(g, rect)
+
+        monkeypatch.setattr("resmaster.pipeline.extract_patch", counting_extract)
+        config = self._config(steps=steps)
+        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
+        resmaster_generate(smooth_reference(16, 16, 2), self._captions(9), den, config)
+        assert calls == list(config.layout.rects)
+        calls.clear()
+        generate_low_res(den, None, config)
+        assert calls == []
 
     def test_one_grid_step_per_sampling_step(self, monkeypatch):
         calls = {"n": 0}
