@@ -54,8 +54,7 @@ def main() -> int:
 
     print(f"{'cutoff':>8} {'low-band err':>14} {'high-band energy':>18}")
     for d0 in args.cutoffs:
-        config = PipelineConfig(height=16, width=16, channels=1, scale=4,
-                                win_h=32, win_w=32, stride_h=16, stride_w=16,
+        config = PipelineConfig(height=16, width=16, channels=1, scale=4, window=32, stride=16,
                                 steps=args.steps, seed=args.seed, d0=d0)
         out = resmaster_generate(reference, captions, den, config)
         f_out = np.fft.fft2(out, axes=(0, 1))

@@ -248,10 +248,15 @@ def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionM
 
     captions: dict[int, str] = {}
     for key, value in raw_patches.items():
+        # Only the canonical spelling, so no two keys name the same patch.
         try:
             index = int(key)
-        except (TypeError, ValueError):
-            raise ManifestError(f"manifest {path}: patch key {key!r} is not an integer index")
+            canonical = str(index) == key
+        except ValueError:
+            canonical = False
+        if not canonical:
+            raise ManifestError(f"manifest {path}: patch key {key!r} is not an integer index "
+                                "in canonical form")
         if not 0 <= index < patch_count:
             raise ManifestError(
                 f"manifest {path}: patch index {index} out of range [0, {patch_count})"

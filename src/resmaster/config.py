@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .schedule import make_geometric_schedule, make_linear_schedule
@@ -44,23 +45,21 @@ def problem_report(problems: list[str]) -> str:
 @dataclass(frozen=True)
 class PipelineConfig:
     """Run parameters. ``height``/``width`` are the low-resolution reference
-    dims; the target is ``scale`` times larger on each axis. Window and stride
-    describe the tiling of the target grid, planned once as ``layout``; a
-    config file sets them as the ``window``/``stride`` pairs.
-    An int given for a float field is stored as a float. Construction raises
-    ConfigError listing every field of the wrong kind or beyond float range,
-    or else every violated invariant, or else a target grid beyond
-    ``MAX_GRID_VALUES`` values and any fault of the tiling, including more
-    than ``tiler.MAX_PATCHES`` windows."""
+    dims; the target is ``scale`` times larger on each axis. ``window`` and
+    ``stride`` are the ``(h, w)`` pairs of the tiling of the target grid,
+    planned once as ``layout``; each is given as one int or a list or tuple of
+    one or two ints, and stored as a tuple. An int given for a float field is
+    stored as a float. Construction raises ConfigError listing every field of
+    the wrong kind, beyond float range or not finite, or else every violated
+    invariant, or else a target grid beyond ``MAX_GRID_VALUES`` values and any
+    fault of the tiling, including more than ``tiler.MAX_PATCHES`` windows."""
 
     height: int = 32
     width: int = 32
     channels: int = 3
     scale: int = 4
-    win_h: int = 64
-    win_w: int = 64
-    stride_h: int = 32
-    stride_w: int = 32
+    window: tuple[int, int] = (64, 64)
+    stride: tuple[int, int] = (32, 32)
     steps: int = 50
     schedule: str = "geometric"
     d0: float = 0.8
@@ -76,22 +75,29 @@ class PipelineConfig:
         problems = []
         for name, kind in _KINDS.items():
             value = getattr(self, name)
+            if kind is tuple:
+                value = _pair(value)
             if not _has_kind(value, kind):
-                problems.append(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-            elif kind is float and isinstance(value, int):
+                problems.append(f"{name} must be {_KIND_NAMES[kind]}, got {getattr(self, name)!r}")
+                continue
+            if kind is float:
                 try:
-                    object.__setattr__(self, name, float(value))
+                    value = float(value)
                 except OverflowError:
                     problems.append(f"{name} must be a number in float range, got a larger integer")
+                    continue
+                if not math.isfinite(value):
+                    problems.append(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if problems:
             raise ConfigError(problem_report(problems))
-        for name in ("height", "width", "channels", "scale", "steps",
-                     "win_h", "win_w", "stride_h", "stride_w"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("height", "width", "channels", "scale", "steps", "window", "stride"):
+            value = getattr(self, name)
+            if min(value if isinstance(value, tuple) else (value,)) < 1:
+                problems.append(f"{name} must be >= 1, got {value}")
         if not valid_cutoff(self.d0):
             problems.append(f"d0 must be > 0 and 1/(2*d0*d0) must be finite, got {self.d0}")
-        if not self.lam >= 0.0:
+        if self.lam < 0:
             problems.append(f"lambda must be >= 0, got {self.lam}")
         if not 0 <= self.seed < SEED_LIMIT:
             problems.append(f"seed must lie in [0, 2**63), got {self.seed}")
@@ -111,8 +117,7 @@ class PipelineConfig:
             # Planning checks the tiling and its window count before it builds
             # a rect, so it stays cheap for a target beyond the bound.
             try:
-                layout = plan_patches(self.target_h, self.target_w,
-                                      self.win_h, self.win_w, self.stride_h, self.stride_w)
+                layout = plan_patches((self.target_h, self.target_w), self.window, self.stride)
             except GeometryError as exc:
                 problems.append(str(exc))
         if problems:
@@ -133,15 +138,12 @@ class PipelineConfig:
         return make_geometric_schedule(self.steps)
 
 
-# Each field's kind (int, float or str) is the type of its default.
+# Each field's kind (int, float, str, or tuple for an (h, w) pair) is the
+# type of its default.
 _KINDS = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig) if f.init}
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
-
-# The tiling's one spelling in files and overrides: each key takes one value
-# or an [h, w] pair and sets two fields. Every other field is its own key.
-_PAIR_KEYS = {"window": ("win_h", "win_w"), "stride": ("stride_h", "stride_w")}
-_SCALAR_KEYS = tuple(name for name in _KINDS if name not in sum(_PAIR_KEYS.values(), ()))
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               tuple: "one integer or a list of one or two integers"}
 
 
 def _has_kind(value, kind: type) -> bool:
@@ -149,18 +151,21 @@ def _has_kind(value, kind: type) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
+def _pair(value) -> tuple[int, int] | None:
+    """The (h, w) pair that one int, or a list or tuple of one or two ints,
+    spells; None for anything else."""
+    items = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    if len(items) not in (1, 2) or not all(_has_kind(v, int) for v in items):
+        return None
+    return items * 2 if len(items) == 1 else items
+
+
 def _from_json(doc: dict, problems: list[str]) -> dict:
-    """Field values from a JSON object: each tiling pair expanded to its two
-    fields, and every other key not a field reported as unknown."""
+    """Field values from a JSON object, with every key that is not a field
+    reported as unknown."""
     values = {}
     for key, value in doc.items():
-        if key in _PAIR_KEYS:
-            pair = value if isinstance(value, (list, tuple)) else [value]
-            if len(pair) not in (1, 2):
-                problems.append(f"{key} must be one value or an [h, w] pair, got {value!r}")
-                continue
-            values.update(zip(_PAIR_KEYS[key], pair if len(pair) == 2 else pair * 2))
-        elif key in _SCALAR_KEYS:
+        if key in _KINDS:
             values[key] = value
         else:
             problems.append(f"unknown configuration key {key!r}")
@@ -171,16 +176,15 @@ def parse_config(path=None, cli_overrides: dict | None = None,
                  one_window: bool = False) -> PipelineConfig:
     """Build a PipelineConfig from an optional file plus overrides.
 
-    File and overrides use the same keys: the field names, except that the
-    tiling has one spelling, ``window`` and ``stride``, each one value or an
-    ``[h, w]`` pair; ``win_h`` and the other per-axis names are unknown
-    keys. An empty or missing file means all defaults. With ``one_window`` the
+    File and overrides use the same keys, the field names; the tiling's
+    ``window`` and ``stride`` are each one value or an ``[h, w]`` pair. An
+    empty or missing file means all defaults. With ``one_window`` the
     config is tiled by one window covering its (height, width) grid at scale
     1, whatever the file and overrides set for scale, window and stride: the
     grid that ``generate_low_res`` samples. Raises ConfigError carrying the
     problems found: unknown keys here, else wrong kinds, integers beyond
-    float range, violated invariants and impossible patch geometry from the
-    PipelineConfig constructor.
+    float range, non-finite floats, violated invariants and impossible patch
+    geometry from the PipelineConfig constructor.
     """
     problems: list[str] = []
     doc: dict = {}
@@ -211,14 +215,15 @@ def parse_config(path=None, cli_overrides: dict | None = None,
         raise ConfigError(problem_report(problems))
     if one_window:
         h, w = values.get("height", PipelineConfig.height), values.get("width", PipelineConfig.width)
-        values.update(scale=1, win_h=h, win_w=w, stride_h=h, stride_w=w)
+        values.update(scale=1, window=(h, w), stride=(h, w))
     return PipelineConfig(**values)
 
 
 def serialize_config(config: PipelineConfig) -> dict:
-    """JSON-ready dict with the tiling as ``window``/``stride`` [h, w] pairs;
-    parse_config(serialize_config(c)) is a fixed point."""
+    """JSON-ready dict of every field, with the ``window``/``stride`` pairs as
+    [h, w] lists; parse_config(serialize_config(c)) is a fixed point."""
     doc = {"version": CONFIG_VERSION}
-    doc.update((name, getattr(config, name)) for name in _SCALAR_KEYS)
-    doc.update((key, [getattr(config, name) for name in names]) for key, names in _PAIR_KEYS.items())
+    for name in _KINDS:
+        value = getattr(config, name)
+        doc[name] = list(value) if isinstance(value, tuple) else value
     return doc

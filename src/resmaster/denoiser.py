@@ -18,7 +18,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .attention import AttentionWeights, attend, make_attention_weights
-from .conditioning import ConditionBundle
+from .conditioning import EMBED_DIM, ConditionBundle
 from .schedule import NoiseSchedule
 from .util import as_grid, check_out
 
@@ -114,14 +114,13 @@ class _ToyConditionedDenoiser:
     quality. Output is tanh-bounded so ancestral sampling stays stable.
     """
 
-    def __init__(self, seed: int, channels: int, text_dim: int, image_dim: int,
-                 d_model: int = 16, d_head: int = 16):
-        if min(channels, text_dim, image_dim, d_model, d_head) < 1:
+    def __init__(self, seed: int, channels: int, d_model: int = 16, d_head: int = 16):
+        if min(channels, d_model, d_head) < 1:
             raise ValueError("all toy-denoiser dims must be >= 1")
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), 0x70F))))
         self.channels = channels
         w_in = rng.normal(size=(channels, d_model)) / math.sqrt(channels)
-        net = make_attention_weights(d_model, d_head, text_dim, image_dim, rng=rng)
+        net = make_attention_weights(d_model, d_head, EMBED_DIM, EMBED_DIM, rng=rng)
         w_out = rng.normal(size=(d_head, channels)) / math.sqrt(d_head)
         self.attn = AttentionWeights(
             w_query=w_in @ net.w_query,
@@ -144,7 +143,6 @@ class _ToyConditionedDenoiser:
 
 
 def toy_conditioned_denoiser(
-    seed: int, channels: int, text_dim: int, image_dim: int,
-    d_model: int = 16, d_head: int = 16,
+    seed: int, channels: int, d_model: int = 16, d_head: int = 16,
 ) -> _ToyConditionedDenoiser:
-    return _ToyConditionedDenoiser(seed, channels, text_dim, image_dim, d_model, d_head)
+    return _ToyConditionedDenoiser(seed, channels, d_model, d_head)

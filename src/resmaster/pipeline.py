@@ -48,7 +48,7 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
     estimate grid, allocated once per run, and the grid steps in place. So the array ``patch_hook`` receives is
     overwritten at the next step; a hook that keeps it must copy it."""
     s = config.make_schedule()
-    shape = (layout.grid_h, layout.grid_w, config.channels)
+    shape = (*layout.grid, config.channels)
     z = standard_normal_field(config.seed, INIT_STEP, shape)
     estimates = [np.empty((h, w, config.channels)) for _, _, h, w in layout.rects]
     for t in range(s.steps, 0, -1):
@@ -75,8 +75,8 @@ def generate_low_res(
     """Ancestral sampling of a (height, width, channels) grid from pure noise,
     without structural guidance: the patch sampler over a single window
     covering the whole grid."""
-    h, w = config.height, config.width
-    return _sample(denoiser, [cond], plan_patches(h, w, h, w, h, w), config)
+    grid = (config.height, config.width)
+    return _sample(denoiser, [cond], plan_patches(grid, grid, grid), config)
 
 
 def build_patch_bundles(

@@ -42,7 +42,7 @@ def _checks(seed: int):
         np.abs(swap_low_frequency(g, ref, 1e300) - ref).max()
     ) < 1e-10
 
-    layout = plan_patches(12, 10, 6, 5, 3, 5)
+    layout = plan_patches((12, 10), (6, 5), (3, 5))
     patches = [extract_patch(g, r) for r in layout.rects]
     yield "fuse of extracted patches is identity", bool(np.array_equal(fuse_patches(patches, layout), g))
 
@@ -63,8 +63,8 @@ def _checks(seed: int):
         np.array_equal(standard_normal_field(seed, 3, (4, 4, 1)), standard_normal_field(seed, 3, (4, 4, 1)))
     )
 
-    config = PipelineConfig(height=8, width=8, channels=1, scale=2, win_h=8, win_w=8,
-                            stride_h=8, stride_w=8, steps=8, seed=seed)
+    config = PipelineConfig(height=8, width=8, channels=1, scale=2, window=8, stride=8,
+                            steps=8, seed=seed)
     captions = CaptionManifest(global_prompt="selftest scene", patch_count=4)
     den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.1))
     reference = np.full((8, 8, 1), 0.5) + 0.01 * rng.normal(size=(8, 8, 1))

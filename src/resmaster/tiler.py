@@ -42,12 +42,13 @@ class Rect(NamedTuple):
 
 @dataclass(frozen=True)
 class PatchLayout:
-    grid_h: int
-    grid_w: int
-    win_h: int
-    win_w: int
-    stride_h: int
-    stride_w: int
+    """A tiling of a ``grid`` by windows of size ``window`` at steps of
+    ``stride``, each an ``(h, w)`` pair, and its windows' ``rects`` in
+    canonical order."""
+
+    grid: tuple[int, int]
+    window: tuple[int, int]
+    stride: tuple[int, int]
     rects: tuple[Rect, ...]
 
     @property
@@ -56,9 +57,9 @@ class PatchLayout:
 
     @cached_property
     def cover_count(self) -> np.ndarray:
-        """Number of patches covering each cell, float64 ``(grid_h, grid_w, 1)``;
+        """Number of patches covering each cell, float64 ``(*grid, 1)``;
         raises ValueError if a cell is uncovered."""
-        count = np.zeros((self.grid_h, self.grid_w, 1))
+        count = np.zeros((*self.grid, 1))
         for top, left, h, w in self.rects:
             count[top : top + h, left : left + w] += 1
         if (count == 0).any():
@@ -67,11 +68,12 @@ class PatchLayout:
         return count
 
     def to_dict(self) -> dict:
-        """JSON-ready description used by the caption-manifest skeleton."""
+        """JSON-ready description used by the caption-manifest skeleton, with
+        the pairs as lists, as a manifest's JSON reads them back."""
         return {
-            "grid": [self.grid_h, self.grid_w],
-            "window": [self.win_h, self.win_w],
-            "stride": [self.stride_h, self.stride_w],
+            "grid": list(self.grid),
+            "window": list(self.window),
+            "stride": list(self.stride),
             "patch_count": self.patch_count,
             "rects": [list(r) for r in self.rects],
         }
@@ -109,34 +111,25 @@ def _nearest_valid_stride(span: int, stride: int) -> int | None:
     return min(divisors, key=lambda d: (abs(d - stride), d))
 
 
-def plan_patches(
-    grid_h: int, grid_w: int, win_h: int, win_w: int, stride_h: int, stride_w: int
-) -> PatchLayout:
-    """Enumerate the overlapping window positions covering a grid.
+def plan_patches(grid: tuple[int, int], window: tuple[int, int],
+                 stride: tuple[int, int]) -> PatchLayout:
+    """Enumerate the overlapping window positions covering a grid; each
+    argument is an ``(h, w)`` pair.
 
-    The patch count is ((grid_h - win_h)/stride_h + 1) * ((grid_w - win_w)/stride_w + 1);
-    non-divisible geometry raises a GeometryError naming the offending axis
-    rather than silently clamping, and so does a count above MAX_PATCHES,
-    before any rect is built.
+    The patch count is the product over both axes of
+    (grid - window)/stride + 1; non-divisible geometry raises a GeometryError
+    naming the offending axis rather than silently clamping, and so does a
+    count above MAX_PATCHES, before any rect is built.
     """
-    tops = _axis_positions(int(grid_h), int(win_h), int(stride_h), "height")
-    lefts = _axis_positions(int(grid_w), int(win_w), int(stride_w), "width")
+    grid, window, stride = ((int(h), int(w)) for h, w in (grid, window, stride))
+    tops = _axis_positions(grid[0], window[0], stride[0], "height")
+    lefts = _axis_positions(grid[1], window[1], stride[1], "width")
     # Positions per axis from the range ends, since len() overflows past sys.maxsize.
     count = ((tops.stop - 1) // tops.step + 1) * ((lefts.stop - 1) // lefts.step + 1)
     if count > MAX_PATCHES:
         raise GeometryError(f"the tiling has {count} windows; at most 2**16 are allowed")
-    rects = tuple(
-        Rect(top, left, int(win_h), int(win_w)) for top in tops for left in lefts
-    )
-    return PatchLayout(
-        grid_h=int(grid_h),
-        grid_w=int(grid_w),
-        win_h=int(win_h),
-        win_w=int(win_w),
-        stride_h=int(stride_h),
-        stride_w=int(stride_w),
-        rects=rects,
-    )
+    rects = tuple(Rect(top, left, *window) for top in tops for left in lefts)
+    return PatchLayout(grid, window, stride, rects)
 
 
 def extract_patch(g: np.ndarray, rect: Rect) -> np.ndarray:
@@ -164,14 +157,11 @@ def fuse_patches(patches: Sequence[np.ndarray], layout: PatchLayout) -> np.ndarr
     grids = [as_grid(p, f"patches[{i}]") for i, p in enumerate(patches)]
     channels = grids[0].shape[2]
     for i, p in enumerate(grids):
-        if p.shape != (layout.win_h, layout.win_w, channels):
-            raise ValueError(
-                f"patches[{i}] has shape {p.shape}, expected "
-                f"({layout.win_h}, {layout.win_w}, {channels})"
-            )
+        if p.shape != (*layout.window, channels):
+            raise ValueError(f"patches[{i}] has shape {p.shape}, expected {(*layout.window, channels)}")
 
     count = layout.cover_count  # raises first if some cell would stay unwritten
-    base = np.empty((layout.grid_h, layout.grid_w, channels))
+    base = np.empty((*layout.grid, channels))
     for patch, (top, left, h, w) in zip(reversed(grids), reversed(layout.rects)):
         base[top : top + h, left : left + w] = patch
     deviation = np.zeros_like(base)

@@ -129,8 +129,8 @@ def nearest_valid_stride_direct(span: int, stride: int) -> int:
 def fuse_direct(patches, layout) -> np.ndarray:
     """Naive accumulate-then-divide fusion with an explicit count map."""
     channels = patches[0].shape[2]
-    acc = np.zeros((layout.grid_h, layout.grid_w, channels))
-    count = np.zeros((layout.grid_h, layout.grid_w, 1))
+    acc = np.zeros((*layout.grid, channels))
+    count = np.zeros((*layout.grid, 1))
     for patch, (top, left, h, w) in zip(patches, layout.rects):
         acc[top : top + h, left : left + w, :] += patch
         count[top : top + h, left : left + w, 0] += 1.0
@@ -141,8 +141,8 @@ def fuse_first_plus_deviation(patches, layout) -> np.ndarray:
     """Fusion as "first covering value + mean of deviations", with the cover
     map and first values rebuilt from the rects by loops on every call."""
     channels = patches[0].shape[2]
-    base = np.zeros((layout.grid_h, layout.grid_w, channels))
-    count = np.zeros((layout.grid_h, layout.grid_w), dtype=np.int64)
+    base = np.zeros((*layout.grid, channels))
+    count = np.zeros(layout.grid, dtype=np.int64)
     for patch, (top, left, h, w) in zip(patches, layout.rects):
         for r in range(h):
             for c in range(w):

@@ -71,7 +71,7 @@ def test_criterion_02_swap_contract():
 
 def test_criterion_03_patch_count_formula():
     with criterion(3, "plan_patches count matches closed form on 20 geometries"):
-        layout = plan_patches(256, 256, 128, 128, 64, 64)
+        layout = plan_patches((256, 256), (128, 128), (64, 64))
         assert layout.patch_count == 9
         rng = np.random.default_rng(303)
         for _ in range(20):
@@ -80,7 +80,7 @@ def test_criterion_03_patch_count_formula():
             n_h, n_w = rng.integers(1, 8, size=2)
             grid_h = win_h + (n_h - 1) * stride_h
             grid_w = win_w + (n_w - 1) * stride_w
-            layout = plan_patches(grid_h, grid_w, win_h, win_w, stride_h, stride_w)
+            layout = plan_patches((grid_h, grid_w), (win_h, win_w), (stride_h, stride_w))
             count_h, top = 0, 0
             while top + win_h <= grid_h:
                 count_h += 1
@@ -103,7 +103,7 @@ def test_criterion_04_fusion_partition_of_unity():
             (25, 25, 5, 5, 5, 5),
         ]
         for geometry in geometries:
-            layout = plan_patches(*geometry)
+            layout = plan_patches(geometry[0:2], geometry[2:4], geometry[4:6])
             grid = rng.normal(size=(geometry[0], geometry[1], 3))
             patches = [extract_patch(grid, r) for r in layout.rects]
             assert np.array_equal(fuse_patches(patches, layout), grid)
@@ -148,7 +148,7 @@ def test_criterion_06_analytic_denoiser_vs_mc_regression():
 def test_criterion_07_generative_marginal():
     with criterion(7, "ancestral sampling reproduces the Gaussian data marginal"):
         config = PipelineConfig(height=100, width=100, channels=1, scale=1,
-                                win_h=100, win_w=100, stride_h=100, stride_w=100,
+                                window=100, stride=100,
                                 steps=50, seed=0)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.1))
         cells = generate_low_res(den, None, config).reshape(-1)
@@ -161,7 +161,7 @@ def test_criterion_08_end_to_end_structural_guidance():
     with criterion(8, "upscaled output keeps the reference's low band and means"):
         start = time.perf_counter()
         base = PipelineConfig(height=32, width=32, channels=3, scale=4,
-                              win_h=64, win_w=64, stride_h=32, stride_w=32,
+                              window=64, stride=32,
                               steps=50, d0=0.8, lam=0.8)
         reference = smooth_reference(32, 32, 3)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))

@@ -41,7 +41,7 @@ STAGES = [
      .predict(g["z_t"], 9, None, S, out=out),
      ("z_t",), ()),
     ("toy predict",
-     lambda g, out: toy_conditioned_denoiser(3, channels=3, text_dim=16, image_dim=16)
+     lambda g, out: toy_conditioned_denoiser(3, channels=3)
      .predict(g["z_t"], 9, toy_bundle(), S, out=out),
      (), ()),
     ("predict_x0",
@@ -127,8 +127,7 @@ class TestClosedFormNoiseEstimate:
             warnings.simplefilter("error")
             for t in (1, 25, 50):
                 assert np.isfinite(den.predict(z_t, t, None, s)).all()
-            config = PipelineConfig(height=8, width=8, scale=1, win_h=8, win_w=8, stride_h=8,
-                                    stride_w=8, steps=10, model_std=std)
+            config = PipelineConfig(height=8, width=8, scale=1, window=8, stride=8, steps=10, model_std=std)
             assert np.isfinite(generate_low_res(den, None, config)).all()
 
 
@@ -139,8 +138,8 @@ def test_a_sampling_step_allocates_under_two_grids():
     # previous call is read in grids. From the second step on, the previous
     # step's noise grid is freed once the new one is drawn; the first step has
     # none to free, so it may read one grid more.
-    config = PipelineConfig(height=64, width=64, channels=3, scale=1, win_h=64, win_w=64,
-                            stride_h=64, stride_w=64, steps=12, guidance_stop_step=12)
+    config = PipelineConfig(height=64, width=64, channels=3, scale=1, window=64, stride=64,
+                            steps=12, guidance_stop_step=12)
     reference = np.random.default_rng(0).uniform(size=(64, 64, 3))
     den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
     grid_bytes = 64 * 64 * 3 * 8

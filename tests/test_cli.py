@@ -109,6 +109,22 @@ class TestLowres:
         assert err.count("\n") == 1 and "non-finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_non_finite_model_mean_exits_1_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"model_mean": NaN}')
+        out = tmp_path / "low.pgm"
+        assert main(["lowres", "--out", str(out), "--config", str(config), "--steps", "2"]) == 1
+        assert capsys.readouterr().err == \
+            "error: invalid configuration: model_mean must be finite, got nan\n"
+        assert not out.exists()
+
+    def test_ignores_a_malformed_stride_in_a_shared_file(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"height": 8, "width": 10, "channels": 1, "stride": [1, 2, 3]}))
+        out = tmp_path / "low.pgm"
+        assert main(["lowres", "--out", str(out), "--config", str(config), "--steps", "2"]) == 0
+        assert read_image(out).shape == (8, 10, 1)
+
 
 class TestUpscale:
     def _plan_and_fill(self, tmp_path, reference_file):

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestBundleValidation:
 
 
 # The run layout of a 128x128 target tiled by 64/32 windows: 9 patches.
-RUN_LAYOUT = plan_patches(128, 128, 64, 64, 32, 32).to_dict()
+RUN_LAYOUT = plan_patches((128, 128), (64, 64), (32, 32)).to_dict()
 
 
 class TestCaptionManifest:
@@ -207,8 +208,19 @@ class TestCaptionManifest:
         with pytest.raises(ManifestError, match="out of range"):
             load_caption_manifest(path)
 
+    @pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "1_0", "\u0663", "-0", "1.0", "one"])
+    def test_non_canonical_patch_key_rejected_naming_it(self, tmp_path, key):
+        # Beside the canonical keys 0..8, "01" or "+1" would name patch 1 twice
+        # and "1_0" patch 10; one of two captions would be dropped unseen.
+        doc = self._doc()
+        doc["patches"][key] = "another caption"
+        path = self._write(tmp_path, doc)
+        with pytest.raises(ManifestError, match=f"^manifest .*: patch key {re.escape(repr(key))} "
+                                                "is not an integer index in canonical form$"):
+            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
+
     def test_skeleton_roundtrips_through_loader(self, tmp_path):
-        layout = plan_patches(128, 128, 64, 64, 32, 32)
+        layout = plan_patches((128, 128), (64, 64), (32, 32))
         doc = manifest_skeleton("busy market street", layout.to_dict())
         assert doc["instruction"] == CAPTION_INSTRUCTION
         assert len(doc["patches"]) == 9
@@ -218,7 +230,7 @@ class TestCaptionManifest:
         assert manifest.caption_for(0) == "busy market street"
 
     def test_layout_block_must_match_the_run(self, tmp_path):
-        other = plan_patches(128, 128, 96, 96, 16, 16).to_dict()
+        other = plan_patches((128, 128), (96, 96), (16, 16)).to_dict()
         path = self._write(tmp_path, self._doc(layout=other))
         with pytest.raises(ManifestError, match=r"layout window \[96, 96\] does not match"):
             load_caption_manifest(path, expected_layout=RUN_LAYOUT)

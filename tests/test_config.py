@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -32,8 +34,7 @@ class TestParseConfig:
         config = parse_config(path, {})
         assert config.d0 == 0.5
         assert config.steps == 20
-        assert (config.win_h, config.win_w) == (16, 16)
-        assert (config.stride_h, config.stride_w) == (8, 8)
+        assert (config.window, config.stride) == ((16, 16), (8, 8))
 
     def test_cli_flag_overrides_file(self, tmp_path):
         path = tmp_path / "c.json"
@@ -55,7 +56,7 @@ class TestParseConfig:
     def test_invalid_stride_at_huge_scale_is_suggested_at_once(self):
         # span = 32 * 10**9 - 64: 33 does not divide it, so no rect is built.
         with pytest.raises(ConfigError, match="nearest valid stride is 32$"):
-            PipelineConfig(scale=10**9, stride_h=33, stride_w=33)
+            PipelineConfig(scale=10**9, stride=33)
 
     def test_huge_scale_fails_from_the_closed_forms_before_planning(self, monkeypatch):
         built = []
@@ -69,12 +70,11 @@ class TestParseConfig:
 
     def test_bounds_sit_at_2_to_the_31_values_and_2_to_the_16_windows(self):
         # 2**15 x 2**15 x 2 is exactly 2**31 values; one more channel is over.
-        whole = dict(height=2**15, width=2**15, scale=1, win_h=2**15, win_w=2**15,
-                     stride_h=2**15, stride_w=2**15)
+        whole = dict(height=2**15, width=2**15, scale=1, window=2**15, stride=2**15)
         assert PipelineConfig(channels=2, **whole).layout.patch_count == 1
         with pytest.raises(ConfigError, match="holds 3221225472 values"):
             PipelineConfig(channels=3, **whole)
-        cells = dict(width=256, scale=1, win_h=1, win_w=1, stride_h=1, stride_w=1)
+        cells = dict(width=256, scale=1, window=1, stride=1)
         assert PipelineConfig(height=256, **cells).layout.patch_count == 2**16
         with pytest.raises(ConfigError, match="the tiling has 65792 windows"):
             PipelineConfig(height=257, **cells)
@@ -159,12 +159,15 @@ class TestParseConfig:
         path.write_text(json.dumps({"height": 8, "width": 10, "scale": 3,
                                     "window": 64, "stride": [0, 5]}))
         config = parse_config(path, {"steps": 4}, one_window=True)
-        assert (config.scale, config.win_h, config.win_w, config.stride_h, config.stride_w) == \
-            (1, 8, 10, 8, 10)
-        assert config.layout.rects == plan_patches(8, 10, 8, 10, 8, 10).rects
+        assert (config.scale, config.window, config.stride) == (1, (8, 10), (8, 10))
+        assert config.layout.rects == plan_patches((8, 10), (8, 10), (8, 10)).rects
         assert config.steps == 4
         default = parse_config(None, {}, one_window=True)
-        assert (default.win_h, default.win_w, default.layout.patch_count) == (32, 32, 1)
+        assert (default.window, default.layout.patch_count) == ((32, 32), 1)
+
+    def test_one_window_ignores_a_malformed_tiling(self):
+        config = parse_config(None, {"window": "wide", "stride": [1, 2, 3]}, one_window=True)
+        assert (config.window, config.stride) == ((32, 32), (32, 32))
 
     @pytest.mark.parametrize("key", RETIRED_KEYS)
     def test_retired_key_is_unknown_in_overrides(self, key):
@@ -201,11 +204,54 @@ class TestSerializeConfig:
         assert "layout" not in serialize_config(PipelineConfig())
 
     def test_serialized_tiling_is_window_and_stride_pairs(self):
-        doc = serialize_config(PipelineConfig(win_h=64, win_w=32, stride_h=32, stride_w=16))
+        doc = serialize_config(PipelineConfig(window=(64, 32), stride=[32, 16]))
         assert (doc["window"], doc["stride"]) == ([64, 32], [32, 16])
         assert not set(RETIRED_KEYS) & set(doc)
 
     def test_config_has_one_field_per_setting(self):
         names = [f.name for f in dataclasses.fields(PipelineConfig) if f.init]
-        assert len(names) == 17
+        assert len(names) == 15
         assert set(names).isdisjoint(["beta_start", "beta_end", "text_tokens", "image_tokens", "embed_dim"])
+
+    def test_readme_config_file_block_is_the_default_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config file", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        assert json.loads(block) == serialize_config(PipelineConfig())
+
+
+class TestTilingPairs:
+    @pytest.mark.parametrize("spelling", [64, [64], (64,), [64, 64], (64, 64)])
+    def test_one_value_or_a_pair_stores_a_tuple(self, spelling):
+        config = PipelineConfig(window=spelling)
+        assert config == PipelineConfig(window=(64, 64))
+        assert type(config.window) is tuple
+
+    @pytest.mark.parametrize("field", ["window", "stride"])
+    @pytest.mark.parametrize("value", [True, [64, False], 64.0, "64", [8, 8, 8], []])
+    def test_a_bad_pair_is_one_line_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^invalid configuration: {field} must be one integer "
+                                              "or a list of one or two integers, got ") as err:
+            PipelineConfig(**{field: value})
+        assert "\n" not in str(err.value)
+
+    def test_a_non_positive_pair_names_the_field(self):
+        with pytest.raises(ConfigError, match=r"window must be >= 1, got \(0, 64\)"):
+            PipelineConfig(window=[0, 64])
+
+
+class TestFiniteFloats:
+    @pytest.mark.parametrize("field", ["d0", "lam", "model_mean", "model_std"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_is_refused_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^invalid configuration: {field} must be finite, "
+                                              f"got {value}$"):
+            PipelineConfig(**{field: value})
+
+    def test_every_non_finite_field_is_in_the_one_report(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"d0": Infinity, "lam": -Infinity, "model_mean": NaN}')
+        with pytest.raises(ConfigError) as err:
+            parse_config(path, {})
+        assert str(err.value) == ("invalid configuration: d0 must be finite, got inf; "
+                                  "lam must be finite, got -inf; model_mean must be finite, got nan")

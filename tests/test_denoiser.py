@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from resmaster.attention import _query_block, attend, make_attention_weights
-from resmaster.conditioning import ConditionBundle, embed_text_stub, encode_image_prompt_stub
+from resmaster.conditioning import EMBED_DIM, ConditionBundle, embed_text_stub, encode_image_prompt_stub
 from resmaster.config import PipelineConfig
 from resmaster.denoiser import (
     GaussianDataModel,
@@ -107,7 +107,7 @@ class TestAncestralMarginal:
     def test_sampling_reproduces_data_marginal(self):
         m, s_data = 0.25, 0.2
         config = PipelineConfig(height=60, width=60, channels=1, scale=1,
-                                win_h=60, win_w=60, stride_h=60, stride_w=60,
+                                window=60, stride=60,
                                 steps=50, seed=11)
         den = analytic_gaussian_denoiser(GaussianDataModel(m, s_data))
         cells = generate_low_res(den, None, config).reshape(-1)
@@ -124,7 +124,7 @@ class TestToyConditionedDenoiser:
 
     def test_deterministic(self, rng):
         s = make_linear_schedule(10)
-        den = toy_conditioned_denoiser(3, channels=3, text_dim=16, image_dim=16)
+        den = toy_conditioned_denoiser(3, channels=3)
         z_t = rng.normal(size=(5, 5, 3))
         bundle = self._bundle()
         np.testing.assert_array_equal(
@@ -133,7 +133,7 @@ class TestToyConditionedDenoiser:
 
     def test_zero_lambda_ignores_image_embedding(self, rng):
         s = make_linear_schedule(10)
-        den = toy_conditioned_denoiser(3, channels=2, text_dim=16, image_dim=16)
+        den = toy_conditioned_denoiser(3, channels=2)
         z_t = rng.normal(size=(4, 4, 2))
         text = embed_text_stub("same caption", 4, 16, 0)
         image_a = encode_image_prompt_stub(np.full((5, 5, 1), 0.2), 2, 16, 0)
@@ -144,7 +144,7 @@ class TestToyConditionedDenoiser:
 
     def test_caption_change_changes_output(self, rng):
         s = make_linear_schedule(10)
-        den = toy_conditioned_denoiser(3, channels=3, text_dim=16, image_dim=16)
+        den = toy_conditioned_denoiser(3, channels=3)
         z_t = rng.normal(size=(5, 5, 3))
         out_a = den.predict(z_t, 4, self._bundle(caption="a stone bridge"), s)
         out_b = den.predict(z_t, 4, self._bundle(caption="a steel bridge"), s)
@@ -152,7 +152,7 @@ class TestToyConditionedDenoiser:
 
     def test_depends_on_input_grid(self, rng):
         s = make_linear_schedule(10)
-        den = toy_conditioned_denoiser(3, channels=3, text_dim=16, image_dim=16)
+        den = toy_conditioned_denoiser(3, channels=3)
         bundle = self._bundle()
         a = den.predict(rng.normal(size=(5, 5, 3)), 4, bundle, s)
         b = den.predict(rng.normal(size=(5, 5, 3)), 4, bundle, s)
@@ -160,13 +160,13 @@ class TestToyConditionedDenoiser:
 
     def test_missing_bundle_rejected(self, rng):
         s = make_linear_schedule(10)
-        den = toy_conditioned_denoiser(3, channels=3, text_dim=16, image_dim=16)
+        den = toy_conditioned_denoiser(3, channels=3)
         with pytest.raises(ValueError):
             den.predict(rng.normal(size=(5, 5, 3)), 4, None, s)
 
     def test_shape_preserved(self, rng):
         s = make_linear_schedule(10)
-        den = toy_conditioned_denoiser(3, channels=2, text_dim=16, image_dim=16)
+        den = toy_conditioned_denoiser(3, channels=2)
         z_t = rng.normal(size=(9, 4, 2))
         assert den.predict(z_t, 2, self._bundle(), s).shape == z_t.shape
 
@@ -174,7 +174,7 @@ class TestToyConditionedDenoiser:
     @pytest.mark.parametrize("channels", [1, 3])
     def test_equals_the_unfolded_network(self, rng, channels, d_model, d_head):
         s = make_linear_schedule(10)
-        den = toy_conditioned_denoiser(5, channels, 16, 16, d_model, d_head)
+        den = toy_conditioned_denoiser(5, channels, d_model, d_head)
         # The constructor's draws, in its order, from its stream.
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((5, 0x70F))))
         w_in = gen.normal(size=(channels, d_model)) / np.sqrt(channels)
@@ -189,8 +189,9 @@ class TestToyConditionedDenoiser:
     def test_a_64x64_patch_is_one_query_block(self, rng, monkeypatch):
         import resmaster.attention as attention
 
-        den = toy_conditioned_denoiser(3, channels=3, text_dim=16, image_dim=16)
+        den = toy_conditioned_denoiser(3, channels=3)
         assert den.attn.d_model == den.attn.d_value == 3
+        assert den.attn.text_dim == den.attn.image_dim == EMBED_DIM
         # 8 text and 4 image tokens, the config defaults.
         assert _query_block(12, 3) >= 64 * 64
         sizes = []

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from resmaster.conditioning import EMBED_DIM, CaptionManifest
+from resmaster.conditioning import CaptionManifest
 from resmaster.denoiser import (
     GaussianDataModel,
     analytic_gaussian_denoiser,
@@ -32,7 +32,7 @@ def smooth_reference(h, w, channels, mean=0.5, amp=0.2):
 def grid_config(h, w, channels, **over):
     """A config whose reference grid is (h, w, channels), tiled by one window."""
     return PipelineConfig(height=h, width=w, channels=channels, scale=1,
-                          win_h=h, win_w=w, stride_h=h, stride_w=w, **over)
+                          window=(h, w), stride=(h, w), **over)
 
 
 def predicted_cell_variance(mask, config, data_std):
@@ -95,15 +95,15 @@ class TestGenerateLowRes:
     def test_grid_has_the_config_reference_dims(self):
         # The reference grid, not the scaled target that the config tiles.
         config = PipelineConfig(height=6, width=10, channels=2, scale=2,
-                                win_h=4, win_w=4, stride_h=4, stride_w=4, steps=3)
+                                window=4, stride=4, steps=3)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
         assert generate_low_res(den, None, config).shape == (6, 10, 2)
 
 
 class TestResmasterGenerate:
     def _config(self, **over):
-        base = dict(height=16, width=16, channels=2, scale=2, win_h=16, win_w=16,
-                    stride_h=8, stride_w=8, steps=12, seed=4)
+        base = dict(height=16, width=16, channels=2, scale=2, window=16, stride=8,
+                    steps=12, seed=4)
         base.update(over)
         return PipelineConfig(**base)
 
@@ -111,7 +111,7 @@ class TestResmasterGenerate:
         return CaptionManifest(global_prompt="pipeline test scene", patch_count=n)
 
     def test_full_mask_single_patch_reproduces_reference(self, rng):
-        config = self._config(scale=1, win_h=16, win_w=16, stride_h=16, stride_w=16,
+        config = self._config(scale=1, window=16, stride=16,
                               d0=1e9, channels=2)
         ref = smooth_reference(16, 16, 2)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
@@ -121,7 +121,7 @@ class TestResmasterGenerate:
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-6)
 
     def test_constant_reference_pins_mean_nonoverlapping(self):
-        config = self._config(stride_h=16, stride_w=16)
+        config = self._config(stride=16)
         ref = np.full((16, 16, 2), 0.321)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
         out = resmaster_generate(ref, self._captions(4), den, config)
@@ -140,7 +140,7 @@ class TestResmasterGenerate:
         config = self._config()
         ref = smooth_reference(16, 16, 2)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
-        layout = plan_patches(32, 32, 16, 16, 8, 8)
+        layout = plan_patches((32, 32), (16, 16), (8, 8))
         upsampled = bicubic_upsample(ref, 32, 32)
         ref_means = [extract_patch(upsampled, r).mean(axis=(0, 1)) for r in layout.rects]
         worst = 0.0
@@ -154,7 +154,7 @@ class TestResmasterGenerate:
         assert worst < 1e-8
 
     def test_degenerate_config_reduces_to_low_res_sampler(self):
-        config = self._config(scale=1, win_h=16, win_w=16, stride_h=16, stride_w=16,
+        config = self._config(scale=1, window=16, stride=16,
                               guidance_stop_step=12, lam=0.0)
         ref = smooth_reference(16, 16, 2)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.1, 0.4))
@@ -163,11 +163,10 @@ class TestResmasterGenerate:
         assert np.array_equal(guided, plain)
 
     def test_degenerate_config_with_conditioned_denoiser(self):
-        config = self._config(scale=1, win_h=16, win_w=16, stride_h=16, stride_w=16,
+        config = self._config(scale=1, window=16, stride=16,
                               guidance_stop_step=12, lam=0.0)
         ref = smooth_reference(16, 16, 2)
-        den = toy_conditioned_denoiser(7, channels=2,
-                                       text_dim=EMBED_DIM, image_dim=EMBED_DIM)
+        den = toy_conditioned_denoiser(7, channels=2)
         guided = resmaster_generate(ref, self._captions(1), den, config)
         bundles = build_patch_bundles([ref], self._captions(1), config)
         plain = generate_low_res(den, bundles[0], config)
@@ -230,10 +229,10 @@ class TestResmasterGenerate:
         # the same scalar recursion in its own noise, whatever covers it, so
         # pooled per-cell variance is equal across cover counts. Averaging
         # independent per-patch steps would halve it per doubling instead.
-        config = PipelineConfig(height=16, width=16, channels=1, scale=4, win_h=16, win_w=16,
-                                stride_h=8, stride_w=8, steps=10, guidance_stop_step=10)
+        config = PipelineConfig(height=16, width=16, channels=1, scale=4, window=16, stride=8,
+                                steps=10, guidance_stop_step=10)
         layout = config.layout
-        cover = np.zeros((layout.grid_h, layout.grid_w), dtype=int)
+        cover = np.zeros(layout.grid, dtype=int)
         for top, left, h, w in layout.rects:
             cover[top:top + h, left:left + w] += 1
         den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
@@ -285,8 +284,8 @@ class TestResmasterGenerate:
             t1, t2 = base * scale, base * scale * 2
             if (t1 - win) % stride or (t2 - win) % stride or t1 < win:
                 continue
-            n1 = plan_patches(t1, t1, win, win, stride, stride).patch_count
-            n2 = plan_patches(t2, t2, win, win, stride, stride).patch_count
+            n1 = plan_patches((t1, t1), (win, win), (stride, stride)).patch_count
+            n2 = plan_patches((t2, t2), (win, win), (stride, stride)).patch_count
             per_axis1 = (t1 - win) // stride + 1
             per_axis2 = (t2 - win) // stride + 1
             assert per_axis2 - per_axis1 == t1 // stride
@@ -301,7 +300,7 @@ class TestGuidedVarianceOracle:
         # linear and per-bin diagonal, so the exact output variance follows a
         # scalar recursion over the mask bins.
         config = PipelineConfig(height=16, width=16, channels=1, scale=2,
-                                win_h=32, win_w=32, stride_h=32, stride_w=32,
+                                window=32, stride=32,
                                 steps=20, seed=0, d0=0.8)
         ref = smooth_reference(16, 16, 1)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
