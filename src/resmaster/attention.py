@@ -7,18 +7,23 @@ width of the output, so a network whose head is linear can fold its head
 projection into the value projections.
 
 ``attend`` computes this folded: the query projection and the scale are
-multiplied into the stacked text and image keys once per call, so the
-scores of both branches come from one matmul against the inputs, and the
-text values and ``lam``-scaled image values form one block for the output
-matmul. Scores are held token-major, ``(tokens, n)``, so each branch's
-softmax reduces across a few contiguous rows. Both matmuls run over blocks
-of queries small enough that BLAS computes them on the calling thread.
+multiplied into the stacked text and image keys, so the scores of both
+branches come from one matmul against the inputs, and the text values and
+``lam``-scaled image values form one block for the output matmul. A bundle
+and its weights do not change while a run attends with them at every step,
+so the weights keep that fold and value block per bundle until the bundle
+is freed. Scores are held token-major, ``(tokens, n)``, so each
+branch's softmax reduces across a few contiguous rows. Both matmuls run
+over blocks of queries small enough that BLAS computes them on the calling
+thread.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +32,12 @@ from .conditioning import ConditionBundle
 
 @dataclass(frozen=True)
 class AttentionWeights:
-    """Fixed projections for queries and for the text/image key-value branches."""
+    """Fixed projections for queries and for the text/image key-value branches.
+
+    An instance also keeps what ``attend`` derives from it and each bundle it
+    attends over, keyed by the bundle itself and held weakly: an entry leaves
+    with its bundle, so a later bundle never finds it and no run leaves
+    entries behind."""
 
     w_query: np.ndarray       # (d_model, d_head)
     w_key_text: np.ndarray    # (text_dim, d_head)
@@ -63,6 +73,7 @@ class AttentionWeights:
             raise ValueError("image key/value projections disagree on the condition dim")
         for name, arr in frozen.items():
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_contexts", weakref.WeakKeyDictionary())
 
     @property
     def d_model(self) -> int:
@@ -116,6 +127,24 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+class _Context(NamedTuple):
+    """What ``attend`` reads of one bundle under one set of weights."""
+
+    fold: np.ndarray    # (tokens, d_model): W_q and the scale folded into the stacked keys
+    values: np.ndarray  # (tokens, d_value): text values over lam-scaled image values
+
+
+def _context(bundle: ConditionBundle, w: AttentionWeights) -> _Context:
+    if bundle.text.dim != w.text_dim:
+        raise ValueError(f"text embedding dim {bundle.text.dim} != weights text_dim {w.text_dim}")
+    if bundle.image.dim != w.image_dim:
+        raise ValueError(f"image embedding dim {bundle.image.dim} != weights image_dim {w.image_dim}")
+    text, image = bundle.text.data, bundle.image.data
+    keys = np.concatenate([text @ w.w_key_text, image @ w.w_key_image])
+    values = np.concatenate([text @ w.w_value_text, bundle.lam * (image @ w.w_value_image)])
+    return _Context((keys @ w.w_query.T) * (1.0 / math.sqrt(w.d_head)), values)
+
+
 def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights) -> np.ndarray:
     """Queries from ``x`` attend over the text tokens and, weighted by
     ``bundle.lam``, over the image tokens; the two results are summed into
@@ -130,15 +159,10 @@ def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights) -> np.nd
         raise ValueError(f"x must be (n, d_model), got shape {x.shape}")
     if x.shape[1] != w.d_model:
         raise ValueError(f"x has width {x.shape[1]}, weights expect d_model {w.d_model}")
-    if bundle.text.dim != w.text_dim:
-        raise ValueError(f"text embedding dim {bundle.text.dim} != weights text_dim {w.text_dim}")
-    if bundle.image.dim != w.image_dim:
-        raise ValueError(f"image embedding dim {bundle.image.dim} != weights image_dim {w.image_dim}")
-
-    text, image = bundle.text.data, bundle.image.data
-    keys = np.concatenate([text @ w.w_key_text, image @ w.w_key_image])
-    values = np.concatenate([text @ w.w_value_text, bundle.lam * (image @ w.w_value_image)])
-    fold = (keys @ w.w_query.T) * (1.0 / math.sqrt(w.d_head))  # (tokens, d_model)
+    context = w._contexts.get(bundle)
+    if context is None:
+        context = w._contexts[bundle] = _context(bundle, w)
+    fold, values = context
     n = x.shape[0]
     block = _query_block(fold.shape[0], max(w.d_model, w.d_value))
     scores = np.empty((fold.shape[0], n))  # (tokens, n): one column per query

@@ -88,9 +88,12 @@ class ImageEmbedding:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionBundle:
-    """Text and image conditions plus the image-branch weighting factor."""
+    """Text and image conditions plus the image-branch weighting factor.
+
+    Compared and hashed by identity, so attention can keep what it derives
+    from a bundle keyed by the bundle itself."""
 
     text: TextEmbedding
     image: ImageEmbedding
@@ -133,12 +136,18 @@ def patch_features(patch: np.ndarray) -> np.ndarray:
     h, w, c = patch.shape
     means = patch.mean(axis=(0, 1))
     stds = patch.std(axis=(0, 1))
-    pooled = np.empty((_POOL_BINS, _POOL_BINS, c))
-    row_slices = _pool_slices(h)
-    col_slices = _pool_slices(w)
-    for i, (r0, r1) in enumerate(row_slices):
-        for j, (c0, c1) in enumerate(col_slices):
-            pooled[i, j] = patch[r0:r1, c0:c1, :].mean(axis=(0, 1))
+    if h % _POOL_BINS == 0 and w % _POOL_BINS == 0:
+        # Equal bins: each bin's cells gathered into one contiguous run, in
+        # the row-major order of the loop below. numpy reduces that run as it
+        # reduces the bin's view (pairwise for one channel, cell by cell
+        # across channels), so the means are the loop's to the bit.
+        bins = patch.reshape(_POOL_BINS, h // _POOL_BINS, _POOL_BINS, w // _POOL_BINS, c)
+        pooled = bins.transpose(0, 2, 1, 3, 4).reshape(_POOL_BINS, _POOL_BINS, -1, c).mean(axis=2)
+    else:
+        pooled = np.empty((_POOL_BINS, _POOL_BINS, c))
+        for i, (r0, r1) in enumerate(_pool_slices(h)):
+            for j, (c0, c1) in enumerate(_pool_slices(w)):
+                pooled[i, j] = patch[r0:r1, c0:c1, :].mean(axis=(0, 1))
     return np.concatenate([means, stds, pooled.reshape(-1)])
 
 

@@ -45,8 +45,10 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
 
     The run owns its buffers: each window reads its view of ``z``, its noise
     prediction, clean estimate and swap are written into that window's
-    estimate grid, allocated once per run, and the grid steps in place. So the array ``patch_hook`` receives is
-    overwritten at the next step; a hook that keeps it must copy it."""
+    estimate grid, allocated once per run, and the grid steps in place,
+    consuming the step's clean estimate and noise grid. So the array
+    ``patch_hook`` receives is overwritten by the step; a hook that keeps it
+    must copy it."""
     s = config.make_schedule()
     shape = (*layout.grid, config.channels)
     z = standard_normal_field(config.seed, INIT_STEP, shape)
@@ -64,6 +66,7 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
         z0 = estimates[0] if layout.patch_count == 1 else fuse_patches(estimates, layout)
         noise = standard_normal_field(config.seed, t, shape) if t > 1 else None
         z = posterior_step(z, z0, t, noise, s, out=z)
+        del noise  # consumed by the step; dropped before the next draw
     return z
 
 

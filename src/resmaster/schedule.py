@@ -4,9 +4,11 @@ estimate, and the posterior sampling step.
 Timesteps are 1-based: t ranges over 1..T, and the cumulative product
 ``alpha_bar`` at t=0 is defined as 1 (the first entry of ``alpha_bar_prev``)
 so the final (t=1) step is well formed. Each stage checks t once.
-Noise is always supplied by the caller. Every function writes only into its
-result; ``predict_x0`` and ``posterior_step`` write it into a caller-owned
-grid passed as ``out=``, which may be the one input each names.
+Noise is always supplied by the caller. ``predict_x0`` and ``posterior_step``
+write their result into a caller-owned grid passed as ``out=``, which may be
+the one input each names. ``posterior_step`` also forms its clean-estimate
+and noise terms in those two inputs, which the sampler owns and drops after
+the step; every other function writes only into its result.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import as_grid, check_out, require_same_shape
+from .util import Consumed, as_grid, check_out, require_same_shape
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def predict_x0(z_t: np.ndarray, eps_hat: np.ndarray, t: int, s: NoiseSchedule,
 
 
 def posterior_step(
-    z_t: np.ndarray, z0_prime: np.ndarray, t: int, noise: np.ndarray | None, s: NoiseSchedule,
+    z_t: np.ndarray, z0_prime: Consumed, t: int, noise: Consumed | None, s: NoiseSchedule,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One ancestral step: sample the Gaussian posterior of z_{t-1} given z_t and
@@ -155,6 +157,12 @@ def posterior_step(
     t = 1, which uses no noise, ``noise`` may be None. The sum is formed as
     ``coef_zt * z_t``, plus the ``z0'`` term, plus the noise term, so ``out``
     may be ``z_t``; it must not overlap ``z0_prime`` or ``noise``.
+
+    Before t = 1 the step consumes ``z0_prime`` and ``noise``: it scales each
+    in place into its term, so afterwards they hold ``coef_z0 * z0'`` and
+    ``sqrt(var) * noise``, and it allocates no grid of its own when given
+    ``out``. So the two must not overlap each other. At t = 1 both are left
+    as they are.
     """
     z_t = as_grid(z_t, "z_t")
     z0_prime = as_grid(z0_prime, "z0_prime")
@@ -163,6 +171,8 @@ def posterior_step(
     if noise is not None:
         noise = as_grid(noise, "noise")
         require_same_shape(z_t, noise, "z_t", "noise")
+        if np.may_share_memory(z0_prime, noise):
+            raise ValueError("noise overlaps z0_prime; the step overwrites both with its terms")
     elif t > 1:
         raise ValueError(f"noise is required at t = {t}; only the final step t = 1 may omit it")
     check_out(out, z_t.shape, z0_prime=z0_prime, noise=noise)
@@ -180,8 +190,9 @@ def posterior_step(
     coef_zt = math.sqrt(alpha_t) * (1.0 - abar_prev) / (1.0 - abar_t)
     var = (1.0 - abar_prev) / (1.0 - abar_t) * beta_t
     # IEEE addition commutes, so these are the bytes of
-    # coef_z0 * z0' + coef_zt * z_t + sqrt(var) * noise.
+    # coef_z0 * z0' + coef_zt * z_t + sqrt(var) * noise. z_t is read in full
+    # before z0_prime or noise, which may share its memory, is written.
     out = np.multiply(z_t, coef_zt, out=out)
-    out += coef_z0 * z0_prime
-    out += math.sqrt(var) * noise
+    out += np.multiply(z0_prime, coef_z0, out=z0_prime)
+    out += np.multiply(noise, math.sqrt(var), out=noise)
     return out

@@ -62,8 +62,15 @@ def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, d0: float,
     reference = as_grid(reference, "reference")
     require_same_shape(estimate, reference, "estimate", "reference")
     check_out(out, estimate.shape)
-    height, width, _ = estimate.shape
+    height, width, channels = estimate.shape
     l_h, l_w = _lowpass_matrix(height, d0), _lowpass_matrix(width, d0)
-    # Channel-major, so each product is one channel's plane.
-    low = l_h @ np.moveaxis(reference - estimate, 2, 0) @ l_w.T
-    return np.add(estimate, np.moveaxis(low, 0, 2), out=out)
+    # One contiguous channel-major block, so each product is a batch of
+    # contiguous channel planes; the second product overwrites the difference.
+    low = np.empty((channels, height, width))
+    np.subtract(reference.transpose(2, 0, 1), estimate.transpose(2, 0, 1), out=low)
+    np.matmul(l_h @ low, l_w.T, out=low)
+    if out is None:
+        out = np.empty_like(estimate)
+    for c in range(channels):
+        np.add(estimate[..., c], low[c], out=out[..., c])
+    return out

@@ -5,7 +5,8 @@ be divisible by the stride on each axis. Rectangles are enumerated row-major
 by (top, left); that order is the canonical iteration order everywhere.
 
 Fusion reads one per-layout map, built once on first use and cached on the
-(frozen) layout as a read-only array: how many patches cover each cell.
+(frozen) layout as read-only arrays: how many patches cover each cell, and
+the same counts as bands of rows that agree.
 """
 
 from __future__ import annotations
@@ -66,6 +67,18 @@ class PatchLayout:
             raise ValueError("layout does not cover the full grid")
         count.flags.writeable = False
         return count
+
+    @cached_property
+    def cover_bands(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+        """The cover count as bands of consecutive rows whose counts agree:
+        ``(start row, stop row, the band's counts along a row)``, each row
+        read-only and ``(grid width,)``. A row-major tiling has a few bands
+        (3 for windows of 64 at stride 32), so fusion divides a band at a
+        time along contiguous rows."""
+        count = self.cover_count[..., 0]
+        starts = [0, *(np.flatnonzero((count[1:] != count[:-1]).any(axis=1)) + 1)]
+        return tuple((int(start), int(stop), count[start])
+                     for start, stop in zip(starts, [*starts[1:], self.grid[0]]))
 
     def to_dict(self) -> dict:
         """JSON-ready description used by the caption-manifest skeleton, with
@@ -150,7 +163,10 @@ def fuse_patches(patches: Sequence[np.ndarray], layout: PatchLayout) -> np.ndarr
     where all covering patches agree pass through bit-exact (a plain
     sum/count would round at cover counts that are not powers of two).
     Writing the patches in reverse rect order leaves each cell holding its
-    first covering value.
+    first covering value. Each patch's deviation passes through one reused
+    window-sized scratch, each band of ``layout.cover_bands`` is divided by
+    its row of counts, and the mean deviation is added to the first values
+    in place, so the result is the only grid besides the deviations.
     """
     if len(patches) != layout.patch_count:
         raise ValueError(f"expected {layout.patch_count} patches, got {len(patches)}")
@@ -160,15 +176,22 @@ def fuse_patches(patches: Sequence[np.ndarray], layout: PatchLayout) -> np.ndarr
         if p.shape != (*layout.window, channels):
             raise ValueError(f"patches[{i}] has shape {p.shape}, expected {(*layout.window, channels)}")
 
-    count = layout.cover_count  # raises first if some cell would stay unwritten
+    bands = layout.cover_bands  # raises first if some cell would stay unwritten
     base = np.empty((*layout.grid, channels))
     for patch, (top, left, h, w) in zip(reversed(grids), reversed(layout.rects)):
         base[top : top + h, left : left + w] = patch
     deviation = np.zeros_like(base)
+    scratch = np.empty((*layout.window, channels))
     for patch, (top, left, h, w) in zip(grids, layout.rects):
-        region = np.s_[top : top + h, left : left + w]
-        deviation[region] += patch - base[region]
-    return base + deviation / count
+        region = deviation[top : top + h, left : left + w]
+        np.subtract(patch, base[top : top + h, left : left + w], out=scratch)
+        np.add(region, scratch, out=region)
+    rows = deviation.reshape(layout.grid[0], -1)
+    for start, stop, count in bands:
+        band = rows[start:stop]
+        np.divide(band, np.repeat(count, channels), out=band)
+    base += deviation
+    return base
 
 
 def _keys_cubic(x: np.ndarray) -> np.ndarray:

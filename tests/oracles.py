@@ -155,6 +155,23 @@ def fuse_first_plus_deviation(patches, layout) -> np.ndarray:
     return base + deviation / count[:, :, None]
 
 
+def pooled_means_direct(patch: np.ndarray, bins: int = 8) -> np.ndarray:
+    """(bins, bins, channels) means of proportional, never-empty bins, one
+    bin at a time."""
+    h, w, c = patch.shape
+
+    def edges(n):
+        # Proportional bins, each at least one cell wide.
+        starts = [min(i * n // bins, n - 1) for i in range(bins)]
+        return [(start, max((i + 1) * n // bins, start + 1)) for i, start in enumerate(starts)]
+
+    out = np.empty((bins, bins, c))
+    for i, (r0, r1) in enumerate(edges(h)):
+        for j, (c0, c1) in enumerate(edges(w)):
+            out[i, j] = patch[r0:r1, c0:c1, :].mean(axis=(0, 1))
+    return out
+
+
 def attention_direct(x, text, image, lam, w) -> np.ndarray:
     """Double-loop softmax attention over both branches."""
     q = x @ w.w_query

@@ -1,10 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resmaster.attention import AttentionWeights, attend, make_attention_weights, softmax_rows
-from resmaster.conditioning import ConditionBundle, ImageEmbedding, TextEmbedding
+from resmaster.conditioning import CaptionManifest, ConditionBundle, ImageEmbedding, TextEmbedding
+from resmaster.config import PipelineConfig
+from resmaster.denoiser import toy_conditioned_denoiser
+from resmaster.pipeline import generate_low_res, resmaster_generate
 
 
 def _bundle(rng, text_tokens=3, image_tokens=2, dim=8, lam=0.8):
@@ -146,6 +151,72 @@ class TestFoldedAttend:
         block = _query_block(12, 16)
         assert 12 * 16 * block <= BLAS_SINGLE_THREAD_MACS < 12 * 16 * (block + 1)
         assert _query_block(10**6, 10**6) == 1
+
+
+class TestContextPerBundle:
+    """The stacked keys, scaled values and query fold are built once per
+    bundle and weights, and live only as long as the bundle."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        import resmaster.attention as attention
+
+        built = []
+        context = attention._context
+        monkeypatch.setattr(attention, "_context",
+                            lambda bundle, w: built.append(id(bundle)) or context(bundle, w))
+        return built
+
+    def test_once_per_bundle_per_run(self, monkeypatch):
+        built = self._counted(monkeypatch)
+        config = PipelineConfig(height=16, width=16, scale=2, window=16, stride=8, steps=5,
+                                guidance_stop_step=2)
+        reference = np.random.default_rng(2).uniform(size=(16, 16, 3))
+        den = toy_conditioned_denoiser(3, channels=3)
+        for run in (1, 2):
+            resmaster_generate(reference, CaptionManifest("a hill", 9), den, config)
+            # Nine windows, five steps: one context per window's bundle and run.
+            assert len(built) == 9 * run and len(set(built[-9:])) == 9
+            assert len(den.attn._contexts) == 0
+        bundle = ConditionBundle(TextEmbedding(np.full((2, 16), 0.25)),
+                                 ImageEmbedding(np.ones((1, 16))), 0.5)
+        generate_low_res(den, bundle, config)
+        generate_low_res(den, bundle, config)
+        assert len(built) == 19 and built[-1] == id(bundle)
+
+    def test_each_weights_keep_their_own_context(self, rng, monkeypatch):
+        built = self._counted(monkeypatch)
+        bundle = _bundle(rng)
+        x = rng.normal(size=(5, 8))
+        first, second = (make_attention_weights(8, 8, 8, 8, seed=k) for k in (1, 2))
+        for w in (first, first, second, first, second):
+            np.testing.assert_allclose(attend(x, bundle, w), TestFoldedAttend._per_branch(x, bundle, w),
+                                       rtol=0, atol=1e-12)
+        assert len(built) == 2
+
+    def test_a_freed_bundles_context_is_never_reused(self, rng):
+        w = make_attention_weights(8, 8, 8, 8, seed=3)
+        x = rng.normal(size=(6, 8))
+        text = TextEmbedding(_unit_rows(rng.normal(size=(3, 8))))
+        images = [ImageEmbedding(rng.normal(size=(2, 8))) for _ in range(2)]
+        reused = 0
+        for _ in range(20):
+            old = ConditionBundle(text, images[0], 0.8)
+            address = id(old)
+            attend(x, old, w)
+            assert len(w._contexts) == 1
+            # Built right after the old bundle is freed, so it often takes the
+            # old one's address, which an id-keyed cache would then reuse.
+            del old
+            new = ConditionBundle(text, images[1], 0.3)
+            reused += id(new) == address
+            gc.collect()
+            assert len(w._contexts) == 0
+            np.testing.assert_allclose(attend(x, new, w), TestFoldedAttend._per_branch(x, new, w),
+                                       rtol=0, atol=1e-12)
+            del new
+        if not reused:
+            pytest.skip("no new bundle took a freed bundle's address")
 
 
 class TestSoftmax:

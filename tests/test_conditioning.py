@@ -23,7 +23,7 @@ from resmaster.conditioning import (
 )
 from resmaster.tiler import plan_patches
 
-from oracles import hash_floats_direct
+from oracles import hash_floats_direct, pooled_means_direct
 
 
 class TestEmbedTextStub:
@@ -92,6 +92,16 @@ class TestEncodeImagePromptStub:
         a = encode_image_prompt_stub(patch, 4, 16, seed=0)
         b = encode_image_prompt_stub(other, 4, 16, seed=0)
         assert np.abs(a.data - b.data).max() > 0
+
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 24), (64, 64), (128, 64), (12, 9), (3, 2),
+                                       (20, 64)])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_pooled_means_are_the_per_bin_means_bit_for_bit(self, rng, shape, channels):
+        patch = rng.uniform(size=(*shape, channels))
+        feats = patch_features(patch)
+        assert feats.size == 2 * channels + 64 * channels
+        np.testing.assert_array_equal(feats[2 * channels :],
+                                      pooled_means_direct(patch).reshape(-1), strict=True)
 
     def test_small_patches_supported(self, rng):
         emb = encode_image_prompt_stub(rng.normal(size=(3, 2, 1)), 2, 4, seed=0)

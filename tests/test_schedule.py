@@ -134,14 +134,15 @@ def test_stages_are_bit_equal_to_the_scalar_formulas(name):
     for t in sorted({1, min(2, T), (T + 1) // 2, T}):
         assert np.array_equal(forward_diffuse(a, t, b, s), forward_diffuse_scalar(a, t, b, s.beta))
         assert np.array_equal(predict_x0(a, b, t, s), predict_x0_scalar(a, b, t, s.beta))
-        assert np.array_equal(posterior_step(a, b, t, c, s),
+        # posterior_step consumes its clean estimate and noise, so it gets copies.
+        assert np.array_equal(posterior_step(a, b.copy(), t, c.copy(), s),
                               posterior_step_scalar(a, b, t, c, s.beta))
 
 
 STAGE_CALLS = {
     "forward_diffuse": lambda z, t, s: forward_diffuse(z, t, z, s),
     "predict_x0": lambda z, t, s: predict_x0(z, z, t, s),
-    "posterior_step": lambda z, t, s: posterior_step(z, z, t, z, s),
+    "posterior_step": lambda z, t, s: posterior_step(z, z.copy(), t, z.copy(), s),
     "analytic_predict": lambda z, t, s: analytic_gaussian_denoiser(
         GaussianDataModel(0.0, 1.0)).predict(z, t, None, s),
 }
@@ -249,7 +250,8 @@ class TestPosteriorStep:
     def test_all_zero_inputs_stay_zero(self):
         s = make_linear_schedule(10)
         zeros = np.zeros((3, 3, 1))
-        np.testing.assert_array_equal(posterior_step(zeros, zeros, 5, zeros, s), zeros)
+        np.testing.assert_array_equal(
+            posterior_step(zeros, zeros.copy(), 5, zeros.copy(), s), zeros)
 
     def test_matches_decimal_coefficients(self, rng):
         s = make_linear_schedule(10)

@@ -202,3 +202,27 @@ class TestRealTransformSwap:
             ref = rng.normal(size=(height, width, channels))
             want = swap_direct(est, ref, gaussian_mask_direct(height, width, d0))
             np.testing.assert_allclose(swap_low_frequency(est, ref, d0), want, rtol=0, atol=1e-12)
+
+
+class TestChannelMajorSwap:
+    """The swap's channel-major batched products against one channel at a
+    time, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(7, 7, 1), (6, 9, 3), (9, 4, 1), (1, 5, 3), (5, 1, 1),
+                                       (17, 23, 3), (32, 48, 1), (64, 64, 3)])
+    @pytest.mark.parametrize("d0", [0.3, 0.8])
+    def test_bit_equal_to_per_channel_products(self, rng, shape, d0):
+        height, width, channels = shape
+        est, ref = rng.normal(size=shape), rng.normal(size=shape)
+        l_h, l_w = _lowpass_matrix(height, d0), _lowpass_matrix(width, d0)
+        diff = ref - est
+        want = np.empty(shape)
+        for c in range(channels):
+            want[..., c] = est[..., c] + l_h @ diff[..., c] @ l_w.T
+        np.testing.assert_array_equal(swap_low_frequency(est, ref, d0), want, strict=True)
+        # In place over the estimate, and from a window view of a larger grid.
+        grid = np.zeros((height + 2, width + 3, channels))
+        grid[1 : height + 1, 2 : width + 2] = est
+        view = grid[1 : height + 1, 2 : width + 2]
+        assert swap_low_frequency(view, ref, d0, out=view) is view
+        np.testing.assert_array_equal(view, want)

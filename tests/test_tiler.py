@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,57 @@ class TestCoverMaps:
                    for _ in range(geometry.patch_count)]
         assert np.array_equal(fuse_patches(patches, geometry),
                               fuse_first_plus_deviation(patches, geometry))
+
+    @pytest.mark.parametrize("grid, window, stride", [
+        ((128, 128), (64, 64), (32, 32)),
+        ((20, 18), (8, 6), (4, 6)),
+        ((13, 22), (5, 10), (2, 4)),
+        ((16, 16), (8, 8), (8, 8)),
+    ])
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_fusion_equals_the_oracle_for_any_channel_count(self, rng, grid, window, stride,
+                                                           channels):
+        layout = plan_patches(grid, window, stride)
+        patches = [rng.normal(size=(*window, channels)) for _ in range(layout.patch_count)]
+        np.testing.assert_array_equal(fuse_patches(patches, layout),
+                                      fuse_first_plus_deviation(patches, layout), strict=True)
+
+    @pytest.mark.parametrize("layout", [
+        plan_patches((12, 10), (6, 4), (3, 2)),
+        plan_patches((16, 16), (8, 8), (8, 8)),
+        plan_patches((128, 128), (64, 64), (32, 32)),
+        PatchLayout((8, 8), (4, 8), (4, 4), (Rect(0, 0, 4, 8), Rect(4, 0, 4, 8), Rect(2, 0, 4, 8))),
+    ])
+    def test_bands_are_the_cover_count_by_runs_of_equal_rows(self, layout):
+        bands = layout.cover_bands
+        assert layout.cover_bands is bands
+        assert bands[0][0] == 0 and bands[-1][1] == layout.grid[0]
+        for (_, stop, row), (start, _, following) in zip(bands, bands[1:]):
+            assert stop == start and not np.array_equal(row, following)
+        for start, stop, row in bands:
+            assert start < stop and row.shape == (layout.grid[1],) and not row.flags.writeable
+            np.testing.assert_array_equal(layout.cover_count[start:stop, :, 0],
+                                          np.broadcast_to(row, (stop - start, layout.grid[1])))
+        assert len(plan_patches((128, 128), (64, 64), (32, 32)).cover_bands) == 3
+
+    def test_fusion_holds_two_grids_and_a_window_above_its_inputs(self, rng):
+        layout = plan_patches((192, 192), (64, 64), (32, 32))
+        patches = [rng.normal(size=(64, 64, 3)) for _ in range(layout.patch_count)]
+        layout.cover_bands  # built once per layout, before the traced call
+        grid_bytes = 192 * 192 * 3 * 8
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fused = fuse_patches(patches, layout)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(fused, fuse_first_plus_deviation(patches, layout))
+        # The result and the deviations, a window of scratch (1/9 grid here)
+        # and numpy's ufunc buffers (two of getbufsize() values, 0.15 grid)
+        # come to 2.26 grids; a division that broadcasts into a new grid and
+        # an out-of-place final sum took 3.08.
+        assert peak < 2.5 * grid_bytes, peak / grid_bytes
 
 
 class TestBicubicUpsample:
