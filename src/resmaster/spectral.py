@@ -56,7 +56,8 @@ def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, d0: float,
     low-pass m = g(f_u) g(f_v); the DC bin (m = 1) is always fully swapped,
     so the output inherits the reference's per-channel mean. It is computed
     as ``estimate + L_H (reference - estimate) L_W^T`` per channel. Only
-    that final sum writes to ``out``, so ``out`` may be ``estimate``.
+    that final sum writes to ``out``, so ``out`` may be ``estimate``, or
+    overlap either input in any other way.
     """
     estimate = as_grid(estimate, "estimate")
     reference = as_grid(reference, "reference")
@@ -71,6 +72,11 @@ def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, d0: float,
     np.matmul(l_h @ low, l_w.T, out=low)
     if out is None:
         out = np.empty_like(estimate)
+    elif out is not estimate and np.may_share_memory(out, estimate):
+        # Channels are added one call at a time, so an out that overlaps the
+        # estimate other than as the same array could overwrite values that a
+        # later channel reads.
+        estimate = estimate.copy()
     for c in range(channels):
         np.add(estimate[..., c], low[c], out=out[..., c])
     return out
