@@ -65,20 +65,20 @@ class _AnalyticGaussianDenoiser:
     The factor ``1 - sqrt(abar) g`` is taken as
     ``(1 - abar) / (abar s^2 + 1 - abar)``, its equal without cancellation:
     exactly 1 for s = 0, and a small positive number (0 once s^2 overflows)
-    for huge s, so the noise estimate stays finite. A scalar mean is
-    subtracted from every value; a per-channel mean is tiled into one row of
-    the grid's width first, so the subtraction runs along whole rows rather
-    than broadcasting over the channel axis.
+    for huge s, so the noise estimate stays finite. The mean is shaped to
+    ``(1, 1, channels)`` once, on construction, and broadcasts over z_t (a
+    scalar mean over any channel count).
     """
 
     def __init__(self, model: GaussianDataModel):
         self.model = model
+        self._mean = model.mean.reshape(1, 1, -1)
 
     def predict(self, z_t, t, cond, s, out=None):
         z_t = as_grid(z_t, "z_t")
         # z_t is read by the first pass only, so out may be z_t.
         check_out(out, z_t.shape)
-        mean = self.model.mean
+        mean = self._mean
         if mean.size not in (1, z_t.shape[2]):
             raise ValueError(
                 f"per-channel mean has {mean.size} entries, grid has {z_t.shape[2]} channels"
@@ -86,10 +86,7 @@ class _AnalyticGaussianDenoiser:
         s.check_t(t)
         abar = float(s.alpha_bar[t - 1])
         var, noise_var = self.model.std * self.model.std, 1.0 - abar
-        shift = math.sqrt(abar) * mean
-        if shift.size > 1:
-            shift = np.tile(shift, z_t.shape[1]).reshape(z_t.shape[1:])
-        out = np.subtract(z_t, shift, out=out)
+        out = np.subtract(z_t, math.sqrt(abar) * mean, out=out)
         np.multiply(out, noise_var / (abar * var + noise_var), out=out)
         return np.divide(out, math.sqrt(noise_var), out=out)
 

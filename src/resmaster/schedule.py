@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import Consumed, as_grid, check_out, require_same_shape
+from .util import as_grid, check_out, require_same_shape
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def predict_x0(z_t: np.ndarray, eps_hat: np.ndarray, t: int, s: NoiseSchedule,
 
 
 def posterior_step(
-    z_t: np.ndarray, z0_prime: Consumed, t: int, noise: Consumed | None, s: NoiseSchedule,
+    z_t: np.ndarray, z0_prime: np.ndarray, t: int, noise: np.ndarray | None, s: NoiseSchedule,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One ancestral step: sample the Gaussian posterior of z_{t-1} given z_t and

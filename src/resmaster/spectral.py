@@ -56,8 +56,7 @@ def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, d0: float,
     low-pass m = g(f_u) g(f_v); the DC bin (m = 1) is always fully swapped,
     so the output inherits the reference's per-channel mean. It is computed
     as ``estimate + L_H (reference - estimate) L_W^T`` per channel. Only
-    that final sum writes to ``out``, so ``out`` may be ``estimate``, or
-    overlap either input in any other way.
+    that final sum writes to ``out``, so ``out`` may be ``estimate``.
     """
     estimate = as_grid(estimate, "estimate")
     reference = as_grid(reference, "reference")
@@ -67,16 +66,11 @@ def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, d0: float,
     l_h, l_w = _lowpass_matrix(height, d0), _lowpass_matrix(width, d0)
     # One contiguous channel-major block, so each product is a batch of
     # contiguous channel planes; the second product overwrites the difference.
+    # The sum is also taken channel-major, the order low is stored in.
     low = np.empty((channels, height, width))
     np.subtract(reference.transpose(2, 0, 1), estimate.transpose(2, 0, 1), out=low)
     np.matmul(l_h @ low, l_w.T, out=low)
     if out is None:
         out = np.empty_like(estimate)
-    elif out is not estimate and np.may_share_memory(out, estimate):
-        # Channels are added one call at a time, so an out that overlaps the
-        # estimate other than as the same array could overwrite values that a
-        # later channel reads.
-        estimate = estimate.copy()
-    for c in range(channels):
-        np.add(estimate[..., c], low[c], out=out[..., c])
+    np.add(estimate.transpose(2, 0, 1), low, out=out.transpose(2, 0, 1))
     return out

@@ -3,17 +3,12 @@
 Grids are plain numpy arrays of shape (height, width, channels), float64,
 row-major. A stage that takes ``out=`` writes its result into that caller-owned
 grid and returns it; with ``out=None`` the same operations write into one
-freshly allocated grid. A parameter typed ``Consumed`` is a grid the stage
-overwrites.
+freshly allocated grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# An input grid that a stage overwrites with one of its intermediate terms,
-# so it no longer holds its value once the stage returns.
-Consumed = np.ndarray
 
 
 def as_grid(g, name: str = "grid") -> np.ndarray:

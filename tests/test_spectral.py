@@ -226,13 +226,3 @@ class TestChannelMajorSwap:
         view = grid[1 : height + 1, 2 : width + 2]
         assert swap_low_frequency(view, ref, d0, out=view) is view
         np.testing.assert_array_equal(view, want)
-        # An out one value past the estimate in the same buffer: its channel c
-        # holds the estimate's channel c + 1.
-        for shift in (1, -1):
-            buffer = np.zeros(est.size + 1)
-            inputs = slice(0, est.size) if shift == 1 else slice(1, None)
-            outputs = slice(1, None) if shift == 1 else slice(0, est.size)
-            buffer[inputs] = est.reshape(-1)
-            estimate, out = buffer[inputs].reshape(shape), buffer[outputs].reshape(shape)
-            assert swap_low_frequency(estimate, ref, d0, out=out) is out
-            np.testing.assert_array_equal(out, want)
