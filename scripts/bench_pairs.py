@@ -18,9 +18,15 @@ checks).
 For every side, workload and end-to-end metric of ``BENCHMARK.json`` the
 file holds each run's value in pair order, the median, minimum and
 quartiles, and the side's win fraction: the share of pairs in which it read
-strictly better than the other side (ties count for neither). It also holds
-the machine facts that perfbench prints, failed and attempted operation
-counts, and whether every run was correct.
+strictly better than the other side (ties count for neither). Each metric
+also carries ``claim_rule_met``, the verdict of the rule a claimed gain must
+pass: in the metric's better direction the change wins at least nine tenths
+of the pairs, and its median beats the base's by more than the base's
+interquartile range. The file also holds the machine facts that perfbench
+prints, failed and attempted operation counts, and whether every run was
+correct. The working tree's commit and whether it had uncommitted changes
+are read before the first run; ``tree_changed_during_run`` records whether
+``git status --porcelain`` read differently once the runs were done.
 """
 
 from __future__ import annotations
@@ -82,6 +88,15 @@ def better(a: float, b: float, direction: str) -> bool:
     return a < b if direction == "lower" else a > b
 
 
+def claim_rule_met(base: dict, change: dict, direction: str) -> bool:
+    """Whether the change wins at least nine tenths of the pairs and its
+    median beats the base's by more than the base's interquartile range."""
+    gap = base["median"] - change["median"]
+    if direction != "lower":
+        gap = -gap
+    return change["win_frac"] >= 0.9 and gap > base["q3"] - base["q1"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
@@ -99,6 +114,8 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     base_rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    status = git("status", "--porcelain")
+    change = {"rev": git("rev-parse", "HEAD"), "uncommitted_changes": bool(status)}
     seeds = [args.seed + i for i in range(args.pairs)]
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     traces = {w: {} for w in workloads}
@@ -129,7 +146,7 @@ def main(argv=None) -> int:
     doc = {
         "label": args.label,
         "base": {"ref": args.base, "rev": base_rev},
-        "change": {"rev": git("rev-parse", "HEAD"), "uncommitted_changes": bool(git("status", "--porcelain"))},
+        "change": {**change, "tree_changed_during_run": git("status", "--porcelain") != status},
         "command": "perfbench/run.py --trace 0",
         "seconds": args.seconds,
         "pairs": args.pairs,
@@ -153,6 +170,8 @@ def main(argv=None) -> int:
             for side, other in (SIDES, SIDES[::-1]):
                 wins = sum(better(a, b, meta["better"]) for a, b in zip(values[side], values[other]))
                 entry["metrics"][name][side] = summary(values[side], wins)
+            entry["metrics"][name]["claim_rule_met"] = claim_rule_met(
+                entry["metrics"][name]["base"], entry["metrics"][name]["change"], meta["better"])
         doc["workloads"][workload] = entry
 
     args.out.mkdir(parents=True, exist_ok=True)
@@ -163,7 +182,8 @@ def main(argv=None) -> int:
             print(f"{workload:12s} {name:12s} base {m['base']['median']:.6g} "
                   f"[{m['base']['q1']:.6g}, {m['base']['q3']:.6g}]  change {m['change']['median']:.6g} "
                   f"[{m['change']['q1']:.6g}, {m['change']['q3']:.6g}]  change wins "
-                  f"{m['change']['win_frac']:.0%} {m['unit']}")
+                  f"{m['change']['win_frac']:.0%} {m['unit']}, claim rule "
+                  f"{'met' if m['claim_rule_met'] else 'not met'}")
     print(f"wrote {path}")
     return 0
 

@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .conditioning import ConditionBundle
+from .util import check_out
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,13 @@ def _context(bundle: ConditionBundle, w: AttentionWeights) -> _Context:
     return _Context((keys @ w.w_query.T) * (1.0 / math.sqrt(w.d_head)), values)
 
 
-def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights) -> np.ndarray:
+def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Queries from ``x`` attend over the text tokens and, weighted by
     ``bundle.lam``, over the image tokens; the two results are summed into
-    an ``(n, d_value)`` array.
+    an ``(n, d_value)`` array, or written into ``out``, a caller-owned
+    float64 array of that shape, and returned. Every query is read before
+    ``out`` is written, so ``out`` may be ``x``.
 
     Equal to ``softmax_rows(q k_t^T s) v_t + lam softmax_rows(q k_i^T s) v_i``
     with ``q = x W_q`` and ``s = 1/sqrt(d_head)``, reassociated as
@@ -159,11 +163,12 @@ def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights) -> np.nd
         raise ValueError(f"x must be (n, d_model), got shape {x.shape}")
     if x.shape[1] != w.d_model:
         raise ValueError(f"x has width {x.shape[1]}, weights expect d_model {w.d_model}")
+    n = x.shape[0]
+    check_out(out, (n, w.d_value))
     context = w._contexts.get(bundle)
     if context is None:
         context = w._contexts[bundle] = _context(bundle, w)
     fold, values = context
-    n = x.shape[0]
     block = _query_block(fold.shape[0], max(w.d_model, w.d_value))
     scores = np.empty((fold.shape[0], n))  # (tokens, n): one column per query
     for lo in range(0, n, block):
@@ -172,7 +177,8 @@ def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights) -> np.nd
         branch -= branch.max(axis=0)
         np.exp(branch, out=branch)
         branch /= branch.sum(axis=0)
-    out = np.empty((n, w.d_value))
+    if out is None:
+        out = np.empty((n, w.d_value))
     for lo in range(0, n, block):
         np.matmul(scores[:, lo : lo + block].T, values, out=out[lo : lo + block])
     return out

@@ -138,8 +138,15 @@ class _ToyConditionedDenoiser:
             raise ValueError(f"grid has {z_t.shape[2]} channels, denoiser expects {self.channels}")
         s.check_t(t)
         check_out(out, z_t.shape)
-        cells = attend(z_t.reshape(-1, self.channels), cond, self.attn)
-        return np.tanh(cells.reshape(z_t.shape), out=out)
+        # The cells go into one row-major grid, out itself where it is
+        # row-major, as the sampler's buffers are; attend reads them all as
+        # its queries before it overwrites them with its output through a
+        # flat view, and tanh runs on that grid.
+        cells = out if out is not None and out.flags.c_contiguous else np.empty(z_t.shape)
+        np.copyto(cells, z_t)
+        flat = cells.reshape(-1, self.channels)
+        attend(flat, cond, self.attn, out=flat)
+        return np.tanh(cells, out=cells if out is None else out)
 
 
 def toy_conditioned_denoiser(

@@ -4,9 +4,10 @@ Window/stride tilings must partition the grid exactly: (grid - window) must
 be divisible by the stride on each axis. Rectangles are enumerated row-major
 by (top, left); that order is the canonical iteration order everywhere.
 
-Fusion reads one per-layout map, built once on first use and cached on the
-(frozen) layout as read-only arrays: how many patches cover each cell, and
-the same counts as bands of rows that agree.
+Fusion reads what depends on the layout alone, built once on first use and
+cached on the (frozen) layout: how many patches cover each cell, as a
+read-only map and as bands of rows that agree, and the rectangles of cells
+each rect covers first.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -79,6 +80,40 @@ class PatchLayout:
         starts = [0, *(np.flatnonzero((count[1:] != count[:-1]).any(axis=1)) + 1)]
         return tuple((int(start), int(stop), count[start])
                      for start, stop in zip(starts, [*starts[1:], self.grid[0]]))
+
+    @cached_property
+    def first_covers(self) -> tuple[tuple[Rect, ...], ...]:
+        """Per rect, in canonical order, the cells it covers that no earlier
+        rect covers, as a few rectangles: one for each rect of a
+        ``plan_patches`` tiling, none for a repeated rect. Found on the grid
+        of blocks that the rects' edges cut, not on a map of the cells."""
+        rows = sorted({edge for top, _, h, _ in self.rects for edge in (top, top + h)})
+        cols = sorted({edge for _, left, _, w in self.rects for edge in (left, left + w)})
+        row_at = {edge: k for k, edge in enumerate(rows)}
+        col_at = {edge: k for k, edge in enumerate(cols)}
+        owner = np.full((len(rows) - 1, len(cols) - 1), -1)
+        for i, (top, left, h, w) in enumerate(self.rects):
+            block = owner[row_at[top] : row_at[top + h], col_at[left] : col_at[left + w]]
+            block[block < 0] = i
+        # Runs of one owner along each row of blocks, as (owner, first block,
+        # stop block); a run that recurs in the next row of blocks extends its
+        # rectangle down, and one that does not is closed.
+        pieces = [[] for _ in self.rects]
+        open_runs: dict[tuple[int, int, int], int] = {}
+        for k in range(len(rows)):
+            runs = set()
+            if k < len(owner):
+                line = owner[k]
+                starts = [0, *(np.flatnonzero(line[1:] != line[:-1]) + 1)]
+                runs = {(int(line[a]), int(a), int(b))
+                        for a, b in zip(starts, [*starts[1:], len(line)]) if line[a] >= 0}
+            for run in [run for run in open_runs if run not in runs]:
+                i, a, b = run
+                top = rows[open_runs.pop(run)]
+                pieces[i].append(Rect(top, cols[a], rows[k] - top, cols[b] - cols[a]))
+            for run in runs:
+                open_runs.setdefault(run, k)
+        return tuple(map(tuple, pieces))
 
     def to_dict(self) -> dict:
         """JSON-ready description used by the caption-manifest skeleton, with
@@ -154,42 +189,55 @@ def extract_patch(g: np.ndarray, rect: Rect) -> np.ndarray:
     return g[top : top + h, left : left + w, :].copy()
 
 
-def fuse_patches(patches: Sequence[np.ndarray], layout: PatchLayout) -> np.ndarray:
+def fuse_patches(patches: Iterable[np.ndarray], layout: PatchLayout) -> np.ndarray:
     """Average overlapping patches back onto the full grid.
+
+    ``patches`` is any iterable of window grids in canonical rect order, a
+    list or a generator that makes each one as it is asked for; each is read
+    once, before the next is asked for, so a generator may hand every patch
+    over in the same buffer.
 
     Each output cell is the mean of the covering patches' values there.
     Accumulation runs in canonical rect order and is computed as
     "first covering value + mean of deviations from it", which makes cells
     where all covering patches agree pass through bit-exact (a plain
     sum/count would round at cover counts that are not powers of two).
-    Writing the patches in reverse rect order leaves each cell holding its
-    first covering value. Each patch's deviation passes through one reused
-    window-sized scratch, each band of ``layout.cover_bands`` is divided by
-    its row of counts, and the mean deviation is added to the first values
-    in place, so the result is the only grid besides the deviations.
+    Each patch first writes the cells it covers first
+    (``layout.first_covers``), so every cell of its window then holds its
+    first covering value, and its deviation from those values passes
+    through one reused window-sized scratch into the deviation grid. After
+    the last patch each band of ``layout.cover_bands`` is divided by its row
+    of counts, and the mean deviation is added to the first values in place,
+    so the result and the deviations are the only grids a fusion allocates.
     """
-    if len(patches) != layout.patch_count:
-        raise ValueError(f"expected {layout.patch_count} patches, got {len(patches)}")
-    grids = [as_grid(p, f"patches[{i}]") for i, p in enumerate(patches)]
-    channels = grids[0].shape[2]
-    for i, p in enumerate(grids):
-        if p.shape != (*layout.window, channels):
-            raise ValueError(f"patches[{i}] has shape {p.shape}, expected {(*layout.window, channels)}")
-
+    n = layout.patch_count
     bands = layout.cover_bands  # raises first if some cell would stay unwritten
-    base = np.empty((*layout.grid, channels))
-    for patch, (top, left, h, w) in zip(reversed(grids), reversed(layout.rects)):
-        base[top : top + h, left : left + w] = patch
-    deviation = np.zeros_like(base)
-    scratch = np.empty((*layout.window, channels))
-    for patch, (top, left, h, w) in zip(grids, layout.rects):
+    firsts = layout.first_covers
+    got = 0
+    for i, patch in enumerate(patches):
+        if i == n:
+            raise ValueError(f"expected {n} patches, got more")
+        patch = as_grid(patch, f"patches[{i}]")
+        if i == 0:
+            shape = (*layout.window, patch.shape[2])
+            base = np.empty((*layout.grid, shape[2]))
+            deviation = np.zeros_like(base)
+            scratch = np.empty(shape)
+        if patch.shape != shape:
+            raise ValueError(f"patches[{i}] has shape {patch.shape}, expected {shape}")
+        top, left, h, w = layout.rects[i]
+        for y, x, fh, fw in firsts[i]:
+            base[y : y + fh, x : x + fw] = patch[y - top : y - top + fh, x - left : x - left + fw]
         region = deviation[top : top + h, left : left + w]
         np.subtract(patch, base[top : top + h, left : left + w], out=scratch)
         np.add(region, scratch, out=region)
+        got = i + 1
+    if got != n:
+        raise ValueError(f"expected {n} patches, got {got}")
     rows = deviation.reshape(layout.grid[0], -1)
     for start, stop, count in bands:
         band = rows[start:stop]
-        np.divide(band, np.repeat(count, channels), out=band)
+        np.divide(band, np.repeat(count, shape[2]), out=band)
     base += deviation
     return base
 

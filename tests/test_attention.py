@@ -143,6 +143,30 @@ class TestFoldedAttend:
         assert out.shape == (n, 8)
         np.testing.assert_allclose(out, self._per_branch(x, bundle, w), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 20, 4096])
+    def test_out_gets_the_bytes_of_the_allocating_call(self, rng, monkeypatch, n):
+        import resmaster.attention as attention
+
+        w = make_attention_weights(8, 8, 8, 8, seed=8)
+        bundle = _bundle(rng, text_tokens=3, image_tokens=2, dim=8, lam=0.6)
+        x = rng.normal(size=(n, 8))
+        monkeypatch.setattr(attention, "BLAS_SINGLE_THREAD_MACS", 120)  # several blocks
+        want = attend(x, bundle, w)
+        out = np.full((n, 8), np.nan)
+        assert attend(x, bundle, w, out=out) is out
+        np.testing.assert_array_equal(out, want, strict=True)
+        # Every query is read before out is written, so out may be x itself.
+        assert attend(x, bundle, w, out=x) is x
+        np.testing.assert_array_equal(x, want, strict=True)
+
+    def test_out_of_the_wrong_shape_or_dtype_is_a_one_line_error(self, rng):
+        w = make_attention_weights(8, 8, 8, 8, seed=9)
+        bundle = _bundle(rng, dim=8)
+        x = rng.normal(size=(5, 8))
+        for out in (np.empty((5, 7)), np.empty((5, 8), dtype=np.float32)):
+            with pytest.raises(ValueError, match=r"^out must be a float64 array of shape \(5, 8\)"):
+                attend(x, bundle, w, out=out)
+
     def test_query_block_keeps_products_single_threaded(self):
         from resmaster.attention import BLAS_SINGLE_THREAD_MACS, _query_block
 

@@ -19,7 +19,7 @@ from resmaster.conditioning import (
 )
 from resmaster.config import PipelineConfig
 from resmaster.denoiser import GaussianDataModel, analytic_gaussian_denoiser, toy_conditioned_denoiser
-from resmaster.pipeline import generate_low_res, resmaster_generate
+from resmaster.pipeline import build_patch_bundles, generate_low_res, resmaster_generate
 from resmaster.schedule import make_geometric_schedule, posterior_step, predict_x0
 from resmaster.spectral import swap_low_frequency
 
@@ -232,3 +232,48 @@ def test_a_one_window_run_holds_three_grids_at_its_peak():
     finally:
         tracemalloc.stop()
     assert peak < 3.1 * z.nbytes, peak / z.nbytes
+
+
+def test_a_guided_run_holds_a_few_grids_whatever_its_window_count():
+    # 225 windows of 64 at stride 32 on a 512x512x3 target. The sampler
+    # streams each window's estimate into the fusion through one window
+    # buffer and copies each reference window into another, so no store
+    # grows with the window count: a store per window of each came to 11.5
+    # grids here. The peak is bicubic_upsample's, about 5.3 target grids.
+    config = PipelineConfig(height=128, width=128, channels=3, scale=4, window=64, stride=32,
+                            steps=2)
+    assert config.layout.patch_count == 225
+    reference = np.random.default_rng(1).uniform(size=(128, 128, 3))
+    den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+    captions = CaptionManifest(global_prompt="many windows", patch_count=225)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = resmaster_generate(reference, captions, den, config)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.0 * out.nbytes, peak / out.nbytes
+
+
+def test_a_toy_predict_into_out_holds_five_windows():
+    # The scores, (tokens, cells) = 4 windows at 12 tokens and 3 channels, and
+    # a window of softmax temporaries. The cells are copied into out, which
+    # attend reads as its queries and overwrites with its output; a copy of
+    # the window view and attend's own result came to 6.02.
+    den = toy_conditioned_denoiser(3, channels=3)
+    bundle = build_patch_bundles([np.full((64, 64, 3), 0.5)],
+                                 CaptionManifest(global_prompt="toy", patch_count=1),
+                                 PipelineConfig())[0]
+    window = np.random.default_rng(2).normal(size=(128, 128, 3))[32:96, 32:96]
+    out = np.empty((64, 64, 3))
+    want = den.predict(window, 9, bundle, S)  # also builds the bundle's attention context
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        den.predict(window, 9, bundle, S, out=out)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(out, want)
+    assert peak < 5.5 * out.nbytes, peak / out.nbytes

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from resmaster.conditioning import CaptionManifest
 from resmaster.denoiser import (
@@ -256,6 +258,21 @@ class TestResmasterGenerate:
                            patch_hook=lambda t, i, z0: seen.add((t, i)))
         assert seen == {(t, i) for t in range(1, 6) for i in range(9)}
 
+    def test_patch_hook_gets_one_buffer_that_the_next_window_overwrites(self):
+        config = self._config(steps=3)
+        ref = smooth_reference(16, 16, 2)
+        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
+        seen = []
+
+        def hook(t, i, z0):
+            seen.append((z0, z0.copy()))
+
+        resmaster_generate(ref, self._captions(9), den, config, patch_hook=hook)
+        buffer = seen[0][0]
+        assert buffer.shape == (16, 16, 2) and all(z0 is buffer for z0, _ in seen)
+        np.testing.assert_array_equal(buffer, seen[-1][1])
+        assert not np.array_equal(seen[0][1], seen[-1][1])
+
     def test_geometry_and_caption_mismatch_fail_before_sampling(self):
         calls = {"n": 0}
 
@@ -292,6 +309,47 @@ class TestResmasterGenerate:
             assert n1 == per_axis1**2 and n2 == per_axis2**2
             checked += 1
         assert checked >= 10
+
+
+class TestUnguidedUpscaleIsTheLowResSampler:
+    """With guidance off the analytic denoiser acts per cell, so every window
+    covering a cell makes the same estimate there, bit for bit, and fusion
+    passes it through: an upscale is ``generate_low_res`` at the target size,
+    whatever the tiling."""
+
+    @staticmethod
+    @st.composite
+    def tilings(draw):
+        axes = []
+        for _ in range(2):
+            window = draw(st.integers(1, 12))
+            stride = draw(st.integers(1, window))
+            positions = draw(st.integers(1, 15))
+            axes.append((window + stride * (positions - 1), window, stride, positions))
+        assume(axes[0][3] * axes[1][3] <= 200)
+        (grid_h, win_h, stride_h, _), (grid_w, win_w, stride_w, _) = axes
+        scale = draw(st.sampled_from([k for k in (1, 2, 3) if grid_h % k == 0 == grid_w % k]))
+        return (grid_h, grid_w), (win_h, win_w), (stride_h, stride_w), scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(tiling=tilings(), seed=st.integers(0, 2**16))
+    @example(tiling=((16, 32), (16, 32), (16, 32), 2), seed=0)     # one window
+    @example(tiling=((24, 24), (8, 8), (8, 8), 2), seed=1)         # stride = window
+    @example(tiling=((40, 24), (16, 8), (8, 4), 2), seed=2)        # non-square pairs
+    @example(tiling=((44, 44), (5, 5), (3, 3), 2), seed=3)         # 196 windows
+    @example(tiling=((26, 30), (6, 10), (2, 4), 2), seed=4)        # 66 windows, odd strides
+    def test_bit_equal_for_any_tiling(self, tiling, seed):
+        (grid_h, grid_w), window, stride, scale = tiling
+        config = PipelineConfig(height=grid_h // scale, width=grid_w // scale, channels=2,
+                                scale=scale, window=window, stride=stride, steps=3,
+                                guidance_stop_step=3, seed=seed)
+        low_res = dataclasses.replace(config, height=grid_h, width=grid_w, scale=1,
+                                      window=(grid_h, grid_w), stride=(grid_h, grid_w))
+        den = analytic_gaussian_denoiser(GaussianDataModel(0.3, 0.5))
+        ref = smooth_reference(config.height, config.width, 2)
+        captions = CaptionManifest(global_prompt="tiling", patch_count=config.layout.patch_count)
+        np.testing.assert_array_equal(resmaster_generate(ref, captions, den, config),
+                                      generate_low_res(den, None, low_res), strict=True)
 
 
 class TestGuidedVarianceOracle:

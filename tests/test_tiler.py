@@ -307,6 +307,102 @@ class TestCoverMaps:
         assert peak < 2.5 * grid_bytes, peak / grid_bytes
 
 
+class TestStreamedFusion:
+    LAYOUTS = [
+        plan_patches((16, 16), (8, 8), (4, 4)),
+        plan_patches((20, 18), (8, 6), (4, 6)),
+        plan_patches((13, 22), (5, 10), (2, 4)),
+        plan_patches((16, 16), (8, 8), (8, 8)),
+        PatchLayout((12, 12), (8, 8), (4, 4), (
+            Rect(4, 4, 8, 8), Rect(0, 4, 8, 8), Rect(4, 4, 8, 8), Rect(0, 0, 8, 8),
+            Rect(4, 0, 8, 8), Rect(0, 4, 8, 8),
+        )),
+    ]
+
+    @staticmethod
+    def _in_one_buffer(patches):
+        # As the sampler hands them over: every patch in the same array.
+        buffer = np.empty_like(patches[0])
+        for patch in patches:
+            buffer[...] = patch
+            yield buffer
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_a_generator_fuses_to_the_oracle_bit_for_bit(self, rng, layout, channels):
+        patches = [rng.normal(size=(*layout.window, channels)) for _ in range(layout.patch_count)]
+        want = fuse_first_plus_deviation(patches, layout)
+        np.testing.assert_array_equal(fuse_patches(iter(patches), layout), want, strict=True)
+        np.testing.assert_array_equal(fuse_patches(self._in_one_buffer(patches), layout), want,
+                                      strict=True)
+
+    def test_a_generator_is_read_to_its_end_and_no_further(self, rng):
+        layout = plan_patches((16, 16), (8, 8), (4, 4))
+        asked = []
+
+        def patches():
+            for i in range(layout.patch_count):
+                asked.append(i)
+                yield rng.normal(size=(8, 8, 2))
+            asked.append("end")
+
+        fuse_patches(patches(), layout)
+        assert asked == [*range(layout.patch_count), "end"]
+
+    @pytest.mark.parametrize("count, message", [
+        (3, "^expected 4 patches, got 3$"),
+        (0, "^expected 4 patches, got 0$"),
+        (5, "^expected 4 patches, got more$"),
+    ])
+    def test_a_wrong_patch_count_is_the_same_one_line_error_for_both(self, rng, count, message):
+        layout = plan_patches((8, 8), (4, 4), (4, 4))
+        patches = [rng.normal(size=(4, 4, 1)) for _ in range(count)]
+        for given in (patches, (p for p in patches)):
+            with pytest.raises(ValueError, match=message):
+                fuse_patches(given, layout)
+
+    def test_a_wrong_shape_is_the_same_one_line_error_for_both(self, rng):
+        layout = plan_patches((8, 8), (4, 4), (4, 4))
+        patches = [rng.normal(size=(4, 4, 2)) for _ in range(4)]
+        patches[2] = rng.normal(size=(4, 5, 2))
+        for given in (patches, (p for p in patches)):
+            with pytest.raises(ValueError, match=r"^patches\[2\] has shape \(4, 5, 2\), "
+                                                 r"expected \(4, 4, 2\)$"):
+                fuse_patches(given, layout)
+
+    @pytest.mark.parametrize("layout", [
+        *LAYOUTS,
+        plan_patches((128, 96), (64, 32), (32, 16)),
+        plan_patches((7, 9), (7, 9), (3, 3)),
+        PatchLayout((8, 8), (4, 8), (4, 4), (Rect(0, 0, 4, 8), Rect(4, 0, 4, 8), Rect(2, 0, 4, 8))),
+        PatchLayout((8, 8), (6, 6), (2, 2), (Rect(2, 2, 6, 6), Rect(0, 0, 6, 6), Rect(0, 2, 6, 6),
+                                             Rect(2, 0, 6, 6))),
+    ])
+    def test_first_covers_give_each_cell_to_its_first_covering_rect(self, layout):
+        first = np.full(layout.grid, -1)
+        for i, (top, left, h, w) in enumerate(layout.rects):
+            region = first[top : top + h, left : left + w]
+            region[region < 0] = i
+        owner = np.full(layout.grid, -1)
+        for i, (pieces, rect) in enumerate(zip(layout.first_covers, layout.rects)):
+            for top, left, h, w in pieces:
+                assert (rect.top <= top and top + h <= rect.top + rect.height
+                        and rect.left <= left and left + w <= rect.left + rect.width)
+                assert (owner[top : top + h, left : left + w] < 0).all()
+                owner[top : top + h, left : left + w] = i
+        np.testing.assert_array_equal(owner, first)
+        assert layout.first_covers is layout.first_covers
+
+    @pytest.mark.parametrize("grid, window, stride", [
+        ((128, 128), (64, 64), (32, 32)),
+        ((20, 18), (8, 6), (4, 6)),
+        ((12, 12), (8, 8), (2, 4)),
+        ((16, 16), (8, 8), (8, 8)),
+    ])
+    def test_a_planned_tiling_has_one_first_cover_rectangle_per_rect(self, grid, window, stride):
+        assert all(len(pieces) == 1 for pieces in plan_patches(grid, window, stride).first_covers)
+
+
 class TestBicubicUpsample:
     def test_same_dims_is_identity(self, rng):
         g = rng.normal(size=(6, 7, 2))
