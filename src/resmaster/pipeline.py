@@ -77,7 +77,7 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
         z0 = next(estimates) if layout.patch_count == 1 else fuse_patches(estimates, layout)
         noise = standard_normal_field(config.seed, t, shape) if t > 1 else None
         z = posterior_step(z, z0, t, noise, s, out=z)
-        del noise  # consumed by the step; dropped before the next draw
+        del z0, noise  # consumed by the step; dropped before the next fusion and draw
     return z
 
 

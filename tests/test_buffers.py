@@ -239,21 +239,33 @@ def test_a_guided_run_holds_a_few_grids_whatever_its_window_count():
     # streams each window's estimate into the fusion through one window
     # buffer and copies each reference window into another, so no store
     # grows with the window count: a store per window of each came to 11.5
-    # grids here. The peak is bicubic_upsample's, about 5.3 target grids.
+    # grids here. The run's peak is bicubic_upsample's, about 5.3 target
+    # grids. From its first window on, the sampler adds the fused grid, the
+    # deviations and the layout's cover count (a third of a grid): 2.05
+    # grids; keeping a step's fused grid through the next fusion read 3.05.
     config = PipelineConfig(height=128, width=128, channels=3, scale=4, window=64, stride=32,
-                            steps=2)
+                            steps=3)
     assert config.layout.patch_count == 225
     reference = np.random.default_rng(1).uniform(size=(128, 128, 3))
     den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
     captions = CaptionManifest(global_prompt="many windows", patch_count=225)
+    first_window = []
+
+    def hook(t, i, z0):
+        if not first_window:
+            first_window.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        out = resmaster_generate(reference, captions, den, config)
-        peak = tracemalloc.get_traced_memory()[1] - held
+        out = resmaster_generate(reference, captions, den, config, patch_hook=hook)
+        sampler_peak = tracemalloc.get_traced_memory()[1] - first_window[0][0]
     finally:
         tracemalloc.stop()
-    assert peak < 6.0 * out.nbytes, peak / out.nbytes
+    run_peak = max(first_window[0][1], held + sampler_peak) - held
+    assert run_peak < 6.0 * out.nbytes, run_peak / out.nbytes
+    assert sampler_peak < 2.5 * out.nbytes, sampler_peak / out.nbytes
 
 
 def test_a_toy_predict_into_out_holds_five_windows():
