@@ -337,7 +337,7 @@ class TestUnguidedUpscaleIsTheLowResSampler:
     @example(tiling=((24, 24), (8, 8), (8, 8), 2), seed=1)         # stride = window
     @example(tiling=((40, 24), (16, 8), (8, 4), 2), seed=2)        # non-square pairs
     @example(tiling=((44, 44), (5, 5), (3, 3), 2), seed=3)         # 196 windows
-    @example(tiling=((26, 30), (6, 10), (2, 4), 2), seed=4)        # 66 windows, odd strides
+    @example(tiling=((26, 30), (6, 10), (2, 4), 2), seed=4)        # 66 windows, cover up to 9
     def test_bit_equal_for_any_tiling(self, tiling, seed):
         (grid_h, grid_w), window, stride, scale = tiling
         config = PipelineConfig(height=grid_h // scale, width=grid_w // scale, channels=2,
