@@ -44,7 +44,6 @@ from .tiler import (
     bicubic_upsample,
     extract_patch,
     fuse_patches,
-    plan_patches,
 )
 
 __version__ = "0.1.0"

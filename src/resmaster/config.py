@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .schedule import make_geometric_schedule, make_linear_schedule
 from .spectral import valid_cutoff
-from .tiler import GeometryError, PatchLayout, plan_patches
+from .tiler import GeometryError, PatchLayout
 
 CONFIG_VERSION = 1
 
@@ -51,8 +51,9 @@ class PipelineConfig:
     one or two ints, and stored as a tuple. An int given for a float field is
     stored as a float. Construction raises ConfigError listing every field of
     the wrong kind, beyond float range or not finite, or else every violated
-    invariant, or else a target grid beyond ``MAX_GRID_VALUES`` values and any
-    fault of the tiling, including more than ``tiler.MAX_PATCHES`` windows."""
+    invariant (a stride above a window smaller than the target is one), or
+    else a target grid beyond ``MAX_GRID_VALUES`` values and any fault of
+    the tiling, including more than ``tiler.MAX_PATCHES`` windows."""
 
     height: int = 32
     width: int = 32
@@ -95,6 +96,11 @@ class PipelineConfig:
             value = getattr(self, name)
             if min(value if isinstance(value, tuple) else (value,)) < 1:
                 problems.append(f"{name} must be >= 1, got {value}")
+        for axis, target, win, stride in zip(("height", "width"), (self.target_h, self.target_w),
+                                             self.window, self.stride):
+            # A window smaller than the target must leave no gap before the next.
+            if 1 <= win < target and stride > win:
+                problems.append(f"{axis} axis: stride {stride} is larger than window {win}, leaving gaps")
         if not valid_cutoff(self.d0):
             problems.append(f"d0 must be > 0 and 1/(2*d0*d0) must be finite, got {self.d0}")
         if self.lam < 0:
@@ -114,10 +120,10 @@ class PipelineConfig:
             if values > MAX_GRID_VALUES:
                 problems.append(f"the {self.target_h}x{self.target_w}x{self.channels} target grid "
                                 f"holds {values} values; at most 2**31 are allowed")
-            # Planning checks the tiling and its window count before it builds
-            # a rect, so it stays cheap for a target beyond the bound.
+            # The layout checks the tiling and its window count before it
+            # builds a rect, so it stays cheap for a target beyond the bound.
             try:
-                layout = plan_patches((self.target_h, self.target_w), self.window, self.stride)
+                layout = PatchLayout((self.target_h, self.target_w), self.window, self.stride)
             except GeometryError as exc:
                 problems.append(str(exc))
         if problems:

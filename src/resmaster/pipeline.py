@@ -29,7 +29,7 @@ from .denoiser import Denoiser
 from .noise import INIT_STEP, standard_normal_field
 from .schedule import posterior_step, predict_x0
 from .spectral import swap_low_frequency
-from .tiler import PatchLayout, bicubic_upsample, extract_patch, fuse_patches, plan_patches
+from .tiler import PatchLayout, bicubic_upsample, extract_patch, fuse_patches
 from .util import as_grid
 
 
@@ -90,7 +90,7 @@ def generate_low_res(
     without structural guidance: the patch sampler over a single window
     covering the whole grid."""
     grid = (config.height, config.width)
-    return _sample(denoiser, [cond], plan_patches(grid, grid, grid), config)
+    return _sample(denoiser, [cond], PatchLayout(grid, grid, grid), config)
 
 
 def build_patch_bundles(

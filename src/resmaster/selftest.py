@@ -17,7 +17,7 @@ from .noise import standard_normal_field
 from .pipeline import resmaster_generate
 from .schedule import forward_diffuse, make_linear_schedule, posterior_step, predict_x0
 from .spectral import swap_low_frequency
-from .tiler import extract_patch, fuse_patches, plan_patches
+from .tiler import PatchLayout, extract_patch, fuse_patches
 
 
 def _checks(seed: int):
@@ -42,7 +42,7 @@ def _checks(seed: int):
         np.abs(swap_low_frequency(g, ref, 1e300) - ref).max()
     ) < 1e-10
 
-    layout = plan_patches((12, 10), (6, 5), (3, 5))
+    layout = PatchLayout((12, 10), (6, 5), (3, 5))
     patches = [extract_patch(g, r) for r in layout.rects]
     yield "fuse of extracted patches is identity", bool(np.array_equal(fuse_patches(patches, layout), g))
 

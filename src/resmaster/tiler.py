@@ -1,19 +1,17 @@
 """Patch geometry, extraction, overlap-averaged fusion, and bicubic upsampling.
 
-Window/stride tilings must partition the grid exactly: (grid - window) must
-be divisible by the stride on each axis. Rectangles are enumerated row-major
-by (top, left); that order is the canonical iteration order everywhere.
-
-Fusion reads what depends on the layout alone, built once on first use and
-cached on the (frozen) layout: how many patches cover each cell, as a
-read-only map and as bands of rows that agree, and the rectangles of cells
-each rect covers first.
+A tiling is its grid, window and stride, each an ``(h, w)`` pair, and
+(grid - window) must be divisible by the stride on each axis. Its windows'
+rects are enumerated row-major by (top, left), the canonical iteration order
+everywhere. What fusion reads of a layout is derived in closed form from
+its two axes, so a layout holds no map of the grid's cells.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -23,8 +21,8 @@ from .util import as_grid
 
 
 class GeometryError(ValueError):
-    """Window/stride geometry does not tile the grid exactly, or needs more
-    than MAX_PATCHES windows."""
+    """Raised by ``PatchLayout`` when window/stride geometry does not tile
+    the grid exactly, or needs more than MAX_PATCHES windows."""
 
 
 # Most windows a tiling may have; the count is checked before any is built.
@@ -42,78 +40,82 @@ class Rect(NamedTuple):
     width: int
 
 
+class RectGrid(Sequence):
+    """The rects ``Rect(top, left, height, width)`` for every ``(top,
+    height)`` of ``rows`` and ``(left, width)`` of ``cols``, row-major, each
+    made as it is read: a grid of rects held as its two axes."""
+
+    def __init__(self, rows: Iterable[tuple[int, int]], cols: Iterable[tuple[int, int]]):
+        self.rows, self.cols = tuple(rows), tuple(cols)
+
+    def __len__(self) -> int:
+        return len(self.rows) * len(self.cols)
+
+    def __getitem__(self, index: int) -> Rect:
+        row, col = divmod(range(len(self))[index], len(self.cols))
+        (top, h), (left, w) = self.rows[row], self.cols[col]
+        return Rect(top, left, h, w)
+
+
 @dataclass(frozen=True)
 class PatchLayout:
     """A tiling of a ``grid`` by windows of size ``window`` at steps of
     ``stride``, each an ``(h, w)`` pair, and its windows' ``rects`` in
-    canonical order."""
+    canonical order. Construction raises a GeometryError naming the axis
+    whose (grid - window) the stride does not divide, or for more than
+    MAX_PATCHES windows, before any rect is made. A stride above the window
+    leaves gaps, which fusion refuses."""
 
     grid: tuple[int, int]
     window: tuple[int, int]
     stride: tuple[int, int]
-    rects: tuple[Rect, ...]
+    rects: RectGrid = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        grid, window, stride = ((int(h), int(w)) for h, w in (self.grid, self.window, self.stride))
+        tops = _axis_positions(grid[0], window[0], stride[0], "height")
+        lefts = _axis_positions(grid[1], window[1], stride[1], "width")
+        # Positions per axis from the range ends, since len() overflows past sys.maxsize.
+        count = ((tops.stop - 1) // tops.step + 1) * ((lefts.stop - 1) // lefts.step + 1)
+        if count > MAX_PATCHES:
+            raise GeometryError(f"the tiling has {count} windows; at most 2**16 are allowed")
+        rects = RectGrid([(top, window[0]) for top in tops], [(left, window[1]) for left in lefts])
+        for name, value in zip(("grid", "window", "stride", "rects"), (grid, window, stride, rects)):
+            object.__setattr__(self, name, value)
 
     @property
     def patch_count(self) -> int:
         return len(self.rects)
 
     @cached_property
-    def cover_count(self) -> np.ndarray:
-        """Number of patches covering each cell, float64 ``(*grid, 1)``;
-        raises ValueError if a cell is uncovered."""
-        count = np.zeros((*self.grid, 1))
-        for top, left, h, w in self.rects:
-            count[top : top + h, left : left + w] += 1
-        if (count == 0).any():
-            raise ValueError("layout does not cover the full grid")
-        count.flags.writeable = False
-        return count
-
-    @cached_property
     def cover_bands(self) -> tuple[tuple[int, int, np.ndarray], ...]:
-        """The cover count as bands of consecutive rows whose counts agree:
-        ``(start row, stop row, the band's counts along a row)``, each row
-        read-only and ``(grid width,)``. A row-major tiling has a few bands
-        (3 for windows of 64 at stride 32), so fusion divides a band at a
-        time along contiguous rows."""
-        count = self.cover_count[..., 0]
-        starts = [0, *(np.flatnonzero((count[1:] != count[:-1]).any(axis=1)) + 1)]
-        return tuple((int(start), int(stop), count[start])
+        """The cover count (patches per cell) as bands of consecutive rows
+        whose counts agree: ``(start row, stop row, the band's counts along a
+        row)``, each row float64, read-only, ``(grid width,)`` and shared by
+        the bands of its count. A cell's count is its row's times its
+        column's, so a tiling has a few bands (3 for windows of 64 at stride
+        32), and fusion divides a band at a time along contiguous rows.
+        Raises ValueError if a cell is uncovered."""
+        rows, cols = map(_axis_covers, self.grid, self.window, self.stride)
+        if not (rows.all() and cols.all()):
+            raise ValueError("layout does not cover the full grid")
+        starts = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1)]
+        counts = {}
+        for count in {int(rows[start]) for start in starts}:
+            counts[count] = (count * cols).astype(np.float64)
+            counts[count].flags.writeable = False
+        return tuple((int(start), int(stop), counts[int(rows[start])])
                      for start, stop in zip(starts, [*starts[1:], self.grid[0]]))
 
     @cached_property
-    def first_covers(self) -> tuple[tuple[Rect, ...], ...]:
-        """Per rect, in canonical order, the cells it covers that no earlier
-        rect covers, as a few rectangles: one for each rect of a
-        ``plan_patches`` tiling, none for a repeated rect. Found on the grid
-        of blocks that the rects' edges cut, not on a map of the cells."""
-        rows = sorted({edge for top, _, h, _ in self.rects for edge in (top, top + h)})
-        cols = sorted({edge for _, left, _, w in self.rects for edge in (left, left + w)})
-        row_at = {edge: k for k, edge in enumerate(rows)}
-        col_at = {edge: k for k, edge in enumerate(cols)}
-        owner = np.full((len(rows) - 1, len(cols) - 1), -1)
-        for i, (top, left, h, w) in enumerate(self.rects):
-            block = owner[row_at[top] : row_at[top + h], col_at[left] : col_at[left + w]]
-            block[block < 0] = i
-        # Runs of one owner along each row of blocks, as (owner, first block,
-        # stop block); a run that recurs in the next row of blocks extends its
-        # rectangle down, and one that does not is closed.
-        pieces = [[] for _ in self.rects]
-        open_runs: dict[tuple[int, int, int], int] = {}
-        for k in range(len(rows)):
-            runs = set()
-            if k < len(owner):
-                line = owner[k]
-                starts = [0, *(np.flatnonzero(line[1:] != line[:-1]) + 1)]
-                runs = {(int(line[a]), int(a), int(b))
-                        for a, b in zip(starts, [*starts[1:], len(line)]) if line[a] >= 0}
-            for run in [run for run in open_runs if run not in runs]:
-                i, a, b = run
-                top = rows[open_runs.pop(run)]
-                pieces[i].append(Rect(top, cols[a], rows[k] - top, cols[b] - cols[a]))
-            for run in runs:
-                open_runs.setdefault(run, k)
-        return tuple(map(tuple, pieces))
+    def first_covers(self) -> RectGrid:
+        """Per rect, in canonical order, the rect of the cells that no
+        earlier rect covers: along each axis from ``start + max(0, window -
+        stride)``, where the window before it ends, or from 0 at the first."""
+        return RectGrid(*(
+            [(start, size) if start == 0 else (start + max(0, size - step), min(size, step))
+             for start, size in spans]
+            for spans, step in zip((self.rects.rows, self.rects.cols), self.stride)))
 
     def to_dict(self) -> dict:
         """JSON-ready description used by the caption-manifest skeleton, with
@@ -127,6 +129,14 @@ class PatchLayout:
         }
 
 
+def _axis_covers(grid: int, window: int, stride: int) -> np.ndarray:
+    """How many windows cover each cell along one axis."""
+    edges = np.zeros(grid + 1, dtype=np.int64)
+    edges[: grid - window + 1 : stride] += 1
+    edges[window::stride] -= 1
+    return np.cumsum(edges[:-1])
+
+
 def _axis_positions(grid: int, win: int, stride: int, axis: str) -> range:
     if win < 1 or win > grid:
         raise GeometryError(f"{axis} axis: window {win} must lie in [1, grid {grid}]")
@@ -134,7 +144,7 @@ def _axis_positions(grid: int, win: int, stride: int, axis: str) -> range:
         raise GeometryError(f"{axis} axis: stride {stride} must be >= 1")
     span = grid - win
     if span % stride != 0:
-        suggestion = _nearest_valid_stride(span, stride)
+        suggestion = _nearest_valid_stride(span, stride, win)
         raise GeometryError(
             f"{axis} axis: (grid {grid} - window {win}) = {span} is not divisible "
             f"by stride {stride}; " + ("a valid stride divides it" if suggestion is None
@@ -143,41 +153,21 @@ def _axis_positions(grid: int, win: int, stride: int, axis: str) -> range:
     return range(0, span + 1, stride)
 
 
-def _nearest_valid_stride(span: int, stride: int) -> int | None:
-    # Valid strides are the divisors of the leftover span, found in pairs
-    # (d, span // d) by trial division up to sqrt(span). Divisor 1 lies
-    # stride - 1 away, so no divisor above 2 * stride - 1 can be nearer, and
-    # each divisor up to that bound pairs with a d no larger than it. None
-    # when that takes more than _SUGGESTION_DIVISIONS divisions.
-    limit = min(math.isqrt(span), 2 * stride - 1)
+def _nearest_valid_stride(span: int, stride: int, window: int) -> int | None:
+    # Valid strides are the divisors of the leftover span up to the window,
+    # which leave no gap, found in pairs (d, span // d) by trial division up
+    # to sqrt(span). Divisor 1 lies stride - 1 away, so no divisor above
+    # 2 * stride - 1 can be nearer, and each divisor within both bounds pairs
+    # with a d no larger than it. None when that takes more than
+    # _SUGGESTION_DIVISIONS divisions.
+    limit = min(math.isqrt(span), 2 * stride - 1, window)
     if limit > _SUGGESTION_DIVISIONS:
         return None
     divisors = []
     for d in range(1, limit + 1):
         if span % d == 0:
             divisors += (d, span // d)
-    return min(divisors, key=lambda d: (abs(d - stride), d))
-
-
-def plan_patches(grid: tuple[int, int], window: tuple[int, int],
-                 stride: tuple[int, int]) -> PatchLayout:
-    """Enumerate the overlapping window positions covering a grid; each
-    argument is an ``(h, w)`` pair.
-
-    The patch count is the product over both axes of
-    (grid - window)/stride + 1; non-divisible geometry raises a GeometryError
-    naming the offending axis rather than silently clamping, and so does a
-    count above MAX_PATCHES, before any rect is built.
-    """
-    grid, window, stride = ((int(h), int(w)) for h, w in (grid, window, stride))
-    tops = _axis_positions(grid[0], window[0], stride[0], "height")
-    lefts = _axis_positions(grid[1], window[1], stride[1], "width")
-    # Positions per axis from the range ends, since len() overflows past sys.maxsize.
-    count = ((tops.stop - 1) // tops.step + 1) * ((lefts.stop - 1) // lefts.step + 1)
-    if count > MAX_PATCHES:
-        raise GeometryError(f"the tiling has {count} windows; at most 2**16 are allowed")
-    rects = tuple(Rect(top, left, *window) for top in tops for left in lefts)
-    return PatchLayout(grid, window, stride, rects)
+    return min((d for d in divisors if d <= window), key=lambda d: (abs(d - stride), d))
 
 
 def extract_patch(g: np.ndarray, rect: Rect) -> np.ndarray:
@@ -202,17 +192,18 @@ def fuse_patches(patches: Iterable[np.ndarray], layout: PatchLayout) -> np.ndarr
     "first covering value + mean of deviations from it", which makes cells
     where all covering patches agree pass through bit-exact (a plain
     sum/count would round at cover counts that are not powers of two).
-    Each patch first writes the cells it covers first
+    Each patch first writes the rect of cells it covers first
     (``layout.first_covers``), so every cell of its window then holds its
     first covering value, and its deviation from those values passes
     through one reused window-sized scratch into the deviation grid. After
     the last patch each band of ``layout.cover_bands`` is divided by its row
     of counts, and the mean deviation is added to the first values in place,
     so the result and the deviations are the only grids a fusion allocates.
+    A layout whose windows leave gaps raises ValueError before any patch is
+    read.
     """
     n = layout.patch_count
     bands = layout.cover_bands  # raises first if some cell would stay unwritten
-    firsts = layout.first_covers
     got = 0
     for i, patch in enumerate(patches):
         if i == n:
@@ -226,8 +217,8 @@ def fuse_patches(patches: Iterable[np.ndarray], layout: PatchLayout) -> np.ndarr
         if patch.shape != shape:
             raise ValueError(f"patches[{i}] has shape {patch.shape}, expected {shape}")
         top, left, h, w = layout.rects[i]
-        for y, x, fh, fw in firsts[i]:
-            base[y : y + fh, x : x + fw] = patch[y - top : y - top + fh, x - left : x - left + fw]
+        y, x, fh, fw = layout.first_covers[i]
+        base[y : y + fh, x : x + fw] = patch[y - top : y - top + fh, x - left : x - left + fw]
         region = deviation[top : top + h, left : left + w]
         np.subtract(patch, base[top : top + h, left : left + w], out=scratch)
         np.add(region, scratch, out=region)

@@ -116,14 +116,23 @@ def extract_direct(grid: np.ndarray, rect) -> np.ndarray:
     return out
 
 
-def nearest_valid_stride_direct(span: int, stride: int) -> int:
-    """The divisor of span nearest to stride, the smaller on a tie, by
-    scanning every integer up to span."""
+def nearest_valid_stride_direct(span: int, stride: int, window: int) -> int:
+    """The divisor of span no larger than window nearest to stride, the
+    smaller on a tie, by scanning every integer up to span."""
     best = 1
-    for d in range(1, span + 1):
+    for d in range(1, min(span, window) + 1):
         if span % d == 0 and abs(d - stride) < abs(best - stride):
             best = d
     return best
+
+
+def cover_count_direct(layout) -> np.ndarray:
+    """Number of rects covering each cell, float64 ``(*grid, 1)``, by adding
+    one over every rect."""
+    count = np.zeros((*layout.grid, 1))
+    for top, left, h, w in layout.rects:
+        count[top : top + h, left : left + w] += 1
+    return count
 
 
 def fuse_direct(patches, layout) -> np.ndarray:

@@ -22,7 +22,7 @@ from resmaster.netpbm import write_image
 from resmaster.pipeline import generate_low_res, resmaster_generate
 from resmaster.schedule import forward_diffuse, make_linear_schedule, posterior_step, predict_x0
 from resmaster.spectral import swap_low_frequency
-from resmaster.tiler import bicubic_upsample, extract_patch, fuse_patches, plan_patches
+from resmaster.tiler import PatchLayout, bicubic_upsample, extract_patch, fuse_patches
 
 from oracles import attention_direct, gaussian_mask_direct, normalized_radius, swap_direct
 from test_pipeline import smooth_reference
@@ -70,8 +70,8 @@ def test_criterion_02_swap_contract():
 
 
 def test_criterion_03_patch_count_formula():
-    with criterion(3, "plan_patches count matches closed form on 20 geometries"):
-        layout = plan_patches((256, 256), (128, 128), (64, 64))
+    with criterion(3, "PatchLayout count matches closed form on 20 geometries"):
+        layout = PatchLayout((256, 256), (128, 128), (64, 64))
         assert layout.patch_count == 9
         rng = np.random.default_rng(303)
         for _ in range(20):
@@ -80,7 +80,7 @@ def test_criterion_03_patch_count_formula():
             n_h, n_w = rng.integers(1, 8, size=2)
             grid_h = win_h + (n_h - 1) * stride_h
             grid_w = win_w + (n_w - 1) * stride_w
-            layout = plan_patches((grid_h, grid_w), (win_h, win_w), (stride_h, stride_w))
+            layout = PatchLayout((grid_h, grid_w), (win_h, win_w), (stride_h, stride_w))
             count_h, top = 0, 0
             while top + win_h <= grid_h:
                 count_h += 1
@@ -103,7 +103,7 @@ def test_criterion_04_fusion_partition_of_unity():
             (25, 25, 5, 5, 5, 5),
         ]
         for geometry in geometries:
-            layout = plan_patches(geometry[0:2], geometry[2:4], geometry[4:6])
+            layout = PatchLayout(geometry[0:2], geometry[2:4], geometry[4:6])
             grid = rng.normal(size=(geometry[0], geometry[1], 3))
             patches = [extract_patch(grid, r) for r in layout.rects]
             assert np.array_equal(fuse_patches(patches, layout), grid)

@@ -55,6 +55,19 @@ class TestPlan:
         assert capsys.readouterr().err == \
             f"error: invalid configuration: unknown configuration key '{key}'\n"
 
+    def test_a_stride_above_the_window_exits_1_naming_the_axis(self, tmp_path, capsys):
+        # Windows of 32 at stride 48 on the 128x128 target of a 32x32
+        # reference: 48 divides 128 - 32, but the windows would leave gaps.
+        reference = tmp_path / "ref32.ppm"
+        write_image(np.full((32, 32, 3), 0.5), reference)
+        manifest = tmp_path / "caps.json"
+        code = main(["plan", "--in", str(reference), "--window", "32", "--stride", "48",
+                     "--manifest", str(manifest)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "height axis: stride 48 is larger than window 32" in err
+        assert not manifest.exists()
+
     def test_missing_input_exits_1_with_path(self, tmp_path, capsys):
         code = main(["plan", "--in", str(tmp_path / "absent.ppm"), "--scale", "2"])
         assert code == 1
@@ -274,14 +287,14 @@ class TestUpscale:
 class TestTilingPlannedOnce:
     @pytest.fixture
     def plans(self, monkeypatch):
-        """Module names of the plan_patches calls, in call order."""
+        """Module names of the PatchLayout constructions, in call order."""
         calls = []
         for module in (resmaster.config, resmaster.pipeline):
-            def counted(*args, name=module.__name__.split(".")[-1], original=module.plan_patches):
+            def counted(*args, name=module.__name__.split(".")[-1], original=module.PatchLayout):
                 calls.append(name)
                 return original(*args)
 
-            monkeypatch.setattr(module, "plan_patches", counted)
+            monkeypatch.setattr(module, "PatchLayout", counted)
         return calls
 
     def test_plan_and_upscale_each_plan_once(self, tmp_path, reference_file, plans):

@@ -21,7 +21,7 @@ from resmaster.conditioning import (
     patch_features,
     save_manifest,
 )
-from resmaster.tiler import plan_patches
+from resmaster.tiler import PatchLayout
 
 from oracles import hash_floats_direct, pooled_means_direct
 
@@ -145,7 +145,7 @@ class TestBundleValidation:
 
 
 # The run layout of a 128x128 target tiled by 64/32 windows: 9 patches.
-RUN_LAYOUT = plan_patches((128, 128), (64, 64), (32, 32)).to_dict()
+RUN_LAYOUT = PatchLayout((128, 128), (64, 64), (32, 32)).to_dict()
 
 
 class TestCaptionManifest:
@@ -230,7 +230,7 @@ class TestCaptionManifest:
             load_caption_manifest(path, expected_layout=RUN_LAYOUT)
 
     def test_skeleton_roundtrips_through_loader(self, tmp_path):
-        layout = plan_patches((128, 128), (64, 64), (32, 32))
+        layout = PatchLayout((128, 128), (64, 64), (32, 32))
         doc = manifest_skeleton("busy market street", layout.to_dict())
         assert doc["instruction"] == CAPTION_INSTRUCTION
         assert len(doc["patches"]) == 9
@@ -240,7 +240,7 @@ class TestCaptionManifest:
         assert manifest.caption_for(0) == "busy market street"
 
     def test_layout_block_must_match_the_run(self, tmp_path):
-        other = plan_patches((128, 128), (96, 96), (16, 16)).to_dict()
+        other = PatchLayout((128, 128), (96, 96), (16, 16)).to_dict()
         path = self._write(tmp_path, self._doc(layout=other))
         with pytest.raises(ManifestError, match=r"layout window \[96, 96\] does not match"):
             load_caption_manifest(path, expected_layout=RUN_LAYOUT)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from resmaster.config import ConfigError, PipelineConfig, parse_config, serialize_config
-from resmaster.tiler import plan_patches
+from resmaster.tiler import PatchLayout
 
 # Keys that files and overrides reject as unknown: the tiling's per-axis
 # fields (set through window/stride), and names of values the code owns.
@@ -52,6 +52,28 @@ class TestParseConfig:
     def test_geometry_error_names_axis(self):
         with pytest.raises(ConfigError, match="width axis"):
             parse_config(None, {"stride": [32, 48]})
+
+    def test_a_stride_above_the_window_is_refused_naming_the_axis(self):
+        # At the 128x128 target, windows of 32 at stride 48 would leave gaps,
+        # though 48 divides 128 - 32: no layout is planned for them.
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig(window=(32, 64), stride=(48, 32))
+        assert str(err.value) == ("invalid configuration: height axis: stride 48 is larger than "
+                                  "window 32, leaving gaps")
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig(window=32, stride=48, d0=-1.0)
+        assert "\n" not in str(err.value)
+        assert all(part in str(err.value) for part in ("height axis: stride 48", "width axis: stride 48",
+                                                       "d0 must be > 0"))
+        # A window as large as its axis leaves no gap, whatever the stride.
+        config = PipelineConfig(height=8, width=8, scale=1, window=(8, 4), stride=(20, 4))
+        assert config.layout.patch_count == 2
+
+    def test_a_suggested_stride_leaves_no_gap(self):
+        # 44 divides 128 - 40 = 88 and lies nearest to 35, but exceeds the window.
+        with pytest.raises(ConfigError, match="height axis.*nearest valid stride is 22$"):
+            PipelineConfig(window=40, stride=35)
+        assert PipelineConfig(window=40, stride=22).layout.patch_count == 25
 
     def test_invalid_stride_at_huge_scale_is_suggested_at_once(self):
         # span = 32 * 10**9 - 64: 33 does not divide it, so no rect is built.
@@ -160,7 +182,7 @@ class TestParseConfig:
                                     "window": 64, "stride": [0, 5]}))
         config = parse_config(path, {"steps": 4}, one_window=True)
         assert (config.scale, config.window, config.stride) == (1, (8, 10), (8, 10))
-        assert config.layout.rects == plan_patches((8, 10), (8, 10), (8, 10)).rects
+        assert config.layout == PatchLayout((8, 10), (8, 10), (8, 10))
         assert config.steps == 4
         default = parse_config(None, {}, one_window=True)
         assert (default.window, default.layout.patch_count) == ((32, 32), 1)

@@ -22,9 +22,9 @@ from resmaster.cli import main
 from resmaster.conditioning import CaptionManifest, ManifestError, load_caption_manifest
 from resmaster.config import PipelineConfig
 from resmaster.netpbm import write_image
-from resmaster.tiler import plan_patches
+from resmaster.tiler import PatchLayout
 
-RUN_LAYOUT = plan_patches((128, 128), (64, 64), (32, 32)).to_dict()
+RUN_LAYOUT = PatchLayout((128, 128), (64, 64), (32, 32)).to_dict()
 
 CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(PipelineConfig)) + [
     "window", "stride", "version", "codec", "bogus",

@@ -15,7 +15,7 @@ from resmaster.config import PipelineConfig
 from resmaster.noise import standard_normal_field
 from resmaster.pipeline import build_patch_bundles, generate_low_res, resmaster_generate
 from resmaster.schedule import posterior_step
-from resmaster.tiler import bicubic_upsample, extract_patch, plan_patches
+from resmaster.tiler import PatchLayout, bicubic_upsample, extract_patch
 
 from oracles import gaussian_mask_direct
 
@@ -142,7 +142,7 @@ class TestResmasterGenerate:
         config = self._config()
         ref = smooth_reference(16, 16, 2)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
-        layout = plan_patches((32, 32), (16, 16), (8, 8))
+        layout = PatchLayout((32, 32), (16, 16), (8, 8))
         upsampled = bicubic_upsample(ref, 32, 32)
         ref_means = [extract_patch(upsampled, r).mean(axis=(0, 1)) for r in layout.rects]
         worst = 0.0
@@ -301,8 +301,8 @@ class TestResmasterGenerate:
             t1, t2 = base * scale, base * scale * 2
             if (t1 - win) % stride or (t2 - win) % stride or t1 < win:
                 continue
-            n1 = plan_patches((t1, t1), (win, win), (stride, stride)).patch_count
-            n2 = plan_patches((t2, t2), (win, win), (stride, stride)).patch_count
+            n1 = PatchLayout((t1, t1), (win, win), (stride, stride)).patch_count
+            n2 = PatchLayout((t2, t2), (win, win), (stride, stride)).patch_count
             per_axis1 = (t1 - win) // stride + 1
             per_axis2 = (t2 - win) // stride + 1
             assert per_axis2 - per_axis1 == t1 // stride

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resmaster.tiler import (
@@ -13,11 +13,11 @@ from resmaster.tiler import (
     bicubic_upsample,
     extract_patch,
     fuse_patches,
-    plan_patches,
 )
 
 from oracles import (
     bicubic_direct,
+    cover_count_direct,
     extract_direct,
     fuse_direct,
     fuse_first_plus_deviation,
@@ -25,33 +25,34 @@ from oracles import (
 )
 
 
-class TestPlanPatches:
+class TestPatchLayout:
     def test_paper_scale_geometry(self):
-        layout = plan_patches((256, 256), (128, 128), (64, 64))
+        layout = PatchLayout((256, 256), (128, 128), (64, 64))
         assert layout.patch_count == 9
 
     def test_full_window_single_patch(self):
-        layout = plan_patches((32, 20), (32, 20), (7, 3))
+        layout = PatchLayout((32, 20), (32, 20), (7, 3))
         assert layout.patch_count == 1
         assert layout.rects[0] == Rect(0, 0, 32, 20)
 
     def test_rectangular_grid(self):
-        layout = plan_patches((128, 256), (128, 128), (64, 64))
+        layout = PatchLayout((128, 256), (128, 128), (64, 64))
         assert layout.patch_count == 3
 
     def test_rects_enumerate_row_major(self):
-        layout = plan_patches((12, 12), (6, 6), (3, 3))
+        layout = PatchLayout((12, 12), (6, 6), (3, 3))
         tops_lefts = [(r.top, r.left) for r in layout.rects]
         assert tops_lefts == sorted(tops_lefts)
         assert layout.patch_count == 9
 
-    def test_layout_fields_are_the_pairs_and_rects(self):
-        assert [f.name for f in dataclasses.fields(PatchLayout)] == ["grid", "window", "stride", "rects"]
-        layout = plan_patches([20, 18], (8, 6), (4, 6))
+    def test_layout_is_its_three_pairs(self):
+        assert [f.name for f in dataclasses.fields(PatchLayout) if f.init] == ["grid", "window", "stride"]
+        layout = PatchLayout([20, 18], (8, 6), (4, 6))
         assert (layout.grid, layout.window, layout.stride) == ((20, 18), (8, 6), (4, 6))
+        assert layout == PatchLayout((20, 18), (8, 6), (4, 6))
 
     def test_to_dict_writes_the_pairs_as_lists(self):
-        assert plan_patches((128, 128), (64, 64), (32, 32)).to_dict() == {
+        assert PatchLayout((128, 128), (64, 64), (32, 32)).to_dict() == {
             "grid": [128, 128],
             "window": [64, 64],
             "stride": [32, 32],
@@ -63,46 +64,73 @@ class TestPlanPatches:
 
     def test_error_names_axis_and_suggests_stride(self):
         with pytest.raises(GeometryError, match="width axis.*nearest valid stride is 32"):
-            plan_patches((128, 128), (64, 64), (32, 48))
+            PatchLayout((128, 128), (64, 64), (32, 48))
         with pytest.raises(GeometryError, match="height axis"):
-            plan_patches((100, 128), (64, 64), (48, 32))
+            PatchLayout((100, 128), (64, 64), (48, 32))
 
     def test_suggested_stride_matches_brute_force_scan(self):
         for span in range(1, 120):
             for stride in range(1, 40):
                 if span % stride == 0:
                     continue
+                # A window of 120 spans every suggestion, so it bounds none.
                 with pytest.raises(GeometryError) as err:
-                    plan_patches((8 + span, 8), (8, 8), (stride, 1))
-                expected = nearest_valid_stride_direct(span, stride)
+                    PatchLayout((120 + span, 8), (120, 8), (stride, 1))
+                expected = nearest_valid_stride_direct(span, stride, 120)
                 assert str(err.value).endswith(f"nearest valid stride is {expected}")
 
     def test_suggested_stride_is_exact_for_a_large_span(self):
         # span = 2**31 - 2 = 2 * 3**2 * 7 * 11 * 31 * 151 * 331; its divisors
-        # come from that factorisation, not from a scan.
+        # come from that factorisation, not from a scan. The window is as
+        # wide as the span, so it bounds no suggestion.
         divisors = [1]
         for prime, power in ((2, 1), (3, 2), (7, 1), (11, 1), (31, 1), (151, 1), (331, 1)):
             divisors = [d * prime**k for d in divisors for k in range(power + 1)]
         for stride in (1000, 46000, 70000, 5 * 10**8, 2**31 - 3):
             expected = min(divisors, key=lambda d: (abs(d - stride), d))
             with pytest.raises(GeometryError) as err:
-                plan_patches((2**31 - 1, 8), (1, 8), (stride, 1))
+                PatchLayout((2**32 - 4, 8), (2**31 - 2, 8), (stride, 1))
             assert str(err.value).endswith(f"nearest valid stride is {expected}")
+
+    def test_suggested_stride_leaves_no_gap(self):
+        # span 88 = 2**3 * 11: 44 lies nearest to 35, but windows of 40 at
+        # stride 44 leave gaps, so the suggestion is 22.
+        with pytest.raises(GeometryError, match="height axis.*nearest valid stride is 22$"):
+            PatchLayout((128, 8), (40, 8), (35, 1))
+        assert nearest_valid_stride_direct(88, 35, 40) == 22
+        assert PatchLayout((128, 8), (40, 8), (22, 1)).cover_bands
+        with pytest.raises(ValueError, match="does not cover"):
+            PatchLayout((128, 8), (40, 8), (44, 1)).cover_bands
+
+    def test_a_large_layout_holds_no_grid(self):
+        # 16,129 windows of 64 at stride 32 on a 4096x4096 grid: the rects,
+        # first covers and bands are held as their two axes, where a map of
+        # the cover count alone took 128 MiB.
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            layout = PatchLayout((4096, 4096), (64, 64), (32, 32))
+            bands, firsts = layout.cover_bands, layout.first_covers
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert (layout.patch_count, len(firsts), len(bands)) == (16129, 16129, 3)
+        assert peak < 2**20, peak
 
     def test_window_count_is_bounded_before_rects_are_built(self):
         with pytest.raises(GeometryError, match=r"the tiling has 65792 windows; at most 2\*\*16"):
-            plan_patches((257, 256), (1, 1), (1, 1))
+            PatchLayout((257, 256), (1, 1), (1, 1))
         # Far beyond sys.maxsize windows, and still refused at once.
         with pytest.raises(GeometryError, match=f"the tiling has {(10**20 + 1) ** 2} windows"):
-            plan_patches((10**20 + 1, 10**20 + 1), (1, 1), (1, 1))
+            PatchLayout((10**20 + 1, 10**20 + 1), (1, 1), (1, 1))
 
     def test_rejects_degenerate_windows_and_strides(self):
         with pytest.raises(GeometryError):
-            plan_patches((16, 16), (0, 8), (4, 4))
+            PatchLayout((16, 16), (0, 8), (4, 4))
         with pytest.raises(GeometryError):
-            plan_patches((16, 16), (32, 8), (4, 4))
+            PatchLayout((16, 16), (32, 8), (4, 4))
         with pytest.raises(GeometryError):
-            plan_patches((16, 16), (8, 8), (0, 4))
+            PatchLayout((16, 16), (8, 8), (0, 4))
 
     @given(
         win=st.integers(2, 24),
@@ -114,13 +142,13 @@ class TestPlanPatches:
     def test_count_matches_enumeration(self, win, count_h, count_w, stride):
         grid_h = win + (count_h - 1) * stride
         grid_w = win + (count_w - 1) * stride
-        layout = plan_patches((grid_h, grid_w), (win, win), (stride, stride))
+        layout = PatchLayout((grid_h, grid_w), (win, win), (stride, stride))
         enumerated_h = len(range(0, grid_h - win + 1, stride))
         enumerated_w = len(range(0, grid_w - win + 1, stride))
         assert layout.patch_count == enumerated_h * enumerated_w == count_h * count_w
 
     def test_coverage_sums_to_patch_area(self, rng):
-        layout = plan_patches((20, 18), (8, 6), (4, 6))
+        layout = PatchLayout((20, 18), (8, 6), (4, 6))
         cover = np.zeros((20, 18))
         for top, left, h, w in layout.rects:
             cover[top : top + h, left : left + w] += 1
@@ -158,43 +186,27 @@ class TestExtractPatch:
 class TestFusePatches:
     def test_fuse_of_extracted_patches_is_identity(self, rng):
         g = rng.normal(size=(20, 18, 3))
-        layout = plan_patches((20, 18), (8, 6), (4, 6))
+        layout = PatchLayout((20, 18), (8, 6), (4, 6))
         patches = [extract_patch(g, r) for r in layout.rects]
         assert np.array_equal(fuse_patches(patches, layout), g)
 
     def test_two_constant_overlapping_patches_average(self):
-        layout = plan_patches((4, 4), (4, 4), (1, 1))
-        assert layout.patch_count == 1
-        # Build a fully-overlapping pair by hand: same rect twice.
-        from resmaster.tiler import PatchLayout, Rect as R
-
-        double = PatchLayout((4, 4), (4, 4), (1, 1), (R(0, 0, 4, 4), R(0, 0, 4, 4)))
+        # Two windows that share their middle two columns.
+        layout = PatchLayout((4, 6), (4, 4), (4, 2))
         a, b = np.full((4, 4, 1), 1.0), np.full((4, 4, 1), 2.0)
-        np.testing.assert_allclose(fuse_patches([a, b], double), 1.5, rtol=0, atol=0)
+        fused = fuse_patches([a, b], layout)[0, :, 0]
+        np.testing.assert_array_equal(fused, [1.0, 1.0, 1.5, 1.5, 2.0, 2.0])
 
     def test_matches_naive_accumulate_divide_oracle(self, rng):
-        layout = plan_patches((16, 16), (8, 8), (4, 4))
+        layout = PatchLayout((16, 16), (8, 8), (4, 4))
         assert layout.patch_count == 9
         patches = [rng.normal(size=(8, 8, 2)) for _ in range(9)]
         np.testing.assert_allclose(
             fuse_patches(patches, layout), fuse_direct(patches, layout), rtol=0, atol=1e-12
         )
 
-    def test_order_insensitive_up_to_rounding(self, rng):
-        from resmaster.tiler import PatchLayout
-
-        layout = plan_patches((12, 12), (8, 8), (4, 4))
-        patches = [rng.normal(size=(8, 8, 1)) for _ in range(layout.patch_count)]
-        perm = rng.permutation(layout.patch_count)
-        permuted_layout = PatchLayout(
-            layout.grid, layout.window, layout.stride, tuple(layout.rects[i] for i in perm),
-        )
-        base = fuse_patches(patches, layout)
-        shuffled = fuse_patches([patches[i] for i in perm], permuted_layout)
-        np.testing.assert_allclose(shuffled, base, rtol=0, atol=1e-12)
-
     def test_rejects_count_and_shape_mismatch(self, rng):
-        layout = plan_patches((8, 8), (4, 4), (4, 4))
+        layout = PatchLayout((8, 8), (4, 4), (4, 4))
         good = [rng.normal(size=(4, 4, 1)) for _ in range(4)]
         with pytest.raises(ValueError):
             fuse_patches(good[:3], layout)
@@ -205,49 +217,26 @@ class TestFusePatches:
 
 
 class TestCoverMaps:
-    def test_count_matches_rect_scan(self):
-        layout = plan_patches((12, 10), (6, 4), (3, 2))
-        count = layout.cover_count
-        assert count.shape == (12, 10, 1)
-        for y in range(12):
-            for x in range(10):
-                covering = [r for r in layout.rects
-                            if r.top <= y < r.top + r.height and r.left <= x < r.left + r.width]
-                assert count[y, x, 0] == len(covering)
+    def test_a_tiling_with_gaps_does_not_fuse(self, rng):
+        # Windows of 4 at stride 6 leave rows and columns 4 and 5 uncovered.
+        holey = PatchLayout((10, 10), (4, 4), (6, 6))
+        asked = []
 
-    def test_count_is_read_only_and_cached(self):
-        layout = plan_patches((16, 16), (8, 8), (4, 4))
-        count = layout.cover_count
-        assert layout.cover_count is count
-        assert not count.flags.writeable
-        with pytest.raises(ValueError):
-            count[0, 0] = 0
+        def patches():
+            for _ in range(holey.patch_count):
+                asked.append(1)
+                yield rng.normal(size=(4, 4, 1))
 
-    def test_count_differs_per_layout(self):
-        dense = plan_patches((16, 16), (8, 8), (4, 4))
-        sparse = plan_patches((16, 16), (8, 8), (8, 8))
-        assert dense.cover_count is not sparse.cover_count
-        assert dense.cover_count.max() == 4
-        assert sparse.cover_count.max() == 1
-
-    def test_uncovered_hand_built_layout_raises(self, rng):
-        holey = PatchLayout((8, 8), (4, 4), (4, 4), (Rect(0, 0, 4, 4), Rect(4, 4, 4, 4)))
-        patches = [rng.normal(size=(4, 4, 1)) for _ in range(2)]
         with pytest.raises(ValueError, match="does not cover"):
-            fuse_patches(patches, holey)
+            fuse_patches(patches(), holey)
         with pytest.raises(ValueError, match="does not cover"):
-            fuse_patches(patches, holey)
+            fuse_patches(list(patches()), holey)
+        assert len(asked) == holey.patch_count  # only by the list
 
     @pytest.mark.parametrize("geometry", [
-        plan_patches((16, 16), (8, 8), (4, 4)),
-        plan_patches((20, 18), (8, 6), (4, 6)),
-        plan_patches((12, 12), (8, 8), (2, 4)),
-        # Rects out of row-major order, two of them twice: each cell's first
-        # covering value must come from the first rect in this order.
-        PatchLayout((12, 12), (8, 8), (4, 4), (
-            Rect(4, 4, 8, 8), Rect(0, 4, 8, 8), Rect(4, 4, 8, 8), Rect(0, 0, 8, 8),
-            Rect(4, 0, 8, 8), Rect(0, 4, 8, 8),
-        )),
+        PatchLayout((16, 16), (8, 8), (4, 4)),
+        PatchLayout((20, 18), (8, 6), (4, 6)),
+        PatchLayout((12, 12), (8, 8), (2, 4)),
     ])
     def test_fusion_equals_per_step_loop_bit_for_bit(self, rng, geometry):
         patches = [rng.normal(size=(*geometry.window, 3))
@@ -264,16 +253,15 @@ class TestCoverMaps:
     @pytest.mark.parametrize("channels", [1, 2, 3])
     def test_fusion_equals_the_oracle_for_any_channel_count(self, rng, grid, window, stride,
                                                            channels):
-        layout = plan_patches(grid, window, stride)
+        layout = PatchLayout(grid, window, stride)
         patches = [rng.normal(size=(*window, channels)) for _ in range(layout.patch_count)]
         np.testing.assert_array_equal(fuse_patches(patches, layout),
                                       fuse_first_plus_deviation(patches, layout), strict=True)
 
     @pytest.mark.parametrize("layout", [
-        plan_patches((12, 10), (6, 4), (3, 2)),
-        plan_patches((16, 16), (8, 8), (8, 8)),
-        plan_patches((128, 128), (64, 64), (32, 32)),
-        PatchLayout((8, 8), (4, 8), (4, 4), (Rect(0, 0, 4, 8), Rect(4, 0, 4, 8), Rect(2, 0, 4, 8))),
+        PatchLayout((12, 10), (6, 4), (3, 2)),
+        PatchLayout((16, 16), (8, 8), (8, 8)),
+        PatchLayout((128, 128), (64, 64), (32, 32)),
     ])
     def test_bands_are_the_cover_count_by_runs_of_equal_rows(self, layout):
         bands = layout.cover_bands
@@ -283,12 +271,13 @@ class TestCoverMaps:
             assert stop == start and not np.array_equal(row, following)
         for start, stop, row in bands:
             assert start < stop and row.shape == (layout.grid[1],) and not row.flags.writeable
-            np.testing.assert_array_equal(layout.cover_count[start:stop, :, 0],
-                                          np.broadcast_to(row, (stop - start, layout.grid[1])))
-        assert len(plan_patches((128, 128), (64, 64), (32, 32)).cover_bands) == 3
+            np.testing.assert_array_equal(cover_count_direct(layout)[start:stop, :, 0],
+                                          np.broadcast_to(row, (stop - start, layout.grid[1])),
+                                          strict=True)
+        assert len(PatchLayout((128, 128), (64, 64), (32, 32)).cover_bands) == 3
 
     def test_fusion_holds_two_grids_and_a_window_above_its_inputs(self, rng):
-        layout = plan_patches((192, 192), (64, 64), (32, 32))
+        layout = PatchLayout((192, 192), (64, 64), (32, 32))
         patches = [rng.normal(size=(64, 64, 3)) for _ in range(layout.patch_count)]
         layout.cover_bands  # built once per layout, before the traced call
         grid_bytes = 192 * 192 * 3 * 8
@@ -309,14 +298,10 @@ class TestCoverMaps:
 
 class TestStreamedFusion:
     LAYOUTS = [
-        plan_patches((16, 16), (8, 8), (4, 4)),
-        plan_patches((20, 18), (8, 6), (4, 6)),
-        plan_patches((13, 22), (5, 10), (2, 4)),
-        plan_patches((16, 16), (8, 8), (8, 8)),
-        PatchLayout((12, 12), (8, 8), (4, 4), (
-            Rect(4, 4, 8, 8), Rect(0, 4, 8, 8), Rect(4, 4, 8, 8), Rect(0, 0, 8, 8),
-            Rect(4, 0, 8, 8), Rect(0, 4, 8, 8),
-        )),
+        PatchLayout((16, 16), (8, 8), (4, 4)),
+        PatchLayout((20, 18), (8, 6), (4, 6)),
+        PatchLayout((13, 22), (5, 10), (2, 4)),
+        PatchLayout((16, 16), (8, 8), (8, 8)),
     ]
 
     @staticmethod
@@ -337,7 +322,7 @@ class TestStreamedFusion:
                                       strict=True)
 
     def test_a_generator_is_read_to_its_end_and_no_further(self, rng):
-        layout = plan_patches((16, 16), (8, 8), (4, 4))
+        layout = PatchLayout((16, 16), (8, 8), (4, 4))
         asked = []
 
         def patches():
@@ -355,14 +340,14 @@ class TestStreamedFusion:
         (5, "^expected 4 patches, got more$"),
     ])
     def test_a_wrong_patch_count_is_the_same_one_line_error_for_both(self, rng, count, message):
-        layout = plan_patches((8, 8), (4, 4), (4, 4))
+        layout = PatchLayout((8, 8), (4, 4), (4, 4))
         patches = [rng.normal(size=(4, 4, 1)) for _ in range(count)]
         for given in (patches, (p for p in patches)):
             with pytest.raises(ValueError, match=message):
                 fuse_patches(given, layout)
 
     def test_a_wrong_shape_is_the_same_one_line_error_for_both(self, rng):
-        layout = plan_patches((8, 8), (4, 4), (4, 4))
+        layout = PatchLayout((8, 8), (4, 4), (4, 4))
         patches = [rng.normal(size=(4, 4, 2)) for _ in range(4)]
         patches[2] = rng.normal(size=(4, 5, 2))
         for given in (patches, (p for p in patches)):
@@ -372,35 +357,94 @@ class TestStreamedFusion:
 
     @pytest.mark.parametrize("layout", [
         *LAYOUTS,
-        plan_patches((128, 96), (64, 32), (32, 16)),
-        plan_patches((7, 9), (7, 9), (3, 3)),
-        PatchLayout((8, 8), (4, 8), (4, 4), (Rect(0, 0, 4, 8), Rect(4, 0, 4, 8), Rect(2, 0, 4, 8))),
-        PatchLayout((8, 8), (6, 6), (2, 2), (Rect(2, 2, 6, 6), Rect(0, 0, 6, 6), Rect(0, 2, 6, 6),
-                                             Rect(2, 0, 6, 6))),
+        PatchLayout((128, 96), (64, 32), (32, 16)),
+        PatchLayout((7, 9), (7, 9), (3, 3)),
     ])
     def test_first_covers_give_each_cell_to_its_first_covering_rect(self, layout):
-        first = np.full(layout.grid, -1)
-        for i, (top, left, h, w) in enumerate(layout.rects):
-            region = first[top : top + h, left : left + w]
-            region[region < 0] = i
-        owner = np.full(layout.grid, -1)
-        for i, (pieces, rect) in enumerate(zip(layout.first_covers, layout.rects)):
-            for top, left, h, w in pieces:
-                assert (rect.top <= top and top + h <= rect.top + rect.height
-                        and rect.left <= left and left + w <= rect.left + rect.width)
-                assert (owner[top : top + h, left : left + w] < 0).all()
-                owner[top : top + h, left : left + w] = i
-        np.testing.assert_array_equal(owner, first)
+        assert_first_covers_are_the_first_owners(layout)
         assert layout.first_covers is layout.first_covers
 
-    @pytest.mark.parametrize("grid, window, stride", [
-        ((128, 128), (64, 64), (32, 32)),
-        ((20, 18), (8, 6), (4, 6)),
-        ((12, 12), (8, 8), (2, 4)),
-        ((16, 16), (8, 8), (8, 8)),
-    ])
-    def test_a_planned_tiling_has_one_first_cover_rectangle_per_rect(self, grid, window, stride):
-        assert all(len(pieces) == 1 for pieces in plan_patches(grid, window, stride).first_covers)
+
+def first_owners(layout) -> np.ndarray:
+    """The index of the first rect covering each cell, cell by cell."""
+    first = np.full(layout.grid, -1)
+    for i, (top, left, h, w) in enumerate(layout.rects):
+        for y in range(top, top + h):
+            for x in range(left, left + w):
+                if first[y, x] < 0:
+                    first[y, x] = i
+    return first
+
+
+def assert_first_covers_are_the_first_owners(layout):
+    assert len(layout.first_covers) == layout.patch_count
+    owner = np.full(layout.grid, -1)
+    for i, ((top, left, h, w), rect) in enumerate(zip(layout.first_covers, layout.rects)):
+        assert (rect.top <= top and top + h <= rect.top + rect.height
+                and rect.left <= left and left + w <= rect.left + rect.width)
+        assert (owner[top : top + h, left : left + w] < 0).all()
+        owner[top : top + h, left : left + w] = i
+    np.testing.assert_array_equal(owner, first_owners(layout))
+
+
+@st.composite
+def gap_free_tilings(draw):
+    """A tiling without gaps: per axis a window, a stride no larger than it
+    and a window count, so the axes may differ."""
+    axes = []
+    for _ in range(2):
+        window = draw(st.integers(1, 12))
+        stride = draw(st.integers(1, window))
+        count = draw(st.integers(1, 6))
+        axes.append((window + (count - 1) * stride, window, stride))
+    return PatchLayout(*zip(*axes))
+
+
+CLOSED_FORM_EXAMPLES = [
+    PatchLayout((20, 18), (8, 6), (4, 6)),   # not square, stride == window along a row
+    PatchLayout((16, 16), (8, 8), (8, 8)),   # stride == window
+    PatchLayout((7, 9), (7, 9), (3, 3)),     # one window
+    PatchLayout((13, 22), (5, 10), (2, 4)),
+]
+
+
+def with_examples(**arguments):
+    """Hypothesis examples of every layout of CLOSED_FORM_EXAMPLES, with the
+    test's other ``arguments``."""
+    def decorate(test):
+        for layout in CLOSED_FORM_EXAMPLES:
+            test = example(layout=layout, **arguments)(test)
+        return test
+    return decorate
+
+
+class TestClosedForms:
+    """The first covers and the cover bands are derived from the two axes;
+    each is checked against a cell-by-cell construction from the rects."""
+
+    @with_examples()
+    @given(layout=gap_free_tilings())
+    @settings(max_examples=60, deadline=None)
+    def test_first_covers_are_the_first_owners(self, layout):
+        assert_first_covers_are_the_first_owners(layout)
+
+    @with_examples()
+    @given(layout=gap_free_tilings())
+    @settings(max_examples=60, deadline=None)
+    def test_bands_are_the_direct_cover_count(self, layout):
+        count = np.concatenate([np.broadcast_to(row, (stop - start, layout.grid[1]))
+                                for start, stop, row in layout.cover_bands])
+        np.testing.assert_array_equal(count[:, :, None], cover_count_direct(layout), strict=True)
+
+    @with_examples(channels=3, seed=0)
+    @given(layout=gap_free_tilings(), channels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_streamed_fusion_equals_the_oracle_bit_for_bit(self, layout, channels, seed):
+        rng = np.random.default_rng(seed)
+        patches = [rng.normal(size=(*layout.window, channels)) for _ in range(layout.patch_count)]
+        np.testing.assert_array_equal(
+            fuse_patches(TestStreamedFusion._in_one_buffer(patches), layout),
+            fuse_first_plus_deviation(patches, layout), strict=True)
 
 
 class TestBicubicUpsample:
