@@ -216,7 +216,31 @@ class TestFusePatches:
             fuse_patches(bad, layout)
 
 
+def count_from_bands(layout) -> np.ndarray:
+    """The cover count as a ``grid``-shaped array, read from the bands."""
+    return np.concatenate([np.broadcast_to(row, (stop - start, layout.grid[1]))
+                           for start, stop, row in layout.cover_bands])
+
+
 class TestCoverMaps:
+    def test_count_matches_rect_scan(self):
+        layout = PatchLayout((12, 10), (6, 4), (3, 2))
+        count = count_from_bands(layout)
+        assert count.shape == (12, 10)
+        for y in range(12):
+            for x in range(10):
+                covering = [r for r in layout.rects
+                            if r.top <= y < r.top + r.height and r.left <= x < r.left + r.width]
+                assert count[y, x] == len(covering)
+
+    def test_count_differs_per_layout(self):
+        dense = PatchLayout((16, 16), (8, 8), (4, 4))
+        sparse = PatchLayout((16, 16), (8, 8), (8, 8))
+        assert dense.cover_bands is not sparse.cover_bands
+        assert count_from_bands(dense).max() == 4
+        assert count_from_bands(sparse).max() == 1
+        assert len(sparse.cover_bands) == 1
+
     def test_a_tiling_with_gaps_does_not_fuse(self, rng):
         # Windows of 4 at stride 6 leave rows and columns 4 and 5 uncovered.
         holey = PatchLayout((10, 10), (4, 4), (6, 6))
@@ -237,6 +261,7 @@ class TestCoverMaps:
         PatchLayout((16, 16), (8, 8), (4, 4)),
         PatchLayout((20, 18), (8, 6), (4, 6)),
         PatchLayout((12, 12), (8, 8), (2, 4)),
+        PatchLayout((9, 9), (3, 3), (1, 1)),     # stride 1: up to three windows per cell per axis
     ])
     def test_fusion_equals_per_step_loop_bit_for_bit(self, rng, geometry):
         patches = [rng.normal(size=(*geometry.window, 3))
@@ -262,6 +287,7 @@ class TestCoverMaps:
         PatchLayout((12, 10), (6, 4), (3, 2)),
         PatchLayout((16, 16), (8, 8), (8, 8)),
         PatchLayout((128, 128), (64, 64), (32, 32)),
+        PatchLayout((12, 12), (8, 8), (2, 4)),   # five bands, up to six windows per cell
     ])
     def test_bands_are_the_cover_count_by_runs_of_equal_rows(self, layout):
         bands = layout.cover_bands
@@ -302,6 +328,7 @@ class TestStreamedFusion:
         PatchLayout((20, 18), (8, 6), (4, 6)),
         PatchLayout((13, 22), (5, 10), (2, 4)),
         PatchLayout((16, 16), (8, 8), (8, 8)),
+        PatchLayout((12, 12), (8, 8), (2, 4)),
     ]
 
     @staticmethod
@@ -359,10 +386,32 @@ class TestStreamedFusion:
         *LAYOUTS,
         PatchLayout((128, 96), (64, 32), (32, 16)),
         PatchLayout((7, 9), (7, 9), (3, 3)),
+        PatchLayout((9, 9), (3, 3), (1, 1)),
+        PatchLayout((10, 17), (4, 5), (2, 3)),
     ])
     def test_first_covers_give_each_cell_to_its_first_covering_rect(self, layout):
         assert_first_covers_are_the_first_owners(layout)
         assert layout.first_covers is layout.first_covers
+
+    @pytest.mark.parametrize("grid, window, stride", [
+        ((128, 128), (64, 64), (32, 32)),
+        ((20, 18), (8, 6), (4, 6)),
+        ((12, 12), (8, 8), (2, 4)),
+        ((16, 16), (8, 8), (8, 8)),
+    ])
+    def test_a_planned_tiling_has_one_first_cover_rectangle_per_rect(self, grid, window, stride):
+        # The cells a window covers first, found cell by cell, fill exactly
+        # its first-cover rect, which ends where the window ends.
+        layout = PatchLayout(grid, window, stride)
+        owners = first_owners(layout)
+        for i, (cover, rect) in enumerate(zip(layout.first_covers, layout.rects)):
+            top, left, h, w = cover
+            assert isinstance(cover, Rect) and h > 0 and w > 0
+            assert (top + h, left + w) == (rect.top + rect.height, rect.left + rect.width)
+            cells = np.argwhere(owners == i)
+            assert len(cells) == h * w
+            assert (tuple(cells.min(axis=0)), tuple(cells.max(axis=0))) == (
+                (top, left), (top + h - 1, left + w - 1))
 
 
 def first_owners(layout) -> np.ndarray:
