@@ -32,6 +32,11 @@ SEED_LIMIT = 2**63
 # 4096x4096x3 target tiled 64/32 holds 50,331,648 values in 16,129 patches.
 MAX_GRID_VALUES = 2**31
 
+# Most sampling steps a run may take. A run starts by building its schedule,
+# a few arrays of per-step values: 3.7 MB at 2**16 steps and 57 MB at 10**6,
+# where the linear schedule's alpha_bar also stops decreasing.
+MAX_STEPS = 2**16
+
 
 class ConfigError(ValueError):
     """Aggregated configuration validation report."""
@@ -51,9 +56,10 @@ class PipelineConfig:
     one or two ints, and stored as a tuple. An int given for a float field is
     stored as a float. Construction raises ConfigError listing every field of
     the wrong kind, beyond float range or not finite, or else every violated
-    invariant (a stride above a window smaller than the target is one), or
-    else a target grid beyond ``MAX_GRID_VALUES`` values and any fault of
-    the tiling, including more than ``tiler.MAX_PATCHES`` windows."""
+    invariant (a stride above a window smaller than the target is one, and
+    so are more than ``MAX_STEPS`` steps), or else a target grid beyond
+    ``MAX_GRID_VALUES`` values and any fault of the tiling, including more
+    than ``tiler.MAX_PATCHES`` windows."""
 
     height: int = 32
     width: int = 32
@@ -96,6 +102,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if min(value if isinstance(value, tuple) else (value,)) < 1:
                 problems.append(f"{name} must be >= 1, got {value}")
+        if self.steps > MAX_STEPS:
+            problems.append(f"steps must be at most 2**16, got {self.steps}")
         for axis, target, win, stride in zip(("height", "width"), (self.target_h, self.target_w),
                                              self.window, self.stride):
             # A window smaller than the target must leave no gap before the next.

@@ -140,10 +140,7 @@ def resmaster_generate(
             f"caption manifest has {captions.patch_count} patches, layout needs {layout.patch_count}"
         )
 
-    # Row-major, so that each window of it copies as fast as a contiguous
-    # block: bicubic_upsample returns its grid stored column by column, from
-    # which a 64x64x3 window took 34 us to copy instead of 4 us.
-    upsampled = np.ascontiguousarray(bicubic_upsample(reference, config.target_h, config.target_w))
+    upsampled = bicubic_upsample(reference, config.target_h, config.target_w)
     bundles = build_patch_bundles((extract_patch(upsampled, r) for r in layout.rects),
                                   captions, config)
     return _sample(denoiser, bundles, layout, config, upsampled, patch_hook)

@@ -10,6 +10,7 @@ its two axes, so a layout holds no map of the grid's cells.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -244,31 +245,41 @@ def _keys_cubic(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _resample_axis(length_in: int, length_out: int):
-    """4-tap indices and normalized weights for one axis, half-pixel aligned."""
-    dst = np.arange(length_out, dtype=np.float64)
-    src = (dst + 0.5) * (length_in / length_out) - 0.5
+def _resample_axis(g: np.ndarray, axis: int, length_out: int) -> np.ndarray:
+    """``g`` resampled along ``axis`` to ``length_out`` by 4 half-pixel aligned
+    taps summed in order, tap 0 in place and each later one through a buffer."""
+    length_in = g.shape[axis]
+    src = (np.arange(length_out, dtype=np.float64) + 0.5) * (length_in / length_out) - 0.5
     i0 = np.floor(src).astype(np.int64)
     frac = src - i0
     offsets = np.array([-1, 0, 1, 2], dtype=np.int64)
     idx = np.clip(i0[:, None] + offsets[None, :], 0, length_in - 1)
     weights = _keys_cubic(frac[:, None] - offsets[None, :].astype(np.float64))
     weights /= weights.sum(axis=1, keepdims=True)
-    return idx, weights
+    weights = weights.reshape(length_out, 4, *[1] * (g.ndim - 1 - axis))  # over later axes
+    out = np.take(g, idx[:, 0], axis=axis)
+    out *= weights[:, 0]
+    tap = np.empty_like(out)
+    for k in range(1, 4):
+        np.take(g, idx[:, k], axis=axis, out=tap, mode="clip")
+        tap *= weights[:, k]
+        out += tap
+    return out
 
 
 def bicubic_upsample(g: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Separable bicubic upsampling (Keys a = -0.5, half-pixel centers,
-    clamp-to-edge borders). Output dims must not shrink either axis."""
+    clamp-to-edge borders), rows and then columns, into a new row-major grid;
+    a call holds about 2.25 output grids at scale 4. Output dims must be
+    integers that shrink neither axis, or ValueError is raised."""
     g = as_grid(g, "grid")
     in_h, in_w = g.shape[0], g.shape[1]
-    out_h, out_w = int(out_h), int(out_w)
+    try:
+        out_h, out_w = operator.index(out_h), operator.index(out_w)
+    except TypeError:
+        raise ValueError(f"output dims must be integers, got ({out_h!r}, {out_w!r})") from None
     if out_h < in_h or out_w < in_w:
         raise ValueError(
             f"downscaling not supported: requested ({out_h}, {out_w}) from ({in_h}, {in_w})"
         )
-    idx_r, w_r = _resample_axis(in_h, out_h)
-    idx_c, w_c = _resample_axis(in_w, out_w)
-    # rows first: (out_h, 4, in_w, C) taps reduced against row weights
-    rows = np.einsum("ok,okwc->owc", w_r, g[idx_r, :, :])
-    return np.einsum("ok,hokc->hoc", w_c, rows[:, idx_c, :])
+    return _resample_axis(_resample_axis(g, 0, out_h), 1, out_w)

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's code paths: transforms are
 direct summations over every cell (no FFT), masks are scalar loops,
 resampling is a scalar kernel sum, attention is a double loop, and schedule
 formulas are re-evaluated in extended precision, or cell by cell in scalar
-floats from the betas alone.
+floats from the betas alone. The one vectorised form, ``bicubic_einsum``,
+is the library's earlier bicubic, kept as the bytes its per-axis passes
+must reproduce.
 """
 
 from __future__ import annotations
@@ -104,6 +106,40 @@ def bicubic_direct(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
                     wsum += wy * wx
             out[oy, ox, :] = total / wsum
     return out
+
+
+def _keys_cubic(x: np.ndarray) -> np.ndarray:
+    # The library's cubic kernel, a = -0.5, in its own rounding.
+    ax = np.abs(x)
+    out = np.zeros_like(ax)
+    near = ax <= 1.0
+    far = (ax > 1.0) & (ax < 2.0)
+    out[near] = (1.5 * ax[near] - 2.5) * ax[near] ** 2 + 1.0
+    out[far] = ((-0.5 * ax[far] + 2.5) * ax[far] - 4.0) * ax[far] + 2.0
+    return out
+
+
+def _bicubic_taps(length_in: int, length_out: int):
+    """4-tap indices and normalized weights for one axis, half-pixel aligned."""
+    dst = np.arange(length_out, dtype=np.float64)
+    src = (dst + 0.5) * (length_in / length_out) - 0.5
+    i0 = np.floor(src).astype(np.int64)
+    frac = src - i0
+    offsets = np.array([-1, 0, 1, 2], dtype=np.int64)
+    idx = np.clip(i0[:, None] + offsets[None, :], 0, length_in - 1)
+    weights = _keys_cubic(frac[:, None] - offsets[None, :].astype(np.float64))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return idx, weights
+
+
+def bicubic_einsum(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """The bicubic as two einsums over every output row's and column's 4 taps
+    at once: rows first, gathering (out_h, 4, in_w, C) taps, then columns,
+    gathering (out_h, out_w, 4, C). Its result is stored column by column."""
+    idx_r, w_r = _bicubic_taps(grid.shape[0], out_h)
+    idx_c, w_c = _bicubic_taps(grid.shape[1], out_w)
+    rows = np.einsum("ok,okwc->owc", w_r, grid[idx_r, :, :])
+    return np.einsum("ok,hokc->hoc", w_c, rows[:, idx_c, :])
 
 
 def extract_direct(grid: np.ndarray, rect) -> np.ndarray:

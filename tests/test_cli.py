@@ -131,6 +131,17 @@ class TestLowres:
             "error: invalid configuration: model_mean must be finite, got nan\n"
         assert not out.exists()
 
+    def test_steps_beyond_the_bound_exit_1_before_a_schedule_is_built(self, tmp_path, monkeypatch,
+                                                                      capsys):
+        for builder in ("make_geometric_schedule", "make_linear_schedule"):
+            monkeypatch.setattr(f"resmaster.config.{builder}",
+                                lambda *args: pytest.fail("schedule built"))
+        out = tmp_path / "low.ppm"
+        assert main(["lowres", "--out", str(out), "--steps", "100000000"]) == 1
+        assert capsys.readouterr().err == \
+            "error: invalid configuration: steps must be at most 2**16, got 100000000\n"
+        assert not out.exists()
+
     def test_ignores_a_malformed_stride_in_a_shared_file(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"height": 8, "width": 10, "channels": 1, "stride": [1, 2, 3]}))

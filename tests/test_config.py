@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from resmaster.config import ConfigError, PipelineConfig, parse_config, serialize_config
+from resmaster.config import MAX_STEPS, ConfigError, PipelineConfig, parse_config, serialize_config
 from resmaster.tiler import PatchLayout
 
 # Keys that files and overrides reject as unknown: the tiling's per-axis
@@ -100,6 +100,22 @@ class TestParseConfig:
         assert PipelineConfig(height=256, **cells).layout.patch_count == 2**16
         with pytest.raises(ConfigError, match="the tiling has 65792 windows"):
             PipelineConfig(height=257, **cells)
+
+    def test_steps_beyond_2_to_the_16_are_refused_before_a_schedule_is_built(self, monkeypatch):
+        for builder in ("make_geometric_schedule", "make_linear_schedule"):
+            monkeypatch.setattr(f"resmaster.config.{builder}",
+                                lambda *args: pytest.fail("schedule built"))
+        assert PipelineConfig(steps=MAX_STEPS).steps == 2**16
+        with pytest.raises(ConfigError) as err:
+            parse_config(None, {"steps": 100_000_000, "seed": -1})
+        message = str(err.value)
+        assert "\n" not in message and "seed must lie" in message
+        assert "steps must be at most 2**16, got 100000000" in message
+
+    @pytest.mark.parametrize("schedule", ["geometric", "linear"])
+    def test_the_most_steps_build_either_schedule(self, schedule):
+        config = PipelineConfig(steps=MAX_STEPS, schedule=schedule)
+        assert config.make_schedule().steps == MAX_STEPS
 
     def test_4k_target_fits_both_bounds(self):
         assert PipelineConfig(height=1024, width=1024, scale=4).layout.patch_count == 16129

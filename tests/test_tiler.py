@@ -17,6 +17,7 @@ from resmaster.tiler import (
 
 from oracles import (
     bicubic_direct,
+    bicubic_einsum,
     cover_count_direct,
     extract_direct,
     fuse_direct,
@@ -525,3 +526,52 @@ class TestBicubicUpsample:
             bicubic_upsample(g, 4, 8)
         with pytest.raises(ValueError):
             bicubic_upsample(g, 8, 7)
+
+    @example(in_h=6, in_w=1, scale_h=4, scale_w=6, channels=1, seed=0)  # taps summed pairwise
+    @example(in_h=1, in_w=1, scale_h=1, scale_w=1, channels=1, seed=0)
+    @example(in_h=12, in_w=12, scale_h=5, scale_w=5, channels=4, seed=0)
+    @given(in_h=st.integers(1, 12), in_w=st.integers(1, 12), scale_h=st.integers(1, 5),
+           scale_w=st.integers(1, 5), channels=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_einsum_form_bit_for_bit_in_a_row_major_grid(
+            self, in_h, in_w, scale_h, scale_w, channels, seed):
+        g = np.random.default_rng(seed).normal(size=(in_h, in_w, channels)) * 1e3
+        out_h, out_w = in_h * scale_h, in_w * scale_w
+        got, want = bicubic_upsample(g, out_h, out_w), bicubic_einsum(g, out_h, out_w)
+        assert got.flags.c_contiguous
+        if channels == 1 and 1 in (in_w, out_h):
+            # An einsum whose 4 taps are its operands' only contiguous values
+            # (one channel, and one input column for the rows or one output
+            # row for the columns) sums them pairwise, (0 + 2) + (1 + 3), so
+            # the einsum's bytes may differ there by rounding alone.
+            atol = 8 * np.finfo(np.float64).eps * np.abs(g).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol, strict=True)
+        else:
+            np.testing.assert_array_equal(got, want, strict=True)
+
+    def test_a_4x_upsample_holds_under_two_and_a_half_output_grids(self, rng):
+        # The result and one tap buffer per pass: 2 output grids for the
+        # columns, with the rows' quarter grid held. The einsum form gathered
+        # all 4 taps of every output cell, 5.26 grids.
+        g = rng.uniform(size=(128, 128, 3))
+        bicubic_upsample(g, 512, 512)  # numpy's own first-call set-up
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            out = bicubic_upsample(g, 512, 512)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * out.nbytes, peak / out.nbytes
+
+    @pytest.mark.parametrize("dims", [(12.7, 8.9), ("9", 9), (9, 9.0), (None, 9)])
+    def test_non_integer_output_dims_are_a_one_line_error(self, rng, dims):
+        g = rng.normal(size=(4, 4, 1))
+        with pytest.raises(ValueError, match="^output dims must be integers") as excinfo:
+            bicubic_upsample(g, *dims)
+        assert "\n" not in str(excinfo.value)
+
+    def test_numpy_integer_output_dims_are_accepted(self, rng):
+        g = rng.normal(size=(4, 4, 1))
+        np.testing.assert_array_equal(bicubic_upsample(g, np.int64(9), np.int32(8)),
+                                      bicubic_upsample(g, 9, 8), strict=True)
