@@ -11,9 +11,7 @@ from .conditioning import (
     CAPTION_INSTRUCTION,
     CaptionManifest,
     ConditionBundle,
-    ImageEmbedding,
     ManifestError,
-    TextEmbedding,
     embed_text_stub,
     encode_image_prompt_stub,
     load_caption_manifest,

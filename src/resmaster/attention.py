@@ -136,11 +136,11 @@ class _Context(NamedTuple):
 
 
 def _context(bundle: ConditionBundle, w: AttentionWeights) -> _Context:
-    if bundle.text.dim != w.text_dim:
-        raise ValueError(f"text embedding dim {bundle.text.dim} != weights text_dim {w.text_dim}")
-    if bundle.image.dim != w.image_dim:
-        raise ValueError(f"image embedding dim {bundle.image.dim} != weights image_dim {w.image_dim}")
-    text, image = bundle.text.data, bundle.image.data
+    text, image = bundle.text, bundle.image
+    if text.shape[1] != w.text_dim:
+        raise ValueError(f"text embedding dim {text.shape[1]} != weights text_dim {w.text_dim}")
+    if image.shape[1] != w.image_dim:
+        raise ValueError(f"image embedding dim {image.shape[1]} != weights image_dim {w.image_dim}")
     keys = np.concatenate([text @ w.w_key_text, image @ w.w_key_image])
     values = np.concatenate([text @ w.w_value_text, bundle.lam * (image @ w.w_value_image)])
     return _Context((keys @ w.w_query.T) * (1.0 / math.sqrt(w.d_head)), values)
@@ -173,7 +173,8 @@ def attend(x: np.ndarray, bundle: ConditionBundle, w: AttentionWeights,
     scores = np.empty((fold.shape[0], n))  # (tokens, n): one column per query
     for lo in range(0, n, block):
         np.matmul(fold, x[lo : lo + block].T, out=scores[:, lo : lo + block])
-    for branch in (scores[: bundle.text.tokens], scores[bundle.text.tokens :]):
+    text_tokens = bundle.text.shape[0]
+    for branch in (scores[:text_tokens], scores[text_tokens:]):
         branch -= branch.max(axis=0)
         np.exp(branch, out=branch)
         branch /= branch.sum(axis=0)

@@ -2,9 +2,10 @@
 
 The stub encoders stand in for real text/image encoders so the conditioning
 pathway is fully exercisable without pretrained models; both are pure
-functions of their inputs and a seed. Real encoders can be dropped in by
-producing the same embedding dataclasses. Per-patch captions come from a
-manifest file a user can fill with genuine captioner output.
+functions of their inputs and a seed, and return plain (tokens, dim) arrays.
+Real encoders can be dropped in by passing their arrays to ``ConditionBundle``.
+Per-patch captions come from a manifest file a user can fill with genuine
+captioner output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .util import as_grid, require_finite
+from .util import as_grid, read_json_object, require_finite
 
 log = logging.getLogger(__name__)
 
@@ -26,6 +27,9 @@ log = logging.getLogger(__name__)
 CAPTION_INSTRUCTION = "Describe the following image patch in detail."
 
 MANIFEST_VERSION = 1
+
+# The top-level keys of a manifest, in the order manifest_skeleton writes them.
+MANIFEST_KEYS = ("version", "global_prompt", "instruction", "patch_count", "layout", "patches")
 
 # Token counts and width of the stub encoders' embeddings; the toy denoiser's
 # condition width is the same EMBED_DIM.
@@ -39,67 +43,31 @@ class ManifestError(ValueError):
     """Caption manifest is missing, malformed, or inconsistent with the layout."""
 
 
-@dataclass(frozen=True)
-class TextEmbedding:
-    """Token embedding matrix of shape (tokens, dim); rows have norm in (0, 10]."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"text embedding must be a non-empty (tokens, dim) matrix, got {arr.shape}")
-        require_finite(arr, "text embedding")
-        norms = np.linalg.norm(arr, axis=1)
-        if not ((norms > 0.0).all() and (norms <= 10.0).all()):
-            raise ValueError("text embedding row norms must lie in (0, 10]")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def tokens(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class ImageEmbedding:
-    """Image-prompt token matrix of shape (tokens, dim)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"image embedding must be a non-empty (tokens, dim) matrix, got {arr.shape}")
-        require_finite(arr, "image embedding")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def tokens(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-
 @dataclass(frozen=True, eq=False)
 class ConditionBundle:
-    """Text and image conditions plus the image-branch weighting factor.
+    """A patch's conditions plus the image branch's weighting factor ``lam``,
+    finite and >= 0. ``text`` holds the caption's token embeddings and
+    ``image`` the image prompt's, each a non-empty, finite ``(tokens, dim)``
+    array, kept as a read-only float64 copy; text rows have norms in (0, 10].
 
     Compared and hashed by identity, so attention can keep what it derives
     from a bundle keyed by the bundle itself."""
 
-    text: TextEmbedding
-    image: ImageEmbedding
+    text: np.ndarray
+    image: np.ndarray
     lam: float = 0.8
 
     def __post_init__(self):
+        for name in ("text", "image"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            if arr.ndim != 2 or arr.size == 0:
+                raise ValueError(f"{name} embedding must be a non-empty (tokens, dim) matrix, got {arr.shape}")
+            require_finite(arr, f"{name} embedding")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        norms = np.linalg.norm(self.text, axis=1)
+        if not ((norms > 0.0).all() and (norms <= 10.0).all()):
+            raise ValueError("text embedding row norms must lie in (0, 10]")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
@@ -110,8 +78,9 @@ def _hash_floats(payload: bytes, count: int) -> np.ndarray:
     return 2.0 * ((raw >> 11) * 2.0 ** -53) - 1.0
 
 
-def embed_text_stub(text: str, tokens: int, dim: int, seed: int) -> TextEmbedding:
-    """Deterministic unit-norm rows hashed from (seed, row index, text).
+def embed_text_stub(text: str, tokens: int, dim: int, seed: int) -> np.ndarray:
+    """A (tokens, dim) array of deterministic unit-norm rows hashed from
+    (seed, row index, text).
 
     The hash path uses fixed-width integers only, so outputs are identical
     across platforms.
@@ -126,7 +95,7 @@ def embed_text_stub(text: str, tokens: int, dim: int, seed: int) -> TextEmbeddin
         payload = int(seed).to_bytes(8, "big", signed=True) + r.to_bytes(4, "big") + encoded
         row = _hash_floats(payload, dim)
         rows[r] = row / np.linalg.norm(row)
-    return TextEmbedding(rows)
+    return rows
 
 
 def patch_features(patch: np.ndarray) -> np.ndarray:
@@ -161,13 +130,13 @@ def _pool_slices(n: int) -> list[tuple[int, int]]:
     return slices
 
 
-def encode_image_prompt_stub(patch: np.ndarray, tokens: int, dim: int, seed: int) -> ImageEmbedding:
+def encode_image_prompt_stub(patch: np.ndarray, tokens: int, dim: int, seed: int) -> np.ndarray:
     """Project patch features to (tokens, dim) with a seeded fixed random matrix."""
     if tokens < 1 or dim < 1:
         raise ValueError(f"tokens and dim must be >= 1, got ({tokens}, {dim})")
     feats = patch_features(patch)
     projection = _image_projection(int(seed), int(tokens), int(dim), feats.size)
-    return ImageEmbedding((projection @ feats).reshape(tokens, dim))
+    return (projection @ feats).reshape(tokens, dim)
 
 
 @lru_cache(maxsize=32)
@@ -201,29 +170,23 @@ class CaptionManifest:
 def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionManifest:
     """Read a manifest file, filling missing or empty captions from the global prompt.
 
-    Raises ManifestError on parse failure (naming line/column), on a patch
-    count that is not a JSON integer or disagrees with the ``patch_count`` of
+    Raises ManifestError, on one line naming the file, on a file that
+    ``util.read_json_object`` cannot read as an object (a blank one reads as
+    {} and fails the version check), on a version other than
+    MANIFEST_VERSION or a key not in MANIFEST_KEYS, on a patch count that is
+    not a JSON integer or disagrees with the ``patch_count`` of
     ``expected_layout`` (a run's ``PatchLayout.to_dict()``), on a ``layout``
     block that differs from ``expected_layout`` (the first differing field is
     named), or when a patch would fall back to an empty global prompt.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(
-            f"manifest {path} is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise ManifestError(f"manifest {path} must be a JSON object, got {type(doc).__name__}")
-
+    doc = read_json_object(path, "manifest", ManifestError)
     version = doc.get("version")
     if version != MANIFEST_VERSION:
         raise ManifestError(f"manifest {path}: unsupported version {version!r} (expected {MANIFEST_VERSION})")
+    unknown = [key for key in doc if key not in MANIFEST_KEYS]
+    if unknown:
+        raise ManifestError(f"manifest {path}: unknown key {', '.join(map(repr, unknown))}; "
+                            f"the keys are {', '.join(MANIFEST_KEYS)}")
     global_prompt = doc.get("global_prompt", "")
     if not isinstance(global_prompt, str):
         raise ManifestError(f"manifest {path}: global_prompt must be a string")

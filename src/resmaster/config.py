@@ -8,13 +8,13 @@ collected into one aggregated one-line report rather than failing on the first.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
 from .schedule import make_geometric_schedule, make_linear_schedule
 from .spectral import valid_cutoff
 from .tiler import GeometryError, PatchLayout
+from .util import read_json_object
 
 CONFIG_VERSION = 1
 
@@ -195,29 +195,14 @@ def parse_config(path=None, cli_overrides: dict | None = None,
     empty or missing file means all defaults. With ``one_window`` the
     config is tiled by one window covering its (height, width) grid at scale
     1, whatever the file and overrides set for scale, window and stride: the
-    grid that ``generate_low_res`` samples. Raises ConfigError carrying the
-    problems found: unknown keys here, else wrong kinds, integers beyond
-    float range, non-finite floats, violated invariants and impossible patch
-    geometry from the PipelineConfig constructor.
+    grid that ``generate_low_res`` samples. Raises ConfigError naming a
+    file that ``util.read_json_object`` cannot read as an object, or else
+    carrying the problems found: unknown keys here, else wrong kinds,
+    integers beyond float range, non-finite floats, violated invariants and
+    impossible patch geometry from the PipelineConfig constructor.
     """
     problems: list[str] = []
-    doc: dict = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if text.strip():
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"config {path} is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-                ) from exc
-            if not isinstance(doc, dict):
-                raise ConfigError(f"config {path} must be a JSON object")
-    doc = dict(doc)
+    doc = {} if path is None else read_json_object(path, "config", ConfigError)
     version = doc.pop("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         problems.append(f"unsupported config version {version!r} (expected {CONFIG_VERSION})")

@@ -50,7 +50,7 @@ def _checks(seed: int):
     text = embed_text_stub("selftest", 2, 3, seed)
     image = encode_image_prompt_stub(g, 2, 3, seed)
     x = rng.normal(size=(5, 4))
-    rows = softmax_rows(x @ weights.w_query @ (text.data @ weights.w_key_text).T)
+    rows = softmax_rows(x @ weights.w_query @ (text @ weights.w_key_text).T)
     yield "softmax rows are stochastic", float(np.abs(rows.sum(axis=1) - 1.0).max()) < 1e-12
     lam0 = attend(x, ConditionBundle(text, image, 0.0), weights)
     lam2 = attend(x, ConditionBundle(text, image, 2.0), weights)

@@ -22,8 +22,9 @@ from .util import as_grid
 
 
 class GeometryError(ValueError):
-    """Raised by ``PatchLayout`` when window/stride geometry does not tile
-    the grid exactly, or needs more than MAX_PATCHES windows."""
+    """Raised by ``PatchLayout`` when a pair is not two integers, or the
+    window/stride geometry does not tile the grid exactly or needs more than
+    MAX_PATCHES windows."""
 
 
 # Most windows a tiling may have; the count is checked before any is built.
@@ -62,10 +63,10 @@ class RectGrid(Sequence):
 class PatchLayout:
     """A tiling of a ``grid`` by windows of size ``window`` at steps of
     ``stride``, each an ``(h, w)`` pair, and its windows' ``rects`` in
-    canonical order. Construction raises a GeometryError naming the axis
-    whose (grid - window) the stride does not divide, or for more than
-    MAX_PATCHES windows, before any rect is made. A stride above the window
-    leaves gaps, which fusion refuses."""
+    canonical order. Construction raises a GeometryError naming a field
+    that is not two integers, or the axis whose (grid - window) the stride
+    does not divide, or for more than MAX_PATCHES windows, before any rect
+    is made. A stride above the window leaves gaps, which fusion refuses."""
 
     grid: tuple[int, int]
     window: tuple[int, int]
@@ -73,7 +74,8 @@ class PatchLayout:
     rects: RectGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid, window, stride = ((int(h), int(w)) for h, w in (self.grid, self.window, self.stride))
+        grid, window, stride = (_int_pair(name, getattr(self, name))
+                                for name in ("grid", "window", "stride"))
         tops = _axis_positions(grid[0], window[0], stride[0], "height")
         lefts = _axis_positions(grid[1], window[1], stride[1], "width")
         # Positions per axis from the range ends, since len() overflows past sys.maxsize.
@@ -128,6 +130,18 @@ class PatchLayout:
             "patch_count": self.patch_count,
             "rects": [list(r) for r in self.rects],
         }
+
+
+def _int_pair(name: str, value) -> tuple[int, int]:
+    """``value`` as an ``(h, w)`` pair of ints; GeometryError naming ``name``
+    unless it is two integers (numpy's too) and neither is a bool."""
+    try:
+        h, w = value
+        if not (isinstance(h, bool) or isinstance(w, bool)):
+            return operator.index(h), operator.index(w)
+    except (TypeError, ValueError):
+        pass
+    raise GeometryError(f"{name} must be a pair of integers, got {value!r}")
 
 
 def _axis_covers(grid: int, window: int, stride: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared array validation helpers.
+"""Shared array validation helpers and the JSON-file reader.
 
 Grids are plain numpy arrays of shape (height, width, channels), float64,
 row-major. A stage that takes ``out=`` writes its result into that caller-owned
@@ -7,6 +7,8 @@ freshly allocated grid.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -44,3 +46,33 @@ def check_out(out, shape: tuple, **read_after_write) -> None:
     for name, arr in read_after_write.items():
         if arr is not None and np.may_share_memory(out, arr):
             raise ValueError(f"out overlaps {name}, which is read after out is written")
+
+
+def read_json_object(path, what: str, error: type[ValueError]) -> dict:
+    """The JSON object in the file at ``path``, or {} for a blank file.
+
+    Raises ``error`` with one line naming ``what`` and the file when the file
+    cannot be read, is not UTF-8, is not JSON (with the line and column),
+    nests too deeply for the parser, holds an integer too long to convert,
+    or holds a value other than an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    if not text.strip():
+        return {}
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON at line {exc.lineno}, "
+                    f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise error(f"{what} {path} nests its JSON values too deeply to read") from None
+    except ValueError as exc:
+        raise error(f"cannot read {what} {path} as JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} must be a JSON object, got {type(doc).__name__}")
+    return doc

@@ -15,7 +15,7 @@ import pytest
 
 from resmaster.attention import attend, make_attention_weights, softmax_rows
 from resmaster.cli import main
-from resmaster.conditioning import CaptionManifest, ConditionBundle, ImageEmbedding, TextEmbedding
+from resmaster.conditioning import CaptionManifest, ConditionBundle
 from resmaster.config import PipelineConfig
 from resmaster.denoiser import GaussianDataModel, analytic_gaussian_denoiser
 from resmaster.netpbm import write_image
@@ -193,17 +193,17 @@ def test_criterion_09_attention_contract():
         rng = np.random.default_rng(909)
         weights = make_attention_weights(8, 8, 8, 8, seed=99)
         text_rows = rng.normal(size=(3, 8))
-        text = TextEmbedding(text_rows / np.linalg.norm(text_rows, axis=1, keepdims=True))
-        image = ImageEmbedding(rng.normal(size=(2, 8)))
+        text = text_rows / np.linalg.norm(text_rows, axis=1, keepdims=True)
+        image = rng.normal(size=(2, 8))
         x = rng.normal(size=(5, 8))
 
         lam0 = attend(x, ConditionBundle(text, image, 0.0), weights)
         q = x @ weights.w_query
-        scores = softmax_rows((q @ (text.data @ weights.w_key_text).T) / np.sqrt(8))
-        text_only = scores @ (text.data @ weights.w_value_text)
+        scores = softmax_rows((q @ (text @ weights.w_key_text).T) / np.sqrt(8))
+        text_only = scores @ (text @ weights.w_value_text)
         assert np.abs(lam0 - text_only).max() < 1e-12
 
-        oracle = attention_direct(x, text.data, image.data, 0.8, weights)
+        oracle = attention_direct(x, text, image, 0.8, weights)
         assert np.abs(attend(x, ConditionBundle(text, image, 0.8), weights) - oracle).max() < 1e-10
 
         lam1 = attend(x, ConditionBundle(text, image, 1.0), weights)

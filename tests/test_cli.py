@@ -1,11 +1,18 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resmaster
 import resmaster.config
 import resmaster.pipeline
+from resmaster.attention import _query_block
 from resmaster.cli import main
 from resmaster.netpbm import read_image, write_image
 
@@ -244,6 +251,42 @@ class TestUpscale:
         assert err.count("\n") == 1 and "layout window [96, 96]" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_misspelt_manifest_key_exits_1_naming_it(self, tmp_path, reference_file, capsys):
+        # Spelt right, the 96/16 layout block fails a 64/32 run; misspelt, it
+        # must not let that run through.
+        manifest = tmp_path / "caps.json"
+        assert main(["plan", "--in", str(reference_file), "--scale", "8",
+                     "--window", "96", "--stride", "16", "--manifest", str(manifest)]) == 0
+        _fill_manifest(manifest)
+        manifest.write_text(manifest.read_text().replace('"layout"', '"layuot"'))
+        capsys.readouterr()
+        out = tmp_path / "o.ppm"
+        code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                     "--scale", "8", "--window", "64", "--stride", "32", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown key 'layuot'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_malformed_manifest_exits_1_with_one_line(self, tmp_path, reference_file,
+                                                      malformed_json, capsys):
+        code = main(["upscale", "--in", str(reference_file), "--manifest", str(malformed_json),
+                     "--scale", "2", "--window", "16", "--stride", "8",
+                     "--out", str(tmp_path / "o.ppm")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(malformed_json) in err and "Traceback" not in err
+
+    def test_malformed_config_exits_1_with_one_line(self, tmp_path, reference_file,
+                                                    malformed_json, capsys):
+        manifest = self._plan_and_fill(tmp_path, reference_file)
+        capsys.readouterr()
+        code = main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                     "--config", str(malformed_json), "--out", str(tmp_path / "o.ppm")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(malformed_json) in err and "Traceback" not in err
+
     def test_codec_key_exits_1_as_unknown(self, tmp_path, reference_file, capsys):
         manifest = self._plan_and_fill(tmp_path, reference_file)
         config = tmp_path / "codec.json"
@@ -293,6 +336,33 @@ class TestUpscale:
                      "--out", str(tmp_path / "o.ppm")])
         assert code == 1
         assert "axis" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    def test_output_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # Toy upscale 40x40 -> 160x160 in 96/32 windows: 9216 queries per
+        # window, more than one of attend's query blocks (12 tokens, 3 channels).
+        assert 96 * 96 > _query_block(12, 3)
+        ys = np.linspace(0, 2 * np.pi, 40, endpoint=False)
+        base = 0.5 + 0.2 * np.sin(ys)[:, None] * np.cos(2 * ys)[None, :]
+        write_image(np.stack([base, base.T, 1 - base], axis=2), tmp_path / "ref.ppm")
+        tiling = ["--scale", "4", "--window", "96", "--stride", "32"]
+        manifest = tmp_path / "caps.json"
+        assert main(["plan", "--in", str(tmp_path / "ref.ppm"), *tiling,
+                     "--manifest", str(manifest)]) == 0
+        _fill_manifest(manifest, "rolling hills under a cloudy sky")
+        (tmp_path / "toy.json").write_text(json.dumps({"denoiser": "toy"}))
+        src = str(Path(resmaster.__file__).resolve().parent.parent)
+        digests = set()
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}.ppm"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "resmaster", "upscale", "--in",
+                            str(tmp_path / "ref.ppm"), "--manifest", str(manifest),
+                            "--config", str(tmp_path / "toy.json"), *tiling, "--steps", "4",
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert len(digests) == 1
 
 
 class TestTilingPlannedOnce:

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from resmaster.conditioning import (
     CAPTION_INSTRUCTION,
+    MANIFEST_KEYS,
     CaptionManifest,
     ConditionBundle,
     ManifestError,
-    TextEmbedding,
     _hash_floats,
     embed_text_stub,
     encode_image_prompt_stub,
@@ -30,21 +30,21 @@ class TestEmbedTextStub:
     def test_deterministic(self):
         a = embed_text_stub("a red bicycle", 6, 12, seed=5)
         b = embed_text_stub("a red bicycle", 6, 12, seed=5)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_rows_have_unit_norm(self):
         emb = embed_text_stub("northern lights over a lake", 8, 16, seed=0)
-        np.testing.assert_allclose(np.linalg.norm(emb.data, axis=1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_different_texts_differ(self):
         a = embed_text_stub("a", 4, 8, seed=1)
         b = embed_text_stub("b", 4, 8, seed=1)
-        assert np.abs(a.data - b.data).max() > 0
+        assert np.abs(a - b).max() > 0
 
     def test_different_seeds_differ(self):
         a = embed_text_stub("same words", 4, 8, seed=1)
         b = embed_text_stub("same words", 4, 8, seed=2)
-        assert np.abs(a.data - b.data).max() > 0
+        assert np.abs(a - b).max() > 0
 
     def test_rejects_empty_text_and_bad_dims(self):
         with pytest.raises(ValueError):
@@ -59,7 +59,7 @@ class TestEmbedTextStub:
     def test_embedding_is_pure(self, text, seed):
         a = embed_text_stub(text, 3, 5, seed)
         b = embed_text_stub(text, 3, 5, seed)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestHashFloats:
@@ -83,7 +83,7 @@ class TestEncodeImagePromptStub:
         patch = rng.normal(size=(12, 9, 3))
         a = encode_image_prompt_stub(patch, 4, 16, seed=0)
         b = encode_image_prompt_stub(patch.copy(), 4, 16, seed=0)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_single_cell_change_propagates(self, rng):
         patch = rng.normal(size=(12, 9, 3))
@@ -91,7 +91,7 @@ class TestEncodeImagePromptStub:
         other[5, 5, 1] += 0.5
         a = encode_image_prompt_stub(patch, 4, 16, seed=0)
         b = encode_image_prompt_stub(other, 4, 16, seed=0)
-        assert np.abs(a.data - b.data).max() > 0
+        assert np.abs(a - b).max() > 0
 
     @pytest.mark.parametrize("shape", [(8, 8), (16, 24), (64, 64), (128, 64), (12, 9), (3, 2),
                                        (20, 64)])
@@ -105,8 +105,8 @@ class TestEncodeImagePromptStub:
 
     def test_small_patches_supported(self, rng):
         emb = encode_image_prompt_stub(rng.normal(size=(3, 2, 1)), 2, 4, seed=0)
-        assert emb.data.shape == (2, 4)
-        assert np.isfinite(emb.data).all()
+        assert emb.shape == (2, 4)
+        assert np.isfinite(emb).all()
 
     def test_rejects_bad_dims(self, rng):
         with pytest.raises(ValueError):
@@ -125,7 +125,7 @@ class TestEncodeImagePromptStub:
             np.random.SeedSequence((4, 0x1A9E, 2, 16, feats.size))))
         drawn = gen.normal(size=(32, feats.size)) / np.sqrt(feats.size)
         np.testing.assert_array_equal(projection, drawn)
-        np.testing.assert_array_equal(encode_image_prompt_stub(patch, 2, 16, seed=4).data,
+        np.testing.assert_array_equal(encode_image_prompt_stub(patch, 2, 16, seed=4),
                                       (drawn @ feats).reshape(2, 16))
 
 
@@ -138,10 +138,31 @@ class TestBundleValidation:
             ConditionBundle(text, image, -0.1)
 
     def test_text_row_norm_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            TextEmbedding(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            TextEmbedding(np.full((2, 3), 50.0))
+        image = np.ones((1, 3))
+        with pytest.raises(ValueError, match=re.escape("row norms must lie in (0, 10]")):
+            ConditionBundle(np.zeros((2, 3)), image)
+        with pytest.raises(ValueError, match=re.escape("row norms must lie in (0, 10]")):
+            ConditionBundle(np.full((2, 3), 50.0), image)
+
+    @pytest.mark.parametrize("name", ["text", "image"])
+    @pytest.mark.parametrize("value, message", [
+        (np.ones(3), "must be a non-empty (tokens, dim) matrix, got (3,)"),
+        (np.ones((0, 3)), "must be a non-empty (tokens, dim) matrix, got (0, 3)"),
+        (np.full((2, 3), np.nan), "contains non-finite entries"),
+    ])
+    def test_arrays_must_be_finite_nonempty_matrices(self, name, value, message):
+        arrays = {"text": np.full((2, 3), 0.5), "image": np.ones((1, 3)), name: value}
+        with pytest.raises(ValueError, match=re.escape(f"{name} embedding {message}")):
+            ConditionBundle(**arrays)
+
+    def test_keeps_read_only_float64_copies(self):
+        text, image = np.full((2, 3), 0.5), np.ones((1, 3), dtype=np.float32)
+        bundle = ConditionBundle(text, image)
+        for kept, given in ((bundle.text, text), (bundle.image, image)):
+            assert kept.dtype == np.float64 and not kept.flags.writeable
+            assert not np.shares_memory(kept, given) and given.flags.writeable
+            np.testing.assert_array_equal(kept, given)
+        assert bundle != ConditionBundle(text, image) and bundle == bundle
 
 
 # The run layout of a 128x128 target tiled by 64/32 windows: 9 patches.
@@ -186,6 +207,28 @@ class TestCaptionManifest:
         path.write_text('{"version": 1,\n  "global_prompt": oops}')
         with pytest.raises(ManifestError, match="line 2"):
             load_caption_manifest(path)
+
+    def test_a_malformed_file_is_one_line_naming_it(self, malformed_json):
+        with pytest.raises(ManifestError) as err:
+            load_caption_manifest(malformed_json, expected_layout=RUN_LAYOUT)
+        message = str(err.value)
+        assert f"manifest {malformed_json}" in message and "\n" not in message
+
+    def test_a_blank_file_fails_the_version_check(self, tmp_path):
+        path = tmp_path / "caps.json"
+        path.write_text(" \n")
+        with pytest.raises(ManifestError, match="unsupported version None"):
+            load_caption_manifest(path)
+
+    def test_an_unknown_key_is_refused_naming_it(self, tmp_path):
+        # A misspelt layout block would otherwise skip the layout check.
+        doc = self._doc()
+        doc["layuot"] = PatchLayout((128, 128), (96, 96), (16, 16)).to_dict()
+        path = self._write(tmp_path, doc)
+        with pytest.raises(ManifestError, match="^manifest .*: unknown key 'layuot'; the keys are "
+                                                "version, global_prompt, instruction, patch_count, "
+                                                "layout, patches$"):
+            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
 
     def test_non_string_instruction_rejected(self, tmp_path):
         path = self._write(tmp_path, self._doc(instruction=[1, {"a": None}]))
@@ -232,6 +275,7 @@ class TestCaptionManifest:
     def test_skeleton_roundtrips_through_loader(self, tmp_path):
         layout = PatchLayout((128, 128), (64, 64), (32, 32))
         doc = manifest_skeleton("busy market street", layout.to_dict())
+        assert tuple(doc) == MANIFEST_KEYS
         assert doc["instruction"] == CAPTION_INSTRUCTION
         assert len(doc["patches"]) == 9
         path = tmp_path / "skel.json"

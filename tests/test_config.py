@@ -132,6 +132,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config(path, {})
 
+    def test_a_malformed_file_is_one_line_naming_it(self, malformed_json):
+        with pytest.raises(ConfigError) as err:
+            parse_config(malformed_json, {})
+        message = str(err.value)
+        assert f"config {malformed_json}" in message and "\n" not in message
+
+    def test_a_value_other_than_an_object_is_refused(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="must be a JSON object, got list$"):
+            parse_config(path, {})
+
     def test_wrong_types_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"steps": "many", "d0": True}))

@@ -133,6 +133,26 @@ class TestPatchLayout:
         with pytest.raises(GeometryError):
             PatchLayout((16, 16), (8, 8), (0, 4))
 
+    @pytest.mark.parametrize("grid, window, stride, field", [
+        ((12.7, "12"), (4, 4.9), (4, 4), "grid"),  # once silently a 12x12 grid of 4x4 windows
+        ((12, 12), (4, 4.9), (4, 4), "window"),
+        ((12, 12), (4, 4), (True, 4), "stride"),  # once stride 1
+        ((12, 12), (4, 4), (4, np.True_), "stride"),
+        ((12, 12), "44", (4, 4), "window"),
+        ((12, 12), (4, 4, 4), (4, 4), "window"),
+        (12, (4, 4), (4, 4), "grid"),
+    ])
+    def test_rejects_pairs_that_are_not_two_integers(self, grid, window, stride, field):
+        with pytest.raises(GeometryError) as err:
+            PatchLayout(grid, window, stride)
+        message = str(err.value)
+        assert message.startswith(f"{field} must be a pair of integers, got ") and "\n" not in message
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        layout = PatchLayout((np.int64(12), np.int32(12)), (np.uint8(4), 4), [4, np.int16(4)])
+        assert layout == PatchLayout((12, 12), (4, 4), (4, 4))
+        assert all(type(v) is int for pair in (layout.grid, layout.window, layout.stride) for v in pair)
+
     @given(
         win=st.integers(2, 24),
         count_h=st.integers(1, 5),
