@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -46,9 +48,10 @@ class ManifestError(ValueError):
 @dataclass(frozen=True, eq=False)
 class ConditionBundle:
     """A patch's conditions plus the image branch's weighting factor ``lam``,
-    finite and >= 0. ``text`` holds the caption's token embeddings and
-    ``image`` the image prompt's, each a non-empty, finite ``(tokens, dim)``
-    array, kept as a read-only float64 copy; text rows have norms in (0, 10].
+    a real number other than a bool, finite and >= 0, stored as a float.
+    ``text`` holds the caption's token embeddings and ``image`` the image
+    prompt's, each a non-empty, finite ``(tokens, dim)`` array, kept as a
+    read-only float64 copy; text rows have norms in (0, 10].
 
     Compared and hashed by identity, so attention can keep what it derives
     from a bundle keyed by the bundle itself."""
@@ -68,8 +71,15 @@ class ConditionBundle:
         norms = np.linalg.norm(self.text, axis=1)
         if not ((norms > 0.0).all() and (norms <= 10.0).all()):
             raise ValueError("text embedding row norms must lie in (0, 10]")
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
+        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
+            raise ValueError(f"lam must be a real number, got {self.lam!r}")
+        try:
+            lam = float(self.lam)
+        except OverflowError:  # an integer beyond float range
+            lam = math.inf
+        if not (math.isfinite(lam) and lam >= 0.0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        object.__setattr__(self, "lam", lam)
 
 
 def _hash_floats(payload: bytes, count: int) -> np.ndarray:

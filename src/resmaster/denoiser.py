@@ -1,12 +1,17 @@
-"""Pluggable noise predictors: a closed-form analytic denoiser for Gaussian
-data (the ground-truth engine for end-to-end tests) and a small conditioned
+"""Pluggable denoisers: a closed-form analytic denoiser for Gaussian data
+(the ground-truth engine for end-to-end tests) and a small conditioned
 network that exercises the decoupled cross-attention path.
 
 A denoiser is anything with
-``predict(z_t, t, cond, s, out=None) -> grid of z_t's shape``; predictions
-must be deterministic functions of the arguments. Given ``out``, a float64
-grid of z_t's shape that the caller owns, ``predict`` writes the prediction
-into it and returns it; the sampler passes the same buffer every step.
+``predict(z_t, t, cond, s, out=None) -> grid of z_t's shape`` and a
+``prediction`` attribute naming what ``predict`` returns: ``"epsilon"``, the
+noise, as diffusion networks predict it, or ``"sample"``, the clean estimate
+E[z0 | z_t] itself. The sampler turns an ``"epsilon"`` prediction into the
+clean estimate with ``schedule.predict_x0`` and uses a ``"sample"``
+prediction as it is. Predictions must be deterministic functions of the
+arguments. Given ``out``, a float64 grid of z_t's shape that the caller
+owns, ``predict`` writes the prediction into it and returns it; the sampler
+passes the same buffer every step.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from .util import as_grid, check_out
 
 @runtime_checkable
 class Denoiser(Protocol):
+    prediction: str
+
     def predict(
         self, z_t: np.ndarray, t: int, cond: ConditionBundle | None, s: NoiseSchedule,
         out: np.ndarray | None = None,
@@ -53,22 +60,23 @@ class GaussianDataModel:
 
 
 class _AnalyticGaussianDenoiser:
-    """Exact conditional-mean noise prediction for Gaussian data.
+    """Exact posterior mean of the clean data for Gaussian data.
 
     With z_t = sqrt(abar) z0 + sqrt(1-abar) eps and z0 ~ N(m, s^2), the
     posterior mean of z0 given z_t is
-    ``m + sqrt(abar) s^2 / (abar s^2 + 1 - abar) * (z_t - sqrt(abar) m)``
-    and the implied noise estimate is
-    ``(z_t - sqrt(abar) E[z0|z_t]) / sqrt(1 - abar)``. With g the gain above,
-    that is ``(z_t - sqrt(abar) m) * (1 - sqrt(abar) g) / sqrt(1 - abar)``,
-    which ``predict`` evaluates in three passes: subtract, multiply, divide.
-    The factor ``1 - sqrt(abar) g`` is taken as
-    ``(1 - abar) / (abar s^2 + 1 - abar)``, its equal without cancellation:
-    exactly 1 for s = 0, and a small positive number (0 once s^2 overflows)
-    for huge s, so the noise estimate stays finite. The mean is shaped to
+    ``m + g * (z_t - sqrt(abar) m)`` with the gain
+    ``g = sqrt(abar) s^2 / (abar s^2 + 1 - abar)``, that is
+    ``g * z_t + k * m`` with ``k = 1 - sqrt(abar) g``, which ``predict``
+    evaluates in two passes: multiply, then add the mean term. ``k`` is taken
+    as ``(1 - abar) / (abar s^2 + 1 - abar)``, its equal without
+    cancellation: exactly 1 for s = 0, and a small positive number (0 once
+    s^2 overflows) for huge s. Once s^2 overflows, g takes its limit
+    ``1 / sqrt(abar)``, so the estimate stays finite. The mean is shaped to
     ``(1, 1, channels)`` once, on construction, and broadcasts over z_t (a
     scalar mean over any channel count).
     """
+
+    prediction = "sample"
 
     def __init__(self, model: GaussianDataModel):
         self.model = model
@@ -86,9 +94,11 @@ class _AnalyticGaussianDenoiser:
         s.check_t(t)
         abar = float(s.alpha_bar[t - 1])
         var, noise_var = self.model.std * self.model.std, 1.0 - abar
-        out = np.subtract(z_t, math.sqrt(abar) * mean, out=out)
-        np.multiply(out, noise_var / (abar * var + noise_var), out=out)
-        return np.divide(out, math.sqrt(noise_var), out=out)
+        denom = abar * var + noise_var
+        gain = math.sqrt(abar) * var / denom if math.isfinite(var) else 1.0 / math.sqrt(abar)
+        out = np.multiply(z_t, gain, out=out)
+        out += (noise_var / denom) * mean
+        return out
 
 
 def analytic_gaussian_denoiser(model: GaussianDataModel) -> _AnalyticGaussianDenoiser:
@@ -111,8 +121,11 @@ class _ToyConditionedDenoiser:
     channels, 12 tokens and the default widths.
 
     Purely a conditioning-path exerciser; it makes no claim of denoising
-    quality. Output is tanh-bounded so ancestral sampling stays stable.
+    quality. Output is tanh-bounded so ancestral sampling stays stable. It
+    predicts the noise, as diffusion networks do.
     """
+
+    prediction = "epsilon"
 
     def __init__(self, seed: int, channels: int, d_model: int = 16, d_head: int = 16):
         if min(channels, d_model, d_head) < 1:

@@ -92,11 +92,18 @@ def read_image(path) -> np.ndarray:
     return pixels.reshape(height, width, channels)
 
 
+# Values per block that write_image quantizes at a time: 256 KiB of floats.
+_WRITE_BLOCK_VALUES = 2**15
+
+
 def write_image(grid: np.ndarray, path) -> None:
     """Save a 1-channel grid as P5 or a 3-channel grid as P6.
 
     Values are clamped to [0, 1] and rounded half-up to bytes. A grid with a
-    NaN or infinite value raises ValueError before the file is opened.
+    NaN or infinite value raises ValueError before the file is opened. The
+    rows are quantized and written a block at a time, through one float and
+    one byte buffer of at most ``_WRITE_BLOCK_VALUES`` values (or one row),
+    so writing holds no grid-sized temporary.
     """
     grid = as_grid(grid, "grid")
     require_finite(grid, f"grid for {path}")
@@ -107,9 +114,19 @@ def write_image(grid: np.ndarray, path) -> None:
         magic = b"P6"
     else:
         raise ValueError(f"only 1- or 3-channel grids can be written, got {channels} channels")
-    clamped = np.clip(grid, 0.0, 1.0)
-    pixels = np.floor(clamped * 255.0 + 0.5).astype(np.uint8)
-    header = magic + b"\n" + f"{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii")
+    height, width = grid.shape[:2]
+    rows = max(1, _WRITE_BLOCK_VALUES // (width * channels))
+    scratch = np.empty((min(rows, height), width, channels))
+    pixels = np.empty(scratch.shape, dtype=np.uint8)
+    header = magic + b"\n" + f"{width} {height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(pixels.tobytes())
+        for top in range(0, height, rows):
+            block = grid[top : top + rows]
+            buf, out = scratch[: block.shape[0]], pixels[: block.shape[0]]
+            np.clip(block, 0.0, 1.0, out=buf)
+            buf *= 255.0
+            buf += 0.5
+            np.floor(buf, out=buf)
+            np.copyto(out, buf, casting="unsafe")
+            fh.write(out.data)

@@ -32,6 +32,9 @@ from .spectral import swap_low_frequency
 from .tiler import PatchLayout, bicubic_upsample, extract_patch, fuse_patches
 from .util import as_grid
 
+# What a denoiser's ``predict`` may return: the noise, or the clean estimate.
+PREDICTIONS = ("epsilon", "sample")
+
 
 def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: PatchLayout,
             config: PipelineConfig, reference: np.ndarray | None = None,
@@ -45,13 +48,20 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
     draws nothing. A one-window layout covers the whole grid, so its
     estimate needs no fusion.
 
+    The denoiser's ``prediction`` is read once, before the first step: an
+    ``"epsilon"`` prediction is turned into the clean estimate with
+    ``predict_x0``, and a ``"sample"`` prediction is the clean estimate.
+
     The run owns its buffers: one window estimate, and on guided runs one
     reference window, allocated once per run. Each window reads its view of
-    ``z``; its noise prediction, clean estimate and swap are written into
-    the estimate buffer, which ``fuse_patches`` reads before the next window
-    is denoised into it, and the grid steps in place, consuming the step's
+    ``z``; its prediction, clean estimate and swap are written into the
+    estimate buffer, which ``fuse_patches`` reads before the next window is
+    denoised into it, and the grid steps in place, consuming the step's
     clean estimate and noise grid. So the array ``patch_hook`` receives is
     overwritten by the next window; a hook that keeps it must copy it."""
+    prediction = getattr(denoiser, "prediction", None)
+    if prediction not in PREDICTIONS:
+        raise ValueError(f"denoiser prediction must be one of {PREDICTIONS}, got {prediction!r}")
     s = config.make_schedule()
     shape = (*layout.grid, config.channels)
     z = standard_normal_field(config.seed, INIT_STEP, shape)
@@ -62,8 +72,9 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
         for i, (top, left, h, w) in enumerate(layout.rects):
             # A view of z, which nothing writes to before the step.
             z_t = z[top : top + h, left : left + w]
-            eps_hat = denoiser.predict(z_t, t, conds[i], s, out=estimate)
-            z0 = predict_x0(z_t, eps_hat, t, s, out=estimate)
+            z0 = denoiser.predict(z_t, t, conds[i], s, out=estimate)
+            if prediction == "epsilon":
+                z0 = predict_x0(z_t, z0, t, s, out=estimate)
             if guided:
                 # A contiguous copy: the swap reads it faster than the view.
                 np.copyto(ref_window, reference[top : top + h, left : left + w])

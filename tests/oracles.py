@@ -6,7 +6,9 @@ resampling is a scalar kernel sum, attention is a double loop, and schedule
 formulas are re-evaluated in extended precision, or cell by cell in scalar
 floats from the betas alone. The one vectorised form, ``bicubic_einsum``,
 is the library's earlier bicubic, kept as the bytes its per-axis passes
-must reproduce.
+must reproduce. ``sample_direct`` is the one oracle built on the library: it
+runs the sampler's stages, whose arithmetic their own oracles pin, in the
+plainest order on fresh arrays, so it pins the sampler's structure.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ import math
 from decimal import Decimal, getcontext
 
 import numpy as np
+
+from resmaster.noise import INIT_STEP, standard_normal_field
+from resmaster.schedule import posterior_step, predict_x0
+from resmaster.spectral import swap_low_frequency
 
 getcontext().prec = 50
 
@@ -200,6 +206,36 @@ def fuse_first_plus_deviation(patches, layout) -> np.ndarray:
     return base + deviation / count[:, :, None]
 
 
+def sample_direct(denoiser, conds, layout, config, reference=None, patch_hook=None) -> np.ndarray:
+    """The sampler the obvious way: a whole-grid ``z``; per step a copy of
+    every window, each denoised under its condition into a fresh array
+    (turned into the clean estimate by ``predict_x0`` only for an
+    ``"epsilon"`` denoiser), its low band swapped for the reference
+    window's while ``t > guidance_stop_step`` when there is a reference,
+    and passed to ``patch_hook(t, i, estimate)``; then
+    ``fuse_first_plus_deviation`` of the list, one whole-grid
+    ``standard_normal_field`` draw (none at t = 1) and ``posterior_step``."""
+    s = config.make_schedule()
+    shape = (*layout.grid, config.channels)
+    z = standard_normal_field(config.seed, INIT_STEP, shape)
+    for t in range(s.steps, 0, -1):
+        guided = reference is not None and t > config.guidance_stop_step
+        estimates = []
+        for i, rect in enumerate(layout.rects):
+            window = extract_direct(z, rect)
+            estimate = denoiser.predict(window, t, conds[i], s)
+            if denoiser.prediction == "epsilon":
+                estimate = predict_x0(window, estimate, t, s)
+            if guided:
+                estimate = swap_low_frequency(estimate, extract_direct(reference, rect), config.d0)
+            if patch_hook is not None:
+                patch_hook(t, i, estimate)
+            estimates.append(estimate)
+        noise = standard_normal_field(config.seed, t, shape) if t > 1 else None
+        z = posterior_step(z, fuse_first_plus_deviation(estimates, layout), t, noise, s)
+    return z
+
+
 def pooled_means_direct(patch: np.ndarray, bins: int = 8) -> np.ndarray:
     """(bins, bins, channels) means of proportional, never-empty bins, one
     bin at a time."""
@@ -327,29 +363,19 @@ def posterior_mean_direct(z_t: np.ndarray, abar: float, mean, std: float) -> np.
     return m + gain * (z_t - math.sqrt(abar) * m)
 
 
-def analytic_eps_direct(z: float, abar: float, m: float, s: float) -> float:
-    """Scalar conditional-mean noise estimate for N(m, s^2) data."""
-    post = m + math.sqrt(abar) * s * s / (abar * s * s + 1.0 - abar) * (z - math.sqrt(abar) * m)
-    return (z - math.sqrt(abar) * post) / math.sqrt(1.0 - abar)
-
-
-def analytic_eps_decimal(z_t: np.ndarray, abar: float, mean, std: float) -> np.ndarray:
-    """The analytic denoiser's noise estimate in its two stages, per element in
-    Decimal: the posterior mean
-    E = m + sqrt(abar) s^2 / (abar s^2 + 1 - abar) * (z - sqrt(abar) m), then
-    (z - sqrt(abar) E) / sqrt(1 - abar). ``mean`` is a scalar or one value per
-    channel."""
+def posterior_mean_decimal(z_t: np.ndarray, abar: float, mean, std: float) -> np.ndarray:
+    """E[z0 | z_t] for N(mean, std^2) data, per element in Decimal:
+    m + sqrt(abar) s^2 / (abar s^2 + 1 - abar) * (z - sqrt(abar) m).
+    ``mean`` is a scalar or one value per channel."""
     dabar = Decimal(float(abar))
     root_abar = dabar.sqrt()
-    root_om = (Decimal(1) - dabar).sqrt()
     var = Decimal(float(std)) ** 2
     gain = root_abar * var / (dabar * var + Decimal(1) - dabar)
     means = np.broadcast_to(np.atleast_1d(np.asarray(mean, dtype=np.float64)), z_t.shape)
     out = np.empty_like(z_t)
     for idx in np.ndindex(z_t.shape):
         z, m = Decimal(float(z_t[idx])), Decimal(float(means[idx]))
-        post = m + gain * (z - root_abar * m)
-        out[idx] = float((z - root_abar * post) / root_om)
+        out[idx] = float(m + gain * (z - root_abar * m))
     return out
 
 

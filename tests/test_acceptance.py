@@ -125,7 +125,7 @@ def test_criterion_05_scheduler_identities():
 
 
 def test_criterion_06_analytic_denoiser_vs_mc_regression():
-    with criterion(6, "closed-form noise estimate matches binned MC regression"):
+    with criterion(6, "closed-form clean estimate matches binned MC regression"):
         start = time.perf_counter()
         s = make_linear_schedule(1000)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.25, 0.8))
@@ -137,7 +137,7 @@ def test_criterion_06_analytic_denoiser_vs_mc_regression():
             eps = rng.normal(size=n)
             z_t = np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps
             predicted = den.predict(z_t.reshape(-1, 1, 1), t, None, s).reshape(-1)
-            residual = eps - predicted
+            residual = z0 - predicted
             for chunk in np.array_split(np.argsort(z_t), 20):
                 r = residual[chunk]
                 se = r.std(ddof=1) / np.sqrt(r.size)

@@ -23,7 +23,7 @@ from resmaster.pipeline import build_patch_bundles, generate_low_res, resmaster_
 from resmaster.schedule import make_geometric_schedule, posterior_step, predict_x0
 from resmaster.spectral import swap_low_frequency
 
-from oracles import analytic_eps_decimal, schedule_scalars
+from oracles import posterior_mean_decimal, schedule_scalars
 
 SHAPE = (6, 5, 3)
 S = make_geometric_schedule(20)
@@ -154,9 +154,9 @@ class TestClosedFormNoiseEstimate:
         z_t = np.random.default_rng(3).normal(size=(4, 5, 3))
         den = analytic_gaussian_denoiser(GaussianDataModel(mean, std))
         for t in (1, 25, 50):
-            oracle = analytic_eps_decimal(z_t, s.alpha_bar[t - 1], mean, std)
+            oracle = posterior_mean_decimal(z_t, s.alpha_bar[t - 1], mean, std)
             gap = np.abs(den.predict(z_t, t, None, s) - oracle).max()
-            assert gap <= 1e-13 * np.abs(oracle).max(), (t, gap)
+            assert gap <= 1e-15 * np.abs(oracle).max(), (t, gap)
 
     @pytest.mark.parametrize("m", [0.5, -1.25, 0.0])
     def test_a_mean_repeated_per_channel_gives_the_bytes_of_a_scalar_mean(self, m):

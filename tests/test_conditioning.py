@@ -137,6 +137,27 @@ class TestBundleValidation:
         with pytest.raises(ValueError):
             ConditionBundle(text, image, -0.1)
 
+    @pytest.mark.parametrize("lam, message", [
+        (True, "lam must be a real number, got True"),
+        (np.True_, "lam must be a real number, got np.True_"),
+        (None, "lam must be a real number, got None"),
+        ("0.5", "lam must be a real number, got '0.5'"),
+        (np.array([0.5, 0.5]), "lam must be a real number, got array([0.5, 0.5])"),
+        (np.nan, "lam must be finite and >= 0, got nan"),
+        (10**400, "lam must be finite and >= 0, got 1000"),
+    ])
+    def test_lambda_must_be_a_real_number_named_in_one_line(self, lam, message):
+        text, image = np.full((2, 3), 0.5), np.ones((1, 3))
+        with pytest.raises(ValueError, match=re.escape(message)) as excinfo:
+            ConditionBundle(text, image, lam)
+        assert "\n" not in str(excinfo.value)
+
+    def test_lambda_is_stored_as_a_float(self):
+        text, image = np.full((2, 3), 0.5), np.ones((1, 3))
+        for lam in (1, np.float32(0.5), np.int64(2)):
+            bundle = ConditionBundle(text, image, lam)
+            assert type(bundle.lam) is float and bundle.lam == lam
+
     def test_text_row_norm_bounds_enforced(self):
         image = np.ones((1, 3))
         with pytest.raises(ValueError, match=re.escape("row norms must lie in (0, 10]")):

@@ -10,14 +10,14 @@ from resmaster.denoiser import (
     toy_conditioned_denoiser,
 )
 from resmaster.pipeline import generate_low_res
-from resmaster.schedule import forward_diffuse, make_linear_schedule, predict_x0
+from resmaster.schedule import forward_diffuse, make_linear_schedule
 
-from oracles import analytic_eps_direct, posterior_mean_direct
+from oracles import posterior_mean_direct
 
 
 def mc_regression_gaps(m, s_data, t, schedule, n, seed, bins=20):
-    """Per-bin (mean residual, standard error) between simulated noise and the
-    closed-form conditional mean, binned by equal-count quantiles of z_t."""
+    """Per-bin (mean residual, standard error) between simulated clean data and
+    the closed-form conditional mean, binned by equal-count quantiles of z_t."""
     rng = np.random.default_rng(seed)
     abar = schedule.alpha_bar[t - 1]
     z0 = rng.normal(m, s_data, size=n)
@@ -25,7 +25,7 @@ def mc_regression_gaps(m, s_data, t, schedule, n, seed, bins=20):
     z_t = np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps
     den = analytic_gaussian_denoiser(GaussianDataModel(m, s_data))
     predicted = den.predict(z_t.reshape(-1, 1, 1), t, None, schedule).reshape(-1)
-    residual = eps - predicted
+    residual = z0 - predicted
     order = np.argsort(z_t)
     gaps = []
     for chunk in np.array_split(order, bins):
@@ -39,38 +39,36 @@ class TestAnalyticGaussianDenoiser:
         s = make_linear_schedule(30)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.7, 0.0))
         z_t = rng.normal(size=(5, 5, 1))
-        abar = s.alpha_bar[11]
-        expected = (z_t - np.sqrt(abar) * 0.7) / np.sqrt(1.0 - abar)
-        np.testing.assert_allclose(den.predict(z_t, 12, None, s), expected, rtol=0, atol=0)
+        np.testing.assert_array_equal(den.predict(z_t, 12, None, s), np.full_like(z_t, 0.7))
 
     def test_point_mass_at_scaled_mean_predicts_zero(self):
         s = make_linear_schedule(30)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.7, 0.0))
         abar = s.alpha_bar[11]
         z_t = np.full((4, 4, 1), np.sqrt(abar) * 0.7)
-        np.testing.assert_array_equal(den.predict(z_t, 12, None, s), np.zeros_like(z_t))
+        x0 = den.predict(z_t, 12, None, s)
+        np.testing.assert_array_equal(x0, np.full_like(z_t, 0.7))
+        # So the noise the estimate implies is exactly zero.
+        np.testing.assert_array_equal(z_t - np.sqrt(abar) * x0, np.zeros_like(z_t))
 
     def test_matches_scalar_oracle(self, rng):
         s = make_linear_schedule(100)
         den = analytic_gaussian_denoiser(GaussianDataModel(-0.2, 0.6))
         z_t = rng.normal(size=(4, 3, 2))
         out = den.predict(z_t, 57, None, s)
-        abar = s.alpha_bar[56]
+        expected = posterior_mean_direct(z_t, s.alpha_bar[56], -0.2, 0.6)
         for idx in np.ndindex(z_t.shape):
-            assert out[idx] == pytest.approx(
-                analytic_eps_direct(float(z_t[idx]), abar, -0.2, 0.6), rel=1e-12
-            )
+            assert out[idx] == pytest.approx(expected[idx], rel=1e-12)
 
     def test_predict_x0_recovers_posterior_mean(self, rng):
         s = make_linear_schedule(50)
         den = analytic_gaussian_denoiser(GaussianDataModel(0.3, 0.8))
         z_t = rng.normal(size=(6, 6, 2))
         for t in (1, 25, 50):
-            eps_hat = den.predict(z_t, t, None, s)
             np.testing.assert_allclose(
-                predict_x0(z_t, eps_hat, t, s),
+                den.predict(z_t, t, None, s),
                 posterior_mean_direct(z_t, s.alpha_bar[t - 1], 0.3, 0.8),
-                rtol=0, atol=1e-10,
+                rtol=0, atol=1e-14,
             )
 
     def test_shape_preserved_and_cond_ignored(self, rng):
@@ -90,9 +88,7 @@ class TestAnalyticGaussianDenoiser:
         den = analytic_gaussian_denoiser(GaussianDataModel([0.1, 0.9], 0.0))
         z_t = rng.normal(size=(4, 4, 2))
         out = den.predict(z_t, 8, None, s)
-        abar = s.alpha_bar[7]
-        expected = (z_t - np.sqrt(abar) * np.array([0.1, 0.9])) / np.sqrt(1.0 - abar)
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(out, np.broadcast_to([0.1, 0.9], z_t.shape))
         with pytest.raises(ValueError):
             den.predict(rng.normal(size=(4, 4, 3)), 8, None, s)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,26 @@ class TestWriteImage:
         with pytest.raises(ValueError, match="non-finite"):
             write_image(grid, path)
         assert not path.exists()
+
+    # Row blocks of the writer: several with a short last one, one row wider
+    # than a block, and a single cell.
+    @pytest.mark.parametrize("shape", [(300, 200, 3), (2, 40_000, 1), (1, 1, 1)])
+    def test_blocks_write_the_bytes_of_the_whole_grid_formula(self, tmp_path, rng, shape):
+        grid = rng.normal(0.5, 0.6, size=shape)
+        path = tmp_path / "g.pnm"
+        write_image(grid, path)
+        pixels = np.floor(np.clip(grid, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+        assert path.read_bytes().endswith(pixels.tobytes())
+        assert len(path.read_bytes()) == len(f"P5\n{shape[1]} {shape[0]}\n255\n") + pixels.size
+
+    def test_writing_holds_under_half_a_grid_above_the_grid(self, tmp_path, rng):
+        grid = rng.uniform(size=(256, 256, 3))
+        write_image(grid, tmp_path / "warm.ppm")
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            write_image(grid, tmp_path / "g.ppm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / grid.nbytes < 0.5

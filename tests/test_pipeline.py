@@ -17,7 +17,7 @@ from resmaster.pipeline import build_patch_bundles, generate_low_res, resmaster_
 from resmaster.schedule import posterior_step
 from resmaster.tiler import PatchLayout, bicubic_upsample, extract_patch
 
-from oracles import gaussian_mask_direct
+from oracles import gaussian_mask_direct, sample_direct
 
 
 def smooth_reference(h, w, channels, mean=0.5, amp=0.2):
@@ -372,3 +372,75 @@ class TestGuidedVarianceOracle:
         mask = gaussian_mask_direct(32, 32, 0.8)
         predicted = predicted_cell_variance(mask, config, data_std=1.0)
         assert empirical == pytest.approx(predicted, rel=0.15)
+
+
+def _tiled_axis(target):
+    """(window, stride) pairs that tile ``target`` without gaps in at most 7
+    positions."""
+    return [(w, d) for w in range(1, target + 1) for d in range(1, w + 1)
+            if (target - w) % d == 0 and (target - w) // d < 7]
+
+
+@st.composite
+def _sampler_runs(draw):
+    scale, height, width = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = draw(st.sampled_from(_tiled_axis(height * scale)))
+    cols = draw(st.sampled_from(_tiled_axis(width * scale)))
+    steps = draw(st.integers(2, 8))
+    return PipelineConfig(
+        height=height, width=width, channels=draw(st.integers(1, 3)), scale=scale,
+        window=(rows[0], cols[0]), stride=(rows[1], cols[1]), steps=steps,
+        guidance_stop_step=draw(st.integers(0, steps)), seed=draw(st.integers(0, 2**16)),
+        d0=draw(st.sampled_from([0.3, 0.8])), denoiser=draw(st.sampled_from(["analytic", "toy"])),
+    )
+
+
+class TestSamplerEqualsTheDirectOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(config=_sampler_runs())
+    def test_upscale_and_lowres_equal_the_direct_sampler_bit_for_bit(self, config):
+        if config.denoiser == "toy":
+            den = toy_conditioned_denoiser(config.seed, config.channels)
+        else:
+            den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+        reference = np.random.default_rng(config.seed).uniform(
+            size=(config.height, config.width, config.channels))
+        layout = config.layout
+        captions = CaptionManifest(global_prompt="a harbour", patch_count=layout.patch_count)
+        upsampled = bicubic_upsample(reference, config.target_h, config.target_w)
+        bundles = build_patch_bundles((extract_patch(upsampled, r) for r in layout.rects),
+                                      captions, config)
+
+        def recorder(seen):
+            return lambda t, i, estimate: seen.append((t, i, estimate.copy()))
+
+        got_hook, want_hook = [], []
+        got = resmaster_generate(reference, captions, den, config, patch_hook=recorder(got_hook))
+        want = sample_direct(den, bundles, layout, config, upsampled, recorder(want_hook))
+        np.testing.assert_array_equal(got, want, strict=True)
+        assert [key[:2] for key in got_hook] == [key[:2] for key in want_hook]
+        for (_, _, a), (_, _, b) in zip(got_hook, want_hook):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+        cond = bundles[0] if config.denoiser == "toy" else None
+        grid = (config.height, config.width)
+        np.testing.assert_array_equal(
+            generate_low_res(den, cond, config),
+            sample_direct(den, [cond], PatchLayout(grid, grid, grid), config), strict=True)
+
+    @pytest.mark.parametrize("prediction", [None, "noise", "x0"])
+    def test_an_unknown_prediction_is_refused_before_the_first_step(self, prediction):
+        calls = []
+
+        class Denoiser:
+            def predict(self, z_t, t, cond, s, out=None):
+                calls.append(t)
+                return z_t
+
+        den = Denoiser()
+        if prediction is not None:
+            den.prediction = prediction
+        with pytest.raises(ValueError, match=r"^denoiser prediction must be one of "
+                           r"\('epsilon', 'sample'\), got ") as excinfo:
+            generate_low_res(den, None, grid_config(4, 4, 1, steps=3))
+        assert "\n" not in str(excinfo.value) and calls == []
