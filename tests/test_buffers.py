@@ -1,7 +1,7 @@
 """Caller-owned result buffers: every sampler stage takes ``out=``, writes the
 same bytes into it as its allocating call returns, and refuses an ``out`` that
 overlaps an input it reads after its first write; ``posterior_step`` also
-consumes its clean estimate and noise. Also the analytic noise estimate's
+consumes its clean estimate and noise. Also the analytic clean estimate's
 closed form, and what one sampling step allocates."""
 
 import math
