@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from resmaster.conditioning import CaptionManifest
 from resmaster.config import PipelineConfig
-from resmaster.denoiser import GaussianDataModel, analytic_gaussian_denoiser
+from resmaster.denoiser import analytic_gaussian_denoiser
 from resmaster.pipeline import resmaster_generate
 from resmaster.tiler import bicubic_upsample
 
@@ -50,7 +50,7 @@ def main() -> int:
     low, high = band_masks(64, 64)
     f_ref = np.fft.fft2(upsampled, axes=(0, 1))
     captions = CaptionManifest(global_prompt="cutoff sweep scene", patch_count=9)
-    den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
+    den = analytic_gaussian_denoiser(0.0, 1.0)
 
     print(f"{'cutoff':>8} {'low-band err':>14} {'high-band energy':>18}")
     for d0 in args.cutoffs:

@@ -19,7 +19,6 @@ from .conditioning import (
 from .config import ConfigError, PipelineConfig, parse_config, serialize_config
 from .denoiser import (
     Denoiser,
-    GaussianDataModel,
     analytic_gaussian_denoiser,
     toy_conditioned_denoiser,
 )

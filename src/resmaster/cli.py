@@ -18,31 +18,34 @@ import sys
 
 from .conditioning import load_caption_manifest, manifest_skeleton, save_manifest
 from .config import ConfigError, PipelineConfig, parse_config
-from .denoiser import GaussianDataModel, analytic_gaussian_denoiser, toy_conditioned_denoiser
+from .denoiser import analytic_gaussian_denoiser, toy_conditioned_denoiser
 from .netpbm import read_image, write_image
 from .pipeline import generate_low_res, resmaster_generate
 
 log = logging.getLogger(__name__)
 
 
-# Flags that override a configuration key, which is the flag's argparse dest.
+# Flags that override a configuration key, by the key they set. A flag's type
+# is that of the key's default; a pair (a tuple default) takes one or more
+# integers, and PipelineConfig checks how many.
 _CONFIG_FLAGS = {
-    "scale": dict(type=int),
-    "window": dict(type=int, nargs="+", metavar="N"),
-    "stride": dict(type=int, nargs="+", metavar="N"),
-    "steps": dict(type=int),
-    "d0": dict(type=float),
-    "lambda": dict(type=float, dest="lam"),
-    "seed": dict(type=int),
-    "guidance-stop": dict(type=int, dest="guidance_stop_step"),
+    "scale": "scale",
+    "window": "window",
+    "stride": "stride",
+    "steps": "steps",
+    "d0": "d0",
+    "lambda": "lam",
+    "seed": "seed",
+    "guidance-stop": "guidance_stop_step",
 }
-_OVERRIDE_KEYS = tuple(options.get("dest", flag.replace("-", "_"))
-                       for flag, options in _CONFIG_FLAGS.items())
 
 
-def _add_config_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        p.add_argument(f"--{name}", **_CONFIG_FLAGS[name])
+def _add_config_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        key = _CONFIG_FLAGS[flag]
+        kind = type(getattr(PipelineConfig, key))
+        options = dict(type=int, nargs="+", metavar="N") if kind is tuple else dict(type=kind)
+        p.add_argument(f"--{flag}", dest=key, default=argparse.SUPPRESS, **options)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,17 +76,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
-    out = {}
-    for key in _OVERRIDE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    return out
+    return {key: value for key, value in vars(args).items() if key in _CONFIG_FLAGS.values()}
+
+
+def _reference_and_config(args) -> tuple:
+    """The reference image and the run's config: the image sets height, width
+    and channels, and the flags override the rest of the file."""
+    reference = read_image(args.input)
+    h, w, c = reference.shape
+    overrides = {**_overrides_from(args), "height": h, "width": w, "channels": c}
+    return reference, parse_config(args.config, overrides)
 
 
 def _make_denoiser(config: PipelineConfig):
     if config.denoiser == "analytic":
-        return analytic_gaussian_denoiser(GaussianDataModel(config.model_mean, config.model_std))
+        return analytic_gaussian_denoiser(config.model_mean, config.model_std)
     return toy_conditioned_denoiser(config.seed, config.channels)
 
 
@@ -103,10 +110,7 @@ def _cmd_lowres(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    reference = read_image(args.input)
-    h, w, c = reference.shape
-    overrides = {**_overrides_from(args), "height": h, "width": w, "channels": c}
-    layout = parse_config(args.config, overrides).layout
+    layout = _reference_and_config(args)[1].layout
     skeleton = manifest_skeleton(global_prompt="", layout_dict=layout.to_dict())
     if args.manifest:
         save_manifest(skeleton, args.manifest)
@@ -118,16 +122,12 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_upscale(args) -> int:
-    reference = read_image(args.input)
-    h, w, c = reference.shape
-    # The reference file defines the source dims; flags override the rest.
-    overrides = {**_overrides_from(args), "height": h, "width": w, "channels": c}
-    config = parse_config(args.config, overrides)
+    reference, config = _reference_and_config(args)
     captions = load_caption_manifest(args.manifest, config.layout.to_dict())
     denoiser = _make_denoiser(config)
     result = resmaster_generate(reference, captions, denoiser, config)
     write_image(result, args.out)
-    log.info("wrote %s (%dx%d, %d channels)", args.out, config.target_w, config.target_h, c)
+    log.info("wrote %s (%dx%d, %d channels)", args.out, config.target_w, config.target_h, config.channels)
     return 0
 
 

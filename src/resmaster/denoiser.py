@@ -17,7 +17,6 @@ passes the same buffer every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -38,29 +37,11 @@ class Denoiser(Protocol):
     ) -> np.ndarray: ...
 
 
-@dataclass(frozen=True)
-class GaussianDataModel:
-    """Clean data distributed N(mean, std^2 I), i.i.d. per cell.
-
-    ``mean`` may be a scalar or one value per channel.
-    """
-
-    mean: np.ndarray
-    std: float
-
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
-        if mean.ndim != 1 or not np.isfinite(mean).all():
-            raise ValueError(f"mean must be a finite scalar or per-channel vector, got {self.mean!r}")
-        if not (np.isfinite(self.std) and self.std >= 0.0):
-            raise ValueError(f"std must be finite and >= 0, got {self.std}")
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", float(self.std))
-
-
 class _AnalyticGaussianDenoiser:
-    """Exact posterior mean of the clean data for Gaussian data.
+    """Exact posterior mean of the clean data for data distributed
+    N(mean, std^2 I), i.i.d. per cell. ``mean`` is a finite scalar or one
+    finite value per channel and ``std`` is finite and >= 0; construction
+    raises a one-line ValueError naming the value that is not.
 
     With z_t = sqrt(abar) z0 + sqrt(1-abar) eps and z0 ~ N(m, s^2), the
     posterior mean of z0 given z_t is
@@ -71,16 +52,21 @@ class _AnalyticGaussianDenoiser:
     as ``(1 - abar) / (abar s^2 + 1 - abar)``, its equal without
     cancellation: exactly 1 for s = 0, and a small positive number (0 once
     s^2 overflows) for huge s. Once s^2 overflows, g takes its limit
-    ``1 / sqrt(abar)``, so the estimate stays finite. The mean is shaped to
-    ``(1, 1, channels)`` once, on construction, and broadcasts over z_t (a
+    ``1 / sqrt(abar)``, so the estimate stays finite. The mean is copied and
+    shaped to ``(1, 1, channels)`` once, on construction, and broadcasts over z_t (a
     scalar mean over any channel count).
     """
 
     prediction = "sample"
 
-    def __init__(self, model: GaussianDataModel):
-        self.model = model
-        self._mean = model.mean.reshape(1, 1, -1)
+    def __init__(self, mean, std: float):
+        m = np.array(mean, dtype=np.float64, ndmin=1)
+        if m.ndim != 1 or not np.isfinite(m).all():
+            raise ValueError(f"mean must be a finite scalar or per-channel vector, got {mean!r}")
+        if not (np.isfinite(std) and std >= 0.0):
+            raise ValueError(f"std must be finite and >= 0, got {std}")
+        self._mean = m.reshape(1, 1, -1)
+        self._std = float(std)
 
     def predict(self, z_t, t, cond, s, out=None):
         z_t = as_grid(z_t, "z_t")
@@ -93,7 +79,7 @@ class _AnalyticGaussianDenoiser:
             )
         s.check_t(t)
         abar = float(s.alpha_bar[t - 1])
-        var, noise_var = self.model.std * self.model.std, 1.0 - abar
+        var, noise_var = self._std * self._std, 1.0 - abar
         denom = abar * var + noise_var
         gain = math.sqrt(abar) * var / denom if math.isfinite(var) else 1.0 / math.sqrt(abar)
         out = np.multiply(z_t, gain, out=out)
@@ -101,8 +87,8 @@ class _AnalyticGaussianDenoiser:
         return out
 
 
-def analytic_gaussian_denoiser(model: GaussianDataModel) -> _AnalyticGaussianDenoiser:
-    return _AnalyticGaussianDenoiser(model)
+def analytic_gaussian_denoiser(mean, std: float) -> _AnalyticGaussianDenoiser:
+    return _AnalyticGaussianDenoiser(mean, std)
 
 
 class _ToyConditionedDenoiser:
@@ -127,7 +113,7 @@ class _ToyConditionedDenoiser:
 
     prediction = "epsilon"
 
-    def __init__(self, seed: int, channels: int, d_model: int = 16, d_head: int = 16):
+    def __init__(self, seed: int, channels: int, d_model: int, d_head: int):
         if min(channels, d_model, d_head) < 1:
             raise ValueError("all toy-denoiser dims must be >= 1")
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), 0x70F))))

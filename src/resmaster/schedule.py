@@ -105,8 +105,6 @@ def make_geometric_schedule(
     else:
         tail = max(1, round(0.1 * T))
         body = T - tail
-        if body < 1:
-            body, tail = 1, T - 1
         om = np.concatenate(
             [np.geomspace(noise_floor, knee, body),
              np.geomspace(knee, terminal, tail + 1)[1:]]

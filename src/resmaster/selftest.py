@@ -12,7 +12,7 @@ import numpy as np
 from .attention import attend, make_attention_weights, softmax_rows
 from .conditioning import CaptionManifest, ConditionBundle, embed_text_stub, encode_image_prompt_stub
 from .config import PipelineConfig
-from .denoiser import GaussianDataModel, analytic_gaussian_denoiser
+from .denoiser import analytic_gaussian_denoiser
 from .noise import standard_normal_field
 from .pipeline import resmaster_generate
 from .schedule import forward_diffuse, make_linear_schedule, posterior_step, predict_x0
@@ -50,8 +50,12 @@ def _checks(seed: int):
     text = embed_text_stub("selftest", 2, 3, seed)
     image = encode_image_prompt_stub(g, 2, 3, seed)
     x = rng.normal(size=(5, 4))
-    rows = softmax_rows(x @ weights.w_query @ (text @ weights.w_key_text).T)
-    yield "softmax rows are stochastic", float(np.abs(rows.sum(axis=1) - 1.0).max()) < 1e-12
+    q = x @ weights.w_query / np.sqrt(weights.d_head)
+    formula = (softmax_rows(q @ (text @ weights.w_key_text).T) @ (text @ weights.w_value_text)
+               + 0.8 * softmax_rows(q @ (image @ weights.w_key_image).T) @ (image @ weights.w_value_image))
+    yield "attend equals the per-branch softmax formula", float(
+        np.abs(attend(x, ConditionBundle(text, image, 0.8), weights) - formula).max()
+    ) < 1e-10
     lam0 = attend(x, ConditionBundle(text, image, 0.0), weights)
     lam2 = attend(x, ConditionBundle(text, image, 2.0), weights)
     lam1 = attend(x, ConditionBundle(text, image, 1.0), weights)
@@ -66,7 +70,7 @@ def _checks(seed: int):
     config = PipelineConfig(height=8, width=8, channels=1, scale=2, window=8, stride=8,
                             steps=8, seed=seed)
     captions = CaptionManifest(global_prompt="selftest scene", patch_count=4)
-    den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.1))
+    den = analytic_gaussian_denoiser(0.5, 0.1)
     reference = np.full((8, 8, 1), 0.5) + 0.01 * rng.normal(size=(8, 8, 1))
     one = resmaster_generate(reference, captions, den, config)
     two = resmaster_generate(reference, captions, den, config)

@@ -18,7 +18,7 @@ from resmaster.conditioning import (
     encode_image_prompt_stub,
 )
 from resmaster.config import PipelineConfig
-from resmaster.denoiser import GaussianDataModel, analytic_gaussian_denoiser, toy_conditioned_denoiser
+from resmaster.denoiser import analytic_gaussian_denoiser, toy_conditioned_denoiser
 from resmaster.pipeline import build_patch_bundles, generate_low_res, resmaster_generate
 from resmaster.schedule import make_geometric_schedule, posterior_step, predict_x0
 from resmaster.spectral import swap_low_frequency
@@ -39,7 +39,7 @@ def toy_bundle():
 # the input names it must not overlap). ``call`` takes a dict of fresh grids.
 STAGES = [
     ("analytic predict",
-     lambda g, out: analytic_gaussian_denoiser(GaussianDataModel([0.2, 0.5, 0.7], 0.3))
+     lambda g, out: analytic_gaussian_denoiser([0.2, 0.5, 0.7], 0.3)
      .predict(g["z_t"], 9, None, S, out=out),
      ("z_t",), ()),
     ("toy predict",
@@ -152,7 +152,7 @@ class TestClosedFormNoiseEstimate:
     def test_matches_the_two_stage_formula(self, std, mean):
         s = make_geometric_schedule(50)
         z_t = np.random.default_rng(3).normal(size=(4, 5, 3))
-        den = analytic_gaussian_denoiser(GaussianDataModel(mean, std))
+        den = analytic_gaussian_denoiser(mean, std)
         for t in (1, 25, 50):
             oracle = posterior_mean_decimal(z_t, s.alpha_bar[t - 1], mean, std)
             gap = np.abs(den.predict(z_t, t, None, s) - oracle).max()
@@ -162,8 +162,8 @@ class TestClosedFormNoiseEstimate:
     def test_a_mean_repeated_per_channel_gives_the_bytes_of_a_scalar_mean(self, m):
         s = make_geometric_schedule(50)
         grid = np.random.default_rng(5).normal(size=(20, 24, 3))
-        scalar = analytic_gaussian_denoiser(GaussianDataModel(m, 0.3))
-        per_channel = analytic_gaussian_denoiser(GaussianDataModel([m, m, m], 0.3))
+        scalar = analytic_gaussian_denoiser(m, 0.3)
+        per_channel = analytic_gaussian_denoiser([m, m, m], 0.3)
         for t in (1, 25, 50):
             # A whole grid and a window view of it, allocated and in place.
             for z_t in (grid, grid[3:19, 5:21]):
@@ -178,7 +178,7 @@ class TestClosedFormNoiseEstimate:
     def test_huge_model_std_gives_a_finite_estimate_without_warning(self, std):
         s = make_geometric_schedule(50)
         z_t = np.random.default_rng(4).normal(size=(4, 5, 3))
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.5, std))
+        den = analytic_gaussian_denoiser(0.5, std)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for t in (1, 25, 50):
@@ -196,7 +196,7 @@ def test_a_sampling_step_allocates_under_two_grids():
     config = PipelineConfig(height=64, width=64, channels=3, scale=1, window=64, stride=64,
                             steps=12, guidance_stop_step=12)
     reference = np.random.default_rng(0).uniform(size=(64, 64, 3))
-    den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+    den = analytic_gaussian_denoiser(0.5, 0.2)
     grid_bytes = 64 * 64 * 3 * 8
     readings, held = [], []
 
@@ -222,7 +222,7 @@ def test_a_one_window_run_holds_three_grids_at_its_peak():
     # consumes its noise grid and the sampler drops it before the next draw,
     # so two noise grids are never alive at once.
     config = PipelineConfig(height=128, width=128, channels=3, steps=6)
-    den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+    den = analytic_gaussian_denoiser(0.5, 0.2)
     generate_low_res(den, None, config)  # the schedule and stream set-up, once
     tracemalloc.start()
     try:
@@ -251,7 +251,7 @@ def test_a_guided_run_holds_a_few_grids_whatever_its_window_count():
                             steps=3)
     assert config.layout.patch_count == 225
     reference = np.random.default_rng(1).uniform(size=(128, 128, 3))
-    den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+    den = analytic_gaussian_denoiser(0.5, 0.2)
     captions = CaptionManifest(global_prompt="many windows", patch_count=225)
     first_window = []
 

@@ -232,6 +232,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="schedule"):
             parse_config(None, {"schedule": "cosine"})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("guidance_stop_step", 51, r"guidance_stop must lie in \[0, steps=50\], got 51"),
+        ("denoiser", "unet", r"unknown denoiser 'unet'; choices: \('analytic', 'toy'\)"),
+        ("model_std", -0.5, r"model_std must be >= 0, got -0.5"),
+    ])
+    def test_an_out_of_range_value_is_one_line_naming_the_field(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^invalid configuration: {message}$"):
+            PipelineConfig(**{field: value})
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_an_unreadable_file_is_one_line_naming_it(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(path))}: ") as err:
+            parse_config(path)
+        assert "\n" not in str(err.value)
+
 
 class TestSerializeConfig:
     def test_parse_serialize_parse_fixed_point(self, tmp_path):

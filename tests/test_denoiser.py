@@ -4,11 +4,7 @@ import pytest
 from resmaster.attention import _query_block, attend, make_attention_weights
 from resmaster.conditioning import EMBED_DIM, ConditionBundle, embed_text_stub, encode_image_prompt_stub
 from resmaster.config import PipelineConfig
-from resmaster.denoiser import (
-    GaussianDataModel,
-    analytic_gaussian_denoiser,
-    toy_conditioned_denoiser,
-)
+from resmaster.denoiser import analytic_gaussian_denoiser, toy_conditioned_denoiser
 from resmaster.pipeline import generate_low_res
 from resmaster.schedule import forward_diffuse, make_linear_schedule
 
@@ -23,7 +19,7 @@ def mc_regression_gaps(m, s_data, t, schedule, n, seed, bins=20):
     z0 = rng.normal(m, s_data, size=n)
     eps = rng.normal(size=n)
     z_t = np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * eps
-    den = analytic_gaussian_denoiser(GaussianDataModel(m, s_data))
+    den = analytic_gaussian_denoiser(m, s_data)
     predicted = den.predict(z_t.reshape(-1, 1, 1), t, None, schedule).reshape(-1)
     residual = z0 - predicted
     order = np.argsort(z_t)
@@ -37,13 +33,13 @@ def mc_regression_gaps(m, s_data, t, schedule, n, seed, bins=20):
 class TestAnalyticGaussianDenoiser:
     def test_point_mass_data_closed_form(self, rng):
         s = make_linear_schedule(30)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.7, 0.0))
+        den = analytic_gaussian_denoiser(0.7, 0.0)
         z_t = rng.normal(size=(5, 5, 1))
         np.testing.assert_array_equal(den.predict(z_t, 12, None, s), np.full_like(z_t, 0.7))
 
     def test_point_mass_at_scaled_mean_predicts_zero(self):
         s = make_linear_schedule(30)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.7, 0.0))
+        den = analytic_gaussian_denoiser(0.7, 0.0)
         abar = s.alpha_bar[11]
         z_t = np.full((4, 4, 1), np.sqrt(abar) * 0.7)
         x0 = den.predict(z_t, 12, None, s)
@@ -53,7 +49,7 @@ class TestAnalyticGaussianDenoiser:
 
     def test_matches_scalar_oracle(self, rng):
         s = make_linear_schedule(100)
-        den = analytic_gaussian_denoiser(GaussianDataModel(-0.2, 0.6))
+        den = analytic_gaussian_denoiser(-0.2, 0.6)
         z_t = rng.normal(size=(4, 3, 2))
         out = den.predict(z_t, 57, None, s)
         expected = posterior_mean_direct(z_t, s.alpha_bar[56], -0.2, 0.6)
@@ -62,7 +58,7 @@ class TestAnalyticGaussianDenoiser:
 
     def test_predict_x0_recovers_posterior_mean(self, rng):
         s = make_linear_schedule(50)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.3, 0.8))
+        den = analytic_gaussian_denoiser(0.3, 0.8)
         z_t = rng.normal(size=(6, 6, 2))
         for t in (1, 25, 50):
             np.testing.assert_allclose(
@@ -73,7 +69,7 @@ class TestAnalyticGaussianDenoiser:
 
     def test_shape_preserved_and_cond_ignored(self, rng):
         s = make_linear_schedule(10)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
+        den = analytic_gaussian_denoiser(0.0, 1.0)
         z_t = rng.normal(size=(7, 3, 4))
         assert den.predict(z_t, 5, None, s).shape == z_t.shape
 
@@ -85,7 +81,7 @@ class TestAnalyticGaussianDenoiser:
 
     def test_per_channel_mean_supported(self, rng):
         s = make_linear_schedule(20)
-        den = analytic_gaussian_denoiser(GaussianDataModel([0.1, 0.9], 0.0))
+        den = analytic_gaussian_denoiser([0.1, 0.9], 0.0)
         z_t = rng.normal(size=(4, 4, 2))
         out = den.predict(z_t, 8, None, s)
         np.testing.assert_array_equal(out, np.broadcast_to([0.1, 0.9], z_t.shape))
@@ -93,10 +89,10 @@ class TestAnalyticGaussianDenoiser:
             den.predict(rng.normal(size=(4, 4, 3)), 8, None, s)
 
     def test_rejects_invalid_model(self):
-        with pytest.raises(ValueError):
-            GaussianDataModel(0.0, -1.0)
-        with pytest.raises(ValueError):
-            GaussianDataModel(np.nan, 1.0)
+        with pytest.raises(ValueError, match="^std must be finite and >= 0, got -1.0$"):
+            analytic_gaussian_denoiser(0.0, -1.0)
+        with pytest.raises(ValueError, match="^mean must be a finite scalar or per-channel vector, got nan$"):
+            analytic_gaussian_denoiser(np.nan, 1.0)
 
 
 class TestAncestralMarginal:
@@ -105,7 +101,7 @@ class TestAncestralMarginal:
         config = PipelineConfig(height=60, width=60, channels=1, scale=1,
                                 window=60, stride=60,
                                 steps=50, seed=11)
-        den = analytic_gaussian_denoiser(GaussianDataModel(m, s_data))
+        den = analytic_gaussian_denoiser(m, s_data)
         cells = generate_low_res(den, None, config).reshape(-1)
         assert cells.size == 3600
         assert abs(cells.mean() - m) <= 4.0 * s_data / np.sqrt(cells.size)
@@ -159,6 +155,12 @@ class TestToyConditionedDenoiser:
         den = toy_conditioned_denoiser(3, channels=3)
         with pytest.raises(ValueError):
             den.predict(rng.normal(size=(5, 5, 3)), 4, None, s)
+
+    def test_a_grid_of_other_channels_is_refused_naming_both_counts(self, rng):
+        s = make_linear_schedule(10)
+        den = toy_conditioned_denoiser(3, channels=3)
+        with pytest.raises(ValueError, match="^grid has 2 channels, denoiser expects 3$"):
+            den.predict(rng.normal(size=(5, 5, 2)), 4, self._bundle(), s)
 
     def test_shape_preserved(self, rng):
         s = make_linear_schedule(10)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -57,6 +58,17 @@ class TestReadImage:
         path = tmp_path / "g.pgm"
         path.write_bytes(b"P5\nxx 2\n255\n" + bytes(4))
         with pytest.raises(ImageFormatError, match="integer"):
+            read_image(path)
+
+    @pytest.mark.parametrize("data, at, message", [
+        (b"P5\n2 2\n", 7, "expected maxval, found end of header"),
+        (b"P5\n0 2\n255\n", 0, "invalid dimensions 0x2"),
+        (b"P5\n1 1\n255", 10, "expected single whitespace byte before pixel data"),
+    ])
+    def test_a_malformed_header_is_one_line_naming_the_file(self, tmp_path, data, at, message):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ImageFormatError, match=f"^{re.escape(f'{path}: byte {at}: {message}')}$"):
             read_image(path)
 
     def test_missing_file(self, tmp_path):

@@ -6,11 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from resmaster.conditioning import CaptionManifest
-from resmaster.denoiser import (
-    GaussianDataModel,
-    analytic_gaussian_denoiser,
-    toy_conditioned_denoiser,
-)
+from resmaster.denoiser import analytic_gaussian_denoiser, toy_conditioned_denoiser
 from resmaster.config import PipelineConfig
 from resmaster.noise import standard_normal_field
 from resmaster.pipeline import build_patch_bundles, generate_low_res, resmaster_generate
@@ -67,13 +63,13 @@ def predicted_cell_variance(mask, config, data_std):
 class TestGenerateLowRes:
     def test_point_mass_data_converges_to_mean(self):
         config = grid_config(8, 8, 1, steps=30, seed=3)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.37, 0.0))
+        den = analytic_gaussian_denoiser(0.37, 0.0)
         out = generate_low_res(den, None, config)
         assert np.abs(out - 0.37).max() < 1e-6
 
     def test_same_seed_bit_identical(self):
         config = grid_config(8, 8, 2, steps=10, seed=5)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+        den = analytic_gaussian_denoiser(0.5, 0.2)
         a = generate_low_res(den, None, config)
         b = generate_low_res(den, None, config)
         assert np.array_equal(a, b)
@@ -84,12 +80,12 @@ class TestGenerateLowRes:
             raise AssertionError("fuse_patches called for a single full-grid window")
 
         monkeypatch.setattr("resmaster.pipeline.fuse_patches", refuse)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+        den = analytic_gaussian_denoiser(0.5, 0.2)
         out = generate_low_res(den, None, grid_config(8, 6, 3, steps=4, seed=2))
         assert out.shape == (8, 6, 3)
 
     def test_different_seeds_differ(self):
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+        den = analytic_gaussian_denoiser(0.5, 0.2)
         a = generate_low_res(den, None, grid_config(8, 8, 1, steps=10, seed=1))
         b = generate_low_res(den, None, grid_config(8, 8, 1, steps=10, seed=2))
         assert np.abs(a - b).max() > 0
@@ -98,7 +94,7 @@ class TestGenerateLowRes:
         # The reference grid, not the scaled target that the config tiles.
         config = PipelineConfig(height=6, width=10, channels=2, scale=2,
                                 window=4, stride=4, steps=3)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+        den = analytic_gaussian_denoiser(0.5, 0.2)
         assert generate_low_res(den, None, config).shape == (6, 10, 2)
 
 
@@ -116,7 +112,7 @@ class TestResmasterGenerate:
         config = self._config(scale=1, window=16, stride=16,
                               d0=1e9, channels=2)
         ref = smooth_reference(16, 16, 2)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
+        den = analytic_gaussian_denoiser(0.0, 1.0)
         out = resmaster_generate(ref, self._captions(1), den, config)
         np.testing.assert_allclose(out.mean(axis=(0, 1)), ref.mean(axis=(0, 1)),
                                    rtol=0, atol=1e-6)
@@ -125,14 +121,14 @@ class TestResmasterGenerate:
     def test_constant_reference_pins_mean_nonoverlapping(self):
         config = self._config(stride=16)
         ref = np.full((16, 16, 2), 0.321)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
+        den = analytic_gaussian_denoiser(0.0, 1.0)
         out = resmaster_generate(ref, self._captions(4), den, config)
         np.testing.assert_allclose(out.mean(axis=(0, 1)), 0.321, rtol=0, atol=1e-6)
 
     def test_constant_reference_pins_mean_overlapping(self):
         config = self._config()
         ref = np.full((16, 16, 2), 0.321)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.3, 0.1))
+        den = analytic_gaussian_denoiser(0.3, 0.1)
         out = resmaster_generate(ref, self._captions(9), den, config)
         # Overlap fusion reweights the zero-mean high-band residuals, so the
         # global mean is pinned only up to the residual scale.
@@ -141,7 +137,7 @@ class TestResmasterGenerate:
     def test_dc_adherence_after_every_swap(self):
         config = self._config()
         ref = smooth_reference(16, 16, 2)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
+        den = analytic_gaussian_denoiser(0.0, 0.5)
         layout = PatchLayout((32, 32), (16, 16), (8, 8))
         upsampled = bicubic_upsample(ref, 32, 32)
         ref_means = [extract_patch(upsampled, r).mean(axis=(0, 1)) for r in layout.rects]
@@ -159,7 +155,7 @@ class TestResmasterGenerate:
         config = self._config(scale=1, window=16, stride=16,
                               guidance_stop_step=12, lam=0.0)
         ref = smooth_reference(16, 16, 2)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.1, 0.4))
+        den = analytic_gaussian_denoiser(0.1, 0.4)
         guided = resmaster_generate(ref, self._captions(1), den, config)
         plain = generate_low_res(den, None, config)
         assert np.array_equal(guided, plain)
@@ -192,7 +188,7 @@ class TestResmasterGenerate:
 
         monkeypatch.setattr("resmaster.pipeline.extract_patch", counting_extract)
         config = self._config(steps=steps)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
+        den = analytic_gaussian_denoiser(0.0, 0.5)
         resmaster_generate(smooth_reference(16, 16, 2), self._captions(9), den, config)
         assert calls == list(config.layout.rects)
         calls.clear()
@@ -209,7 +205,7 @@ class TestResmasterGenerate:
         monkeypatch.setattr("resmaster.pipeline.posterior_step", counting_step)
         config = self._config(steps=5)
         assert config.layout.patch_count == 9
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
+        den = analytic_gaussian_denoiser(0.0, 0.5)
         resmaster_generate(smooth_reference(16, 16, 2), self._captions(9), den, config)
         assert calls["n"] == 5
 
@@ -221,7 +217,7 @@ class TestResmasterGenerate:
             return standard_normal_field(seed, step, shape)
 
         monkeypatch.setattr("resmaster.pipeline.standard_normal_field", recording_field)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
+        den = analytic_gaussian_denoiser(0.0, 0.5)
         resmaster_generate(smooth_reference(16, 16, 2), self._captions(9), den,
                            self._config(steps=5))
         assert steps == [0, 5, 4, 3, 2]
@@ -237,7 +233,7 @@ class TestResmasterGenerate:
         cover = np.zeros(layout.grid, dtype=int)
         for top, left, h, w in layout.rects:
             cover[top:top + h, left:left + w] += 1
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
+        den = analytic_gaussian_denoiser(0.0, 1.0)
         ref = smooth_reference(16, 16, 1)
         outs = np.stack([
             resmaster_generate(ref, self._captions(layout.patch_count), den,
@@ -252,7 +248,7 @@ class TestResmasterGenerate:
     def test_patch_hook_sees_every_patch_step(self):
         config = self._config(steps=5)
         ref = smooth_reference(16, 16, 2)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
+        den = analytic_gaussian_denoiser(0.0, 0.5)
         seen = set()
         resmaster_generate(ref, self._captions(9), den, config,
                            patch_hook=lambda t, i, z0: seen.add((t, i)))
@@ -261,7 +257,7 @@ class TestResmasterGenerate:
     def test_patch_hook_gets_one_buffer_that_the_next_window_overwrites(self):
         config = self._config(steps=3)
         ref = smooth_reference(16, 16, 2)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 0.5))
+        den = analytic_gaussian_denoiser(0.0, 0.5)
         seen = []
 
         def hook(t, i, z0):
@@ -345,7 +341,7 @@ class TestUnguidedUpscaleIsTheLowResSampler:
                                 guidance_stop_step=3, seed=seed)
         low_res = dataclasses.replace(config, height=grid_h, width=grid_w, scale=1,
                                       window=(grid_h, grid_w), stride=(grid_h, grid_w))
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.3, 0.5))
+        den = analytic_gaussian_denoiser(0.3, 0.5)
         ref = smooth_reference(config.height, config.width, 2)
         captions = CaptionManifest(global_prompt="tiling", patch_count=config.layout.patch_count)
         np.testing.assert_array_equal(resmaster_generate(ref, captions, den, config),
@@ -361,7 +357,7 @@ class TestGuidedVarianceOracle:
                                 window=32, stride=32,
                                 steps=20, seed=0, d0=0.8)
         ref = smooth_reference(16, 16, 1)
-        den = analytic_gaussian_denoiser(GaussianDataModel(0.0, 1.0))
+        den = analytic_gaussian_denoiser(0.0, 1.0)
         captions = CaptionManifest(global_prompt="variance check", patch_count=1)
         runs = []
         for seed in range(12):
@@ -402,7 +398,7 @@ class TestSamplerEqualsTheDirectOracle:
         if config.denoiser == "toy":
             den = toy_conditioned_denoiser(config.seed, config.channels)
         else:
-            den = analytic_gaussian_denoiser(GaussianDataModel(0.5, 0.2))
+            den = analytic_gaussian_denoiser(0.5, 0.2)
         reference = np.random.default_rng(config.seed).uniform(
             size=(config.height, config.width, config.channels))
         layout = config.layout

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resmaster.denoiser import GaussianDataModel, analytic_gaussian_denoiser
+from resmaster.denoiser import analytic_gaussian_denoiser
 from resmaster.schedule import (
     NoiseSchedule,
     forward_diffuse,
@@ -143,8 +143,7 @@ STAGE_CALLS = {
     "forward_diffuse": lambda z, t, s: forward_diffuse(z, t, z, s),
     "predict_x0": lambda z, t, s: predict_x0(z, z, t, s),
     "posterior_step": lambda z, t, s: posterior_step(z, z.copy(), t, z.copy(), s),
-    "analytic_predict": lambda z, t, s: analytic_gaussian_denoiser(
-        GaussianDataModel(0.0, 1.0)).predict(z, t, None, s),
+    "analytic_predict": lambda z, t, s: analytic_gaussian_denoiser(0.0, 1.0).predict(z, t, None, s),
 }
 
 
@@ -202,6 +201,11 @@ class TestForwardDiffuse:
         for t in (0, 6):
             with pytest.raises(ValueError):
                 forward_diffuse(z0, t, z0, s)
+
+    def test_an_empty_grid_is_refused_naming_it(self):
+        s = make_linear_schedule(5)
+        with pytest.raises(ValueError, match=r"^z0 must be non-empty, got shape \(0, 3, 1\)$"):
+            forward_diffuse(np.empty((0, 3, 1)), 2, np.empty((0, 3, 1)), s)
 
 
 class TestPredictX0:

@@ -93,6 +93,15 @@ class TestPatchLayout:
                 PatchLayout((2**32 - 4, 8), (2**31 - 2, 8), (stride, 1))
             assert str(err.value).endswith(f"nearest valid stride is {expected}")
 
+    def test_a_span_beyond_2_to_the_32_gets_no_suggestion(self):
+        # span = 2**40 - 2**17 leaves 63 over the prime stride 2**17 - 1. A
+        # suggestion would take min(sqrt(span), 2 * stride - 1, window) = 2**17
+        # trial divisions, more than the 2**16 allowed.
+        span, stride = 2**40 - 2**17, 2**17 - 1
+        with pytest.raises(GeometryError, match=f"^height axis: .* = {span} is not divisible by "
+                                                f"stride {stride}; a valid stride divides it$"):
+            PatchLayout((2**40, 8), (2**17, 8), (stride, 1))
+
     def test_suggested_stride_leaves_no_gap(self):
         # span 88 = 2**3 * 11: 44 lies nearest to 35, but windows of 40 at
         # stride 44 leave gaps, so the suggestion is 22.
