@@ -176,6 +176,26 @@ class TestUpscale:
         assert read_image(out1).shape == (32, 32, 3)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_every_config_flag_sets_its_key_over_the_file(self, tmp_path, reference_file,
+                                                          monkeypatch):
+        manifest = self._plan_and_fill(tmp_path, reference_file)
+        config_file = tmp_path / "c.json"
+        config_file.write_text(json.dumps({"steps": 20, "d0": 0.3, "lam": 0.1, "seed": 2}))
+        seen = []
+
+        def capture(reference, captions, denoiser, config):
+            seen.append(config)
+            return np.zeros((config.target_h, config.target_w, config.channels))
+
+        monkeypatch.setattr("resmaster.cli.resmaster_generate", capture)
+        assert main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                     "--out", str(tmp_path / "o.ppm"), "--config", str(config_file),
+                     "--scale", "2", "--window", "16", "--stride", "8", "--steps", "8",
+                     "--d0", "1", "--lambda", "0", "--seed", "7", "--guidance-stop", "3"]) == 0
+        expected = dict(scale=2, window=(16, 16), stride=(8, 8), steps=8, d0=1.0, lam=0.0,
+                        seed=7, guidance_stop_step=3)
+        assert {key: getattr(seen[0], key) for key in expected} == expected
+
     def test_different_seed_changes_output(self, tmp_path, reference_file):
         manifest = self._plan_and_fill(tmp_path, reference_file)
         base = ["upscale", "--in", str(reference_file), "--manifest", str(manifest),
