@@ -19,7 +19,7 @@ import sys
 from .conditioning import load_caption_manifest, manifest_skeleton, save_manifest
 from .config import ConfigError, PipelineConfig, parse_config
 from .denoiser import analytic_gaussian_denoiser, toy_conditioned_denoiser
-from .netpbm import read_image, write_image
+from .netpbm import read_image, require_writable_channels, write_image
 from .pipeline import generate_low_res, resmaster_generate
 
 log = logging.getLogger(__name__)
@@ -102,6 +102,7 @@ def _cmd_lowres(args) -> int:
             "lowres requires the analytic denoiser; the toy denoiser needs "
             "per-patch caption conditions, which only upscale provides"
         )
+    require_writable_channels(config.channels)
     denoiser = _make_denoiser(config)
     grid = generate_low_res(denoiser, None, config)
     write_image(grid, args.out)

@@ -13,14 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .util import as_grid, read_json_object, require_finite
+from .tiler import MAX_PATCHES
+from .util import as_grid, as_real, read_json_object, require_finite
 
 log = logging.getLogger(__name__)
 
@@ -39,6 +38,8 @@ TEXT_TOKENS, IMAGE_TOKENS, EMBED_DIM = 8, 4, 16
 
 _IMAGE_STUB_STREAM = 0x1A9E  # namespaces the projection-matrix draw
 _POOL_BINS = 8
+# Missing-caption indices named in a manifest's warning or error.
+_NAMED_MISSING = 10
 
 
 class ManifestError(ValueError):
@@ -71,15 +72,7 @@ class ConditionBundle:
         norms = np.linalg.norm(self.text, axis=1)
         if not ((norms > 0.0).all() and (norms <= 10.0).all()):
             raise ValueError("text embedding row norms must lie in (0, 10]")
-        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
-            raise ValueError(f"lam must be a real number, got {self.lam!r}")
-        try:
-            lam = float(self.lam)
-        except OverflowError:  # an integer beyond float range
-            lam = math.inf
-        if not (math.isfinite(lam) and lam >= 0.0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", as_real(self.lam, "lam", nonnegative=True))
 
 
 def _hash_floats(payload: bytes, count: int) -> np.ndarray:
@@ -184,10 +177,12 @@ def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionM
     ``util.read_json_object`` cannot read as an object (a blank one reads as
     {} and fails the version check), on a version other than
     MANIFEST_VERSION or a key not in MANIFEST_KEYS, on a patch count that is
-    not a JSON integer or disagrees with the ``patch_count`` of
-    ``expected_layout`` (a run's ``PatchLayout.to_dict()``), on a ``layout``
-    block that differs from ``expected_layout`` (the first differing field is
-    named), or when a patch would fall back to an empty global prompt.
+    not a JSON integer, lies outside [1, tiler.MAX_PATCHES] or disagrees with
+    the ``patch_count`` of ``expected_layout`` (a run's
+    ``PatchLayout.to_dict()``), on a ``layout`` block that differs from
+    ``expected_layout`` (the first differing field is named), or when a patch
+    would fall back to an empty global prompt. That error and the fallback's
+    warning name ten uncaptioned patches at most, and their count.
     """
     doc = read_json_object(path, "manifest", ManifestError)
     version = doc.get("version")
@@ -214,6 +209,8 @@ def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionM
             f"manifest {path}: patch_count must be a JSON integer, "
             f"got {type(patch_count).__name__} {patch_count!r}"
         )
+    if not 1 <= patch_count <= MAX_PATCHES:
+        raise ManifestError(f"manifest {path}: patch_count must be in [1, {MAX_PATCHES}], got {patch_count}")
     if expected_layout is not None and patch_count != expected_layout["patch_count"]:
         raise ManifestError(
             f"manifest {path} describes {patch_count} patches "
@@ -249,15 +246,11 @@ def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionM
 
     missing = [i for i in range(patch_count) if not captions.get(i, "")]
     if missing:
+        named = f"{len(missing)} of {patch_count} patches {missing[:_NAMED_MISSING]}"
+        named += " ..." if len(missing) > _NAMED_MISSING else ""
         if not global_prompt:
-            raise ManifestError(
-                f"manifest {path}: patches {missing} have no caption and the global prompt is empty"
-            )
-        log.warning(
-            "manifest %s: patches %s have no caption; falling back to the global prompt",
-            path,
-            missing,
-        )
+            raise ManifestError(f"manifest {path}: {named} have no caption and the global prompt is empty")
+        log.warning("manifest %s: %s have no caption; falling back to the global prompt", path, named)
     return CaptionManifest(
         global_prompt=global_prompt,
         patch_count=patch_count,

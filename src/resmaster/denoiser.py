@@ -24,7 +24,7 @@ import numpy as np
 from .attention import AttentionWeights, attend, make_attention_weights
 from .conditioning import EMBED_DIM, ConditionBundle
 from .schedule import NoiseSchedule
-from .util import as_grid, check_out
+from .util import as_grid, as_real, check_out
 
 
 @runtime_checkable
@@ -39,8 +39,8 @@ class Denoiser(Protocol):
 
 class _AnalyticGaussianDenoiser:
     """Exact posterior mean of the clean data for data distributed
-    N(mean, std^2 I), i.i.d. per cell. ``mean`` is a finite scalar or one
-    finite value per channel and ``std`` is finite and >= 0; construction
+    N(mean, std^2 I), i.i.d. per cell. ``mean`` and ``std`` are finite real
+    numbers, not bools, and ``std`` >= 0 (``util.as_real``); construction
     raises a one-line ValueError naming the value that is not.
 
     With z_t = sqrt(abar) z0 + sqrt(1-abar) eps and z0 ~ N(m, s^2), the
@@ -48,46 +48,34 @@ class _AnalyticGaussianDenoiser:
     ``m + g * (z_t - sqrt(abar) m)`` with the gain
     ``g = sqrt(abar) s^2 / (abar s^2 + 1 - abar)``, that is
     ``g * z_t + k * m`` with ``k = 1 - sqrt(abar) g``, which ``predict``
-    evaluates in two passes: multiply, then add the mean term. ``k`` is taken
-    as ``(1 - abar) / (abar s^2 + 1 - abar)``, its equal without
+    evaluates in two passes: multiply, then add the scalar ``k * m``. ``k`` is
+    taken as ``(1 - abar) / (abar s^2 + 1 - abar)``, its equal without
     cancellation: exactly 1 for s = 0, and a small positive number (0 once
     s^2 overflows) for huge s. Once s^2 overflows, g takes its limit
-    ``1 / sqrt(abar)``, so the estimate stays finite. The mean is copied and
-    shaped to ``(1, 1, channels)`` once, on construction, and broadcasts over z_t (a
-    scalar mean over any channel count).
+    ``1 / sqrt(abar)``, so the estimate stays finite.
     """
 
     prediction = "sample"
 
-    def __init__(self, mean, std: float):
-        m = np.array(mean, dtype=np.float64, ndmin=1)
-        if m.ndim != 1 or not np.isfinite(m).all():
-            raise ValueError(f"mean must be a finite scalar or per-channel vector, got {mean!r}")
-        if not (np.isfinite(std) and std >= 0.0):
-            raise ValueError(f"std must be finite and >= 0, got {std}")
-        self._mean = m.reshape(1, 1, -1)
-        self._std = float(std)
+    def __init__(self, mean: float, std: float):
+        self._mean = as_real(mean, "mean")
+        self._std = as_real(std, "std", nonnegative=True)
 
     def predict(self, z_t, t, cond, s, out=None):
         z_t = as_grid(z_t, "z_t")
         # z_t is read by the first pass only, so out may be z_t.
         check_out(out, z_t.shape)
-        mean = self._mean
-        if mean.size not in (1, z_t.shape[2]):
-            raise ValueError(
-                f"per-channel mean has {mean.size} entries, grid has {z_t.shape[2]} channels"
-            )
         s.check_t(t)
         abar = float(s.alpha_bar[t - 1])
         var, noise_var = self._std * self._std, 1.0 - abar
         denom = abar * var + noise_var
         gain = math.sqrt(abar) * var / denom if math.isfinite(var) else 1.0 / math.sqrt(abar)
         out = np.multiply(z_t, gain, out=out)
-        out += (noise_var / denom) * mean
+        out += (noise_var / denom) * self._mean
         return out
 
 
-def analytic_gaussian_denoiser(mean, std: float) -> _AnalyticGaussianDenoiser:
+def analytic_gaussian_denoiser(mean: float, std: float) -> _AnalyticGaussianDenoiser:
     return _AnalyticGaussianDenoiser(mean, std)
 
 

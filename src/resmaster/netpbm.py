@@ -96,6 +96,13 @@ def read_image(path) -> np.ndarray:
 _WRITE_BLOCK_VALUES = 2**15
 
 
+def require_writable_channels(channels: int) -> None:
+    """Refuse, with a one-line ValueError, a channel count other than the 1
+    (P5) or 3 (P6) that a netpbm file can hold."""
+    if channels not in (1, 3):
+        raise ValueError(f"only 1- or 3-channel grids can be written, got {channels} channels")
+
+
 def write_image(grid: np.ndarray, path) -> None:
     """Save a 1-channel grid as P5 or a 3-channel grid as P6.
 
@@ -107,14 +114,9 @@ def write_image(grid: np.ndarray, path) -> None:
     """
     grid = as_grid(grid, "grid")
     require_finite(grid, f"grid for {path}")
-    channels = grid.shape[2]
-    if channels == 1:
-        magic = b"P5"
-    elif channels == 3:
-        magic = b"P6"
-    else:
-        raise ValueError(f"only 1- or 3-channel grids can be written, got {channels} channels")
-    height, width = grid.shape[:2]
+    height, width, channels = grid.shape
+    require_writable_channels(channels)
+    magic = b"P5" if channels == 1 else b"P6"
     rows = max(1, _WRITE_BLOCK_VALUES // (width * channels))
     scratch = np.empty((min(rows, height), width, channels))
     pixels = np.empty(scratch.shape, dtype=np.uint8)

@@ -9,6 +9,8 @@ freshly allocated grid.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -31,6 +33,21 @@ def require_same_shape(a: np.ndarray, b: np.ndarray, a_name: str, b_name: str) -
 def require_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
+
+
+def as_real(value, name: str, nonnegative: bool = False) -> float:
+    """``value`` as a float: a real number other than a bool, finite (an
+    integer beyond float range counts as infinite), and >= 0 when
+    ``nonnegative``; otherwise a one-line ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {' '.join(repr(value).split())}")
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf
+    if not (math.isfinite(real) and (real >= 0.0 or not nonnegative)):
+        raise ValueError(f"{name} must be finite{' and >= 0' if nonnegative else ''}, got {value}")
+    return real
 
 
 def check_out(out, shape: tuple, **read_after_write) -> None:

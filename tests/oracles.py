@@ -353,29 +353,25 @@ def posterior_step_scalar(z_t, z0_prime, t, noise, beta) -> np.ndarray:
                         z_t, z0_prime, noise)
 
 
-def posterior_mean_direct(z_t: np.ndarray, abar: float, mean, std: float) -> np.ndarray:
+def posterior_mean_direct(z_t: np.ndarray, abar: float, mean: float, std: float) -> np.ndarray:
     """E[z0 | z_t] for N(mean, std^2) data:
-    m + sqrt(abar) s^2 / (abar s^2 + 1 - abar) * (z_t - sqrt(abar) m), with
-    ``mean`` a scalar or one value per channel."""
-    m = np.atleast_1d(np.asarray(mean, dtype=np.float64))
+    m + sqrt(abar) s^2 / (abar s^2 + 1 - abar) * (z_t - sqrt(abar) m)."""
     var = std * std
     gain = math.sqrt(abar) * var / (abar * var + 1.0 - abar)
-    return m + gain * (z_t - math.sqrt(abar) * m)
+    return mean + gain * (z_t - math.sqrt(abar) * mean)
 
 
-def posterior_mean_decimal(z_t: np.ndarray, abar: float, mean, std: float) -> np.ndarray:
+def posterior_mean_decimal(z_t: np.ndarray, abar: float, mean: float, std: float) -> np.ndarray:
     """E[z0 | z_t] for N(mean, std^2) data, per element in Decimal:
-    m + sqrt(abar) s^2 / (abar s^2 + 1 - abar) * (z - sqrt(abar) m).
-    ``mean`` is a scalar or one value per channel."""
+    m + sqrt(abar) s^2 / (abar s^2 + 1 - abar) * (z - sqrt(abar) m)."""
     dabar = Decimal(float(abar))
     root_abar = dabar.sqrt()
     var = Decimal(float(std)) ** 2
     gain = root_abar * var / (dabar * var + Decimal(1) - dabar)
-    means = np.broadcast_to(np.atleast_1d(np.asarray(mean, dtype=np.float64)), z_t.shape)
+    m = Decimal(float(mean))
     out = np.empty_like(z_t)
     for idx in np.ndindex(z_t.shape):
-        z, m = Decimal(float(z_t[idx])), Decimal(float(means[idx]))
-        out[idx] = float(m + gain * (z - root_abar * m))
+        out[idx] = float(m + gain * (Decimal(float(z_t[idx])) - root_abar * m))
     return out
 
 

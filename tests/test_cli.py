@@ -149,6 +149,19 @@ class TestLowres:
             "error: invalid configuration: steps must be at most 2**16, got 100000000\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("channels", [2, 4])
+    def test_a_channel_count_netpbm_cannot_hold_exits_1_before_sampling(self, tmp_path, monkeypatch,
+                                                                        capsys, channels):
+        monkeypatch.setattr("resmaster.cli.generate_low_res",
+                            lambda *args: pytest.fail("grid sampled"))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"channels": channels}))
+        out = tmp_path / "low.ppm"
+        assert main(["lowres", "--out", str(out), "--config", str(config), "--steps", "2"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: only 1- or 3-channel grids can be written, got {channels} channels\n"
+        assert not out.exists()
+
     def test_ignores_a_malformed_stride_in_a_shared_file(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"height": 8, "width": 10, "channels": 1, "stride": [1, 2, 3]}))

@@ -21,7 +21,7 @@ from resmaster.conditioning import (
     patch_features,
     save_manifest,
 )
-from resmaster.tiler import PatchLayout
+from resmaster.tiler import MAX_PATCHES, PatchLayout
 
 from oracles import hash_floats_direct, pooled_means_direct
 
@@ -222,6 +222,30 @@ class TestCaptionManifest:
             manifest = load_caption_manifest(path, expected_layout=RUN_LAYOUT)
         assert manifest.caption_for(4) == "wide scene"
         assert any("[4]" in rec.getMessage() for rec in caplog.records)
+
+    def test_the_warning_names_ten_missing_patches_and_the_count(self, tmp_path, caplog):
+        doc = self._doc(n=25)
+        doc["patches"] = {"3": "a caption"}
+        path = self._write(tmp_path, doc)
+        with caplog.at_level(logging.WARNING):
+            load_caption_manifest(path)
+        (message,) = [rec.getMessage() for rec in caplog.records]
+        assert message == (f"manifest {path}: 24 of 25 patches [0, 1, 2, 4, 5, 6, 7, 8, 9, 10] ... "
+                           "have no caption; falling back to the global prompt")
+
+    def test_the_empty_global_prompt_error_names_ten_missing_patches(self, tmp_path):
+        path = self._write(tmp_path, self._doc(n=12, global_prompt="", patches={}))
+        with pytest.raises(ManifestError, match=re.escape(
+                f"manifest {path}: 12 of 12 patches [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] ... have no "
+                "caption and the global prompt is empty")):
+            load_caption_manifest(path)
+
+    @pytest.mark.parametrize("count", [0, -5, MAX_PATCHES + 1, 3 * 10**6])
+    def test_a_patch_count_outside_the_tiler_bound_is_refused(self, tmp_path, count):
+        path = self._write(tmp_path, self._doc(patch_count=count))
+        with pytest.raises(ManifestError, match=re.escape(
+                f"manifest {path}: patch_count must be in [1, {MAX_PATCHES}], got {count}") + "$"):
+            load_caption_manifest(path)
 
     def test_malformed_json_names_position(self, tmp_path):
         path = tmp_path / "caps.json"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -79,20 +81,37 @@ class TestAnalyticGaussianDenoiser:
             for gap, se in mc_regression_gaps(0.0, 1.0, t, s, n=20_000, seed=9, bins=10):
                 assert gap <= 3.0 * se
 
-    def test_per_channel_mean_supported(self, rng):
-        s = make_linear_schedule(20)
-        den = analytic_gaussian_denoiser([0.1, 0.9], 0.0)
-        z_t = rng.normal(size=(4, 4, 2))
-        out = den.predict(z_t, 8, None, s)
-        np.testing.assert_array_equal(out, np.broadcast_to([0.1, 0.9], z_t.shape))
-        with pytest.raises(ValueError):
-            den.predict(rng.normal(size=(4, 4, 3)), 8, None, s)
+    @pytest.mark.parametrize("arg", ["mean", "std"])
+    @pytest.mark.parametrize("value, shown", [
+        ([0.1, 0.9], "[0.1, 0.9]"),
+        (np.array([0.1, 0.9]), "array([0.1, 0.9])"),
+        (np.zeros((2, 2)), "array([[0., 0.], [0., 0.]])"),
+        ("0.5", "'0.5'"),
+        (None, "None"),
+        (True, "True"),
+    ], ids=["list", "array", "matrix", "str", "None", "bool"])
+    def test_refuses_a_value_that_is_not_one_real_number(self, arg, value, shown):
+        # A per-channel mean among them: the model holds one mean for every cell.
+        args = {"mean": 0.0, "std": 1.0, arg: value}
+        with pytest.raises(ValueError, match=f"^{arg} must be a real number, got {re.escape(shown)}$"):
+            analytic_gaussian_denoiser(**args)
 
     def test_rejects_invalid_model(self):
         with pytest.raises(ValueError, match="^std must be finite and >= 0, got -1.0$"):
             analytic_gaussian_denoiser(0.0, -1.0)
-        with pytest.raises(ValueError, match="^mean must be a finite scalar or per-channel vector, got nan$"):
+        with pytest.raises(ValueError, match="^mean must be finite, got nan$"):
             analytic_gaussian_denoiser(np.nan, 1.0)
+        with pytest.raises(ValueError, match="^std must be finite and >= 0, got 1000"):
+            analytic_gaussian_denoiser(0.0, 10**400)
+
+    def test_every_real_kind_of_one_value_gives_the_same_bytes(self, rng):
+        s = make_linear_schedule(20)
+        z_t = rng.normal(size=(6, 5, 3))
+        want = analytic_gaussian_denoiser(2.0, 3.0).predict(z_t, 8, None, s)
+        for value in (2, np.float64(2.0), np.int64(2)):
+            for args in ((value, 3.0), (2.0, value + 1)):
+                got = analytic_gaussian_denoiser(*args).predict(z_t, 8, None, s)
+                np.testing.assert_array_equal(got, want, strict=True)
 
 
 class TestAncestralMarginal:
