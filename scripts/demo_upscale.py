@@ -3,7 +3,8 @@
 manifest, fill captions, and run the guided upscale.
 
 Writes all artifacts (config, reference, manifest, outputs) into a working
-directory and prints the guidance quality numbers. Run:
+directory and prints the guidance quality numbers. Exits 1 when a step fails
+or the guidance misses either limit below. Run:
 
     python3 scripts/demo_upscale.py --workdir /tmp/resmaster-demo
 """
@@ -20,6 +21,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from resmaster.cli import main as cli
 from resmaster.netpbm import read_image
 from resmaster.tiler import bicubic_upsample
+
+# Guidance limits on the output against the upsampled reference: the
+# low-band spectral error that perfbench's runs hold to (its LOWBAND_LIMIT),
+# and the largest per-channel mean gap. A guided 10-step run reads about
+# 0.04% and 1e-5; one whose sampler skips the low-frequency swap reads about
+# 11% and 5e-3.
+LOWBAND_LIMIT = 0.02
+MEAN_GAP_LIMIT = 1e-3
 
 
 def band_error(output, reference_up, radius=0.2):
@@ -70,11 +79,18 @@ def run(workdir: Path, scale: int, steps: int, seed: int) -> int:
     ref = read_image(reference)
     out = read_image(output)
     up = bicubic_upsample(ref, out.shape[0], out.shape[1])
+    lowband = band_error(out, up)
+    mean_gap = np.abs(out.mean(axis=(0, 1)) - up.mean(axis=(0, 1))).max()
     print()
     print(f"reference: {reference}  ({ref.shape[1]}x{ref.shape[0]})")
     print(f"output:    {output}  ({out.shape[1]}x{out.shape[0]})")
-    print(f"low-band spectrum error vs upsampled reference: {band_error(out, up):.3%}")
-    print(f"per-channel mean gap: {np.abs(out.mean(axis=(0,1)) - up.mean(axis=(0,1))).max():.2e}")
+    print(f"low-band spectrum error vs upsampled reference: {lowband:.3%}")
+    print(f"per-channel mean gap: {mean_gap:.2e}")
+    if not (lowband <= LOWBAND_LIMIT and mean_gap <= MEAN_GAP_LIMIT):
+        print(f"error: guidance missed its limits: low-band error {lowband:.3%} (at most "
+              f"{LOWBAND_LIMIT:.0%}), mean gap {mean_gap:.2e} (at most {MEAN_GAP_LIMIT:.0e})",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .conditioning import ConditionBundle
-from .util import check_out
+from .util import as_int, check_out
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,10 @@ def make_attention_weights(
 ) -> AttentionWeights:
     """Seeded Gaussian initialization, scaled by 1/sqrt(fan_in); the values
     map to ``d_head``."""
-    if min(d_model, d_head, text_dim, image_dim) < 1:
-        raise ValueError("all attention dims must be >= 1")
+    d_model, d_head, text_dim, image_dim = (as_int(value, name, 1) for name, value in (
+        ("d_model", d_model), ("d_head", d_head), ("text_dim", text_dim), ("image_dim", image_dim)))
     if rng is None:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), 0xA77))))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((as_int(seed, "seed", 0), 0xA77))))
     draw = lambda rows, cols: rng.normal(size=(rows, cols)) / math.sqrt(rows)
     return AttentionWeights(
         w_query=draw(d_model, d_head),

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .tiler import MAX_PATCHES
-from .util import as_grid, as_real, read_json_object, require_finite
+from .util import as_grid, as_int, as_real, read_json_object, require_finite
 
 log = logging.getLogger(__name__)
 
@@ -90,12 +90,11 @@ def embed_text_stub(text: str, tokens: int, dim: int, seed: int) -> np.ndarray:
     """
     if not isinstance(text, str) or text == "":
         raise ValueError("text must be a non-empty string")
-    if tokens < 1 or dim < 1:
-        raise ValueError(f"tokens and dim must be >= 1, got ({tokens}, {dim})")
+    tokens, dim, seed = as_int(tokens, "tokens", 1), as_int(dim, "dim", 1), as_int(seed, "seed")
     rows = np.empty((tokens, dim))
     encoded = text.encode("utf-8")
     for r in range(tokens):
-        payload = int(seed).to_bytes(8, "big", signed=True) + r.to_bytes(4, "big") + encoded
+        payload = seed.to_bytes(8, "big", signed=True) + r.to_bytes(4, "big") + encoded
         row = _hash_floats(payload, dim)
         rows[r] = row / np.linalg.norm(row)
     return rows
@@ -135,10 +134,9 @@ def _pool_slices(n: int) -> list[tuple[int, int]]:
 
 def encode_image_prompt_stub(patch: np.ndarray, tokens: int, dim: int, seed: int) -> np.ndarray:
     """Project patch features to (tokens, dim) with a seeded fixed random matrix."""
-    if tokens < 1 or dim < 1:
-        raise ValueError(f"tokens and dim must be >= 1, got ({tokens}, {dim})")
+    tokens, dim, seed = as_int(tokens, "tokens", 1), as_int(dim, "dim", 1), as_int(seed, "seed", 0)
     feats = patch_features(patch)
-    projection = _image_projection(int(seed), int(tokens), int(dim), feats.size)
+    projection = _image_projection(seed, tokens, dim, feats.size)
     return (projection @ feats).reshape(tokens, dim)
 
 
@@ -177,7 +175,7 @@ def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionM
     ``util.read_json_object`` cannot read as an object (a blank one reads as
     {} and fails the version check), on a version other than
     MANIFEST_VERSION or a key not in MANIFEST_KEYS, on a patch count that is
-    not a JSON integer, lies outside [1, tiler.MAX_PATCHES] or disagrees with
+    not an integer, lies outside [1, tiler.MAX_PATCHES] or disagrees with
     the ``patch_count`` of ``expected_layout`` (a run's
     ``PatchLayout.to_dict()``), on a ``layout`` block that differs from
     ``expected_layout`` (the first differing field is named), or when a patch
@@ -204,11 +202,10 @@ def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionM
     patch_count = doc.get("patch_count")
     if patch_count is None:
         raise ManifestError(f"manifest {path}: missing required field patch_count")
-    if isinstance(patch_count, bool) or not isinstance(patch_count, int):
-        raise ManifestError(
-            f"manifest {path}: patch_count must be a JSON integer, "
-            f"got {type(patch_count).__name__} {patch_count!r}"
-        )
+    try:
+        patch_count = as_int(patch_count, "patch_count")
+    except ValueError as exc:
+        raise ManifestError(f"manifest {path}: {exc}") from None
     if not 1 <= patch_count <= MAX_PATCHES:
         raise ManifestError(f"manifest {path}: patch_count must be in [1, {MAX_PATCHES}], got {patch_count}")
     if expected_layout is not None and patch_count != expected_layout["patch_count"]:

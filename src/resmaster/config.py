@@ -8,13 +8,12 @@ collected into one aggregated one-line report rather than failing on the first.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 from .schedule import make_geometric_schedule, make_linear_schedule
 from .spectral import valid_cutoff
 from .tiler import GeometryError, PatchLayout
-from .util import read_json_object
+from .util import as_int, as_int_pair, as_real, read_json_object, shown
 
 CONFIG_VERSION = 1
 
@@ -53,13 +52,13 @@ class PipelineConfig:
     dims; the target is ``scale`` times larger on each axis. ``window`` and
     ``stride`` are the ``(h, w)`` pairs of the tiling of the target grid,
     planned once as ``layout``; each is given as one int or a list or tuple of
-    one or two ints, and stored as a tuple. An int given for a float field is
-    stored as a float. Construction raises ConfigError listing every field of
-    the wrong kind, beyond float range or not finite, or else every violated
-    invariant (a stride above a window smaller than the target is one, and
-    so are more than ``MAX_STEPS`` steps), or else a target grid beyond
-    ``MAX_GRID_VALUES`` values and any fault of the tiling, including more
-    than ``tiler.MAX_PATCHES`` windows."""
+    one or two ints, and stored as a tuple. Each field passes the ``util``
+    check of its kind and is stored as a Python value (an int given for a
+    float field as a float). Construction raises ConfigError listing every
+    field of the wrong kind, beyond float range or not finite, or else every
+    violated invariant (a stride above a window smaller than the target is
+    one, and so are more than ``MAX_STEPS`` steps), or else a target grid
+    beyond ``MAX_GRID_VALUES`` values and any fault of the tiling."""
 
     height: int = 32
     width: int = 32
@@ -81,21 +80,10 @@ class PipelineConfig:
     def __post_init__(self):
         problems = []
         for name, kind in _KINDS.items():
-            value = getattr(self, name)
-            if kind is tuple:
-                value = _pair(value)
-            if not _has_kind(value, kind):
-                problems.append(f"{name} must be {_KIND_NAMES[kind]}, got {getattr(self, name)!r}")
-                continue
-            if kind is float:
-                try:
-                    value = float(value)
-                except OverflowError:
-                    problems.append(f"{name} must be a number in float range, got a larger integer")
-                    continue
-                if not math.isfinite(value):
-                    problems.append(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            try:
+                object.__setattr__(self, name, _CHECKS[kind](getattr(self, name), name))
+            except ValueError as exc:
+                problems.append(str(exc))
         if problems:
             raise ConfigError(problem_report(problems))
         for name in ("height", "width", "channels", "scale", "steps", "window", "stride"):
@@ -156,22 +144,14 @@ class PipelineConfig:
 # type of its default.
 _KINDS = {f.name: type(f.default) for f in dataclasses.fields(PipelineConfig) if f.init}
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
-               tuple: "one integer or a list of one or two integers"}
+
+def _as_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {shown(value)}")
+    return str(value)
 
 
-def _has_kind(value, kind: type) -> bool:
-    """A bool is not an int, and an int is accepted for a float field."""
-    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
-
-
-def _pair(value) -> tuple[int, int] | None:
-    """The (h, w) pair that one int, or a list or tuple of one or two ints,
-    spells; None for anything else."""
-    items = tuple(value) if isinstance(value, (list, tuple)) else (value,)
-    if len(items) not in (1, 2) or not all(_has_kind(v, int) for v in items):
-        return None
-    return items * 2 if len(items) == 1 else items
+_CHECKS = {int: as_int, float: as_real, tuple: as_int_pair, str: _as_str}
 
 
 def _from_json(doc: dict, problems: list[str]) -> dict:

@@ -24,7 +24,7 @@ import numpy as np
 from .attention import AttentionWeights, attend, make_attention_weights
 from .conditioning import EMBED_DIM, ConditionBundle
 from .schedule import NoiseSchedule
-from .util import as_grid, as_real, check_out
+from .util import as_grid, as_int, as_real, check_out
 
 
 @runtime_checkable
@@ -102,9 +102,9 @@ class _ToyConditionedDenoiser:
     prediction = "epsilon"
 
     def __init__(self, seed: int, channels: int, d_model: int, d_head: int):
-        if min(channels, d_model, d_head) < 1:
-            raise ValueError("all toy-denoiser dims must be >= 1")
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), 0x70F))))
+        channels, d_model, d_head = (as_int(value, name, 1) for name, value in (
+            ("channels", channels), ("d_model", d_model), ("d_head", d_head)))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((as_int(seed, "seed", 0), 0x70F))))
         self.channels = channels
         w_in = rng.normal(size=(channels, d_model)) / math.sqrt(channels)
         net = make_attention_weights(d_model, d_head, EMBED_DIM, EMBED_DIM, rng=rng)

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .util import as_int
+
 INIT_STEP = 0
 
 
 def noise_stream(seed: int, step: int) -> np.random.Generator:
-    """Independent generator for one (seed, step) substream."""
-    if seed < 0 or step < 0:
-        raise ValueError(f"stream keys must be non-negative, got ({seed}, {step})")
-    ss = np.random.SeedSequence((int(seed), int(step)))
+    """Independent generator for one (seed, step) substream, keys >= 0."""
+    ss = np.random.SeedSequence((as_int(seed, "seed", minimum=0), as_int(step, "step", minimum=0)))
     return np.random.Generator(np.random.SFC64(ss))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import as_grid, check_out, require_same_shape
+from .util import as_grid, as_int, check_out, require_same_shape, shown
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class NoiseSchedule:
         return int(self.beta.size)
 
     def check_t(self, t: int) -> None:
-        if not isinstance(t, (int, np.integer)) or not 1 <= t <= self.steps:
-            raise ValueError(f"timestep t={t!r} out of range [1, {self.steps}]")
+        if not 1 <= as_int(t, "t") <= self.steps:
+            raise ValueError(f"timestep t={shown(t)} out of range [1, {self.steps}]")
 
 
 def make_linear_schedule(T: int, start: float = 1e-4, end: float = 0.02) -> NoiseSchedule:
@@ -68,11 +68,10 @@ def make_linear_schedule(T: int, start: float = 1e-4, end: float = 0.02) -> Nois
     Defaults follow the common 1000-step convention (1e-4 .. 0.02) when T=1000;
     shorter schedules reuse the same endpoints.
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"T must be a positive integer, got {T!r}")
+    T = as_int(T, "T", minimum=1)
     if not (0.0 < start <= end < 1.0):
         raise ValueError(f"betas must satisfy 0 < start <= end < 1, got ({start}, {end})")
-    beta = np.linspace(start, end, int(T), dtype=np.float64)
+    beta = np.linspace(start, end, T, dtype=np.float64)
     return NoiseSchedule(beta=beta)
 
 
@@ -92,14 +91,12 @@ def make_geometric_schedule(
     while the short tail still reaches (near) pure noise. Use this for step
     counts well below the 1000-step linear convention.
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"T must be a positive integer, got {T!r}")
+    T = as_int(T, "T", minimum=1)
     if not 0.0 < noise_floor < knee < terminal < 1.0:
         raise ValueError(
             "ladder must satisfy 0 < noise_floor < knee < terminal < 1, got "
             f"({noise_floor}, {knee}, {terminal})"
         )
-    T = int(T)
     if T == 1:
         om = np.array([terminal])
     else:

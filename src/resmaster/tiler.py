@@ -10,7 +10,6 @@ its two axes, so a layout holds no map of the grid's cells.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -18,11 +17,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .util import as_grid
+from .util import as_grid, as_int, as_int_pair
 
 
 class GeometryError(ValueError):
-    """Raised by ``PatchLayout`` when a pair is not two integers, or the
+    """Raised by ``PatchLayout`` when a field does not spell a pair, or the
     window/stride geometry does not tile the grid exactly or needs more than
     MAX_PATCHES windows."""
 
@@ -62,11 +61,12 @@ class RectGrid(Sequence):
 @dataclass(frozen=True)
 class PatchLayout:
     """A tiling of a ``grid`` by windows of size ``window`` at steps of
-    ``stride``, each an ``(h, w)`` pair, and its windows' ``rects`` in
-    canonical order. Construction raises a GeometryError naming a field
-    that is not two integers, or the axis whose (grid - window) the stride
-    does not divide, or for more than MAX_PATCHES windows, before any rect
-    is made. A stride above the window leaves gaps, which fusion refuses."""
+    ``stride``, each an ``(h, w)`` pair (``util.as_int_pair``), and its
+    windows' ``rects`` in canonical order. Construction raises a
+    GeometryError naming a field that spells no pair, or the axis whose
+    (grid - window) the stride does not divide, or for more than MAX_PATCHES
+    windows, before any rect is made. Fusion refuses a stride above the
+    window, which leaves gaps."""
 
     grid: tuple[int, int]
     window: tuple[int, int]
@@ -74,8 +74,11 @@ class PatchLayout:
     rects: RectGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid, window, stride = (_int_pair(name, getattr(self, name))
-                                for name in ("grid", "window", "stride"))
+        try:
+            grid, window, stride = (as_int_pair(getattr(self, name), name)
+                                    for name in ("grid", "window", "stride"))
+        except ValueError as exc:
+            raise GeometryError(str(exc)) from None
         tops = _axis_positions(grid[0], window[0], stride[0], "height")
         lefts = _axis_positions(grid[1], window[1], stride[1], "width")
         # Positions per axis from the range ends, since len() overflows past sys.maxsize.
@@ -130,18 +133,6 @@ class PatchLayout:
             "patch_count": self.patch_count,
             "rects": [list(r) for r in self.rects],
         }
-
-
-def _int_pair(name: str, value) -> tuple[int, int]:
-    """``value`` as an ``(h, w)`` pair of ints; GeometryError naming ``name``
-    unless it is two integers (numpy's too) and neither is a bool."""
-    try:
-        h, w = value
-        if not (isinstance(h, bool) or isinstance(w, bool)):
-            return operator.index(h), operator.index(w)
-    except (TypeError, ValueError):
-        pass
-    raise GeometryError(f"{name} must be a pair of integers, got {value!r}")
 
 
 def _axis_covers(grid: int, window: int, stride: int) -> np.ndarray:
@@ -288,10 +279,7 @@ def bicubic_upsample(g: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     integers that shrink neither axis, or ValueError is raised."""
     g = as_grid(g, "grid")
     in_h, in_w = g.shape[0], g.shape[1]
-    try:
-        out_h, out_w = operator.index(out_h), operator.index(out_w)
-    except TypeError:
-        raise ValueError(f"output dims must be integers, got ({out_h!r}, {out_w!r})") from None
+    out_h, out_w = as_int(out_h, "out_h"), as_int(out_w, "out_w")
     if out_h < in_h or out_w < in_w:
         raise ValueError(
             f"downscaling not supported: requested ({out_h}, {out_w}) from ({in_h}, {in_w})"

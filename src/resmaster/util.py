@@ -35,18 +35,55 @@ def require_finite(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
+def shown(value) -> str:
+    """A refused value on one line: its repr, with each integer wider than 64
+    bits, in a list or tuple too, as its bit width (repr fails past 4300 digits)."""
+    if isinstance(value, (list, tuple)):
+        items = ", ".join(map(shown, value))
+        return f"[{items}]" if isinstance(value, list) else f"({items}{',' * (len(value) == 1)})"
+    if isinstance(value, numbers.Integral) and int(value).bit_length() > 64:
+        return f"an integer of {int(value).bit_length()} bits"
+    return " ".join(repr(value).split())
+
+
+def _is_int(value) -> bool:
+    # int first spares a plain int the ABC check, about 0.4 us a timestep.
+    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
+
+
+def as_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int: an integer, numpy's too, not a bool, and >=
+    ``minimum`` if given; otherwise a one-line ValueError naming ``name``."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {shown(value)}")
+    return value
+
+
+def as_int_pair(value, name: str) -> tuple[int, int]:
+    """The ``(h, w)`` ints that ``value`` spells as one integer or a list or
+    tuple of one or two (as ``as_int``); else a one-line ValueError."""
+    items = tuple(value) if isinstance(value, (list, tuple)) else (value,)
+    if len(items) not in (1, 2) or not all(map(_is_int, items)):
+        raise ValueError(f"{name} must be one integer or a list of one or two integers, "
+                         f"got {shown(value)}")
+    return (int(items[0]), int(items[-1]))
+
+
 def as_real(value, name: str, nonnegative: bool = False) -> float:
-    """``value`` as a float: a real number other than a bool, finite (an
-    integer beyond float range counts as infinite), and >= 0 when
-    ``nonnegative``; otherwise a one-line ValueError naming ``name``."""
+    """``value`` as a float: a real number other than a bool, in float range,
+    finite, and >= 0 when ``nonnegative``; otherwise a one-line ValueError
+    naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {' '.join(repr(value).split())}")
+        raise ValueError(f"{name} must be a real number, got {shown(value)}")
     try:
         real = float(value)
     except OverflowError:
-        real = math.inf
+        raise ValueError(f"{name} must be a number in float range, got {shown(value)}") from None
     if not (math.isfinite(real) and (real >= 0.0 or not nonnegative)):
-        raise ValueError(f"{name} must be finite{' and >= 0' if nonnegative else ''}, got {value}")
+        raise ValueError(f"{name} must be finite{' and >= 0' if nonnegative else ''}, got {shown(value)}")
     return real
 
 

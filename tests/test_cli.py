@@ -266,7 +266,7 @@ class TestUpscale:
                      "--out", str(tmp_path / "o.ppm")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "got float 9.0" in err
+        assert err.count("\n") == 1 and "patch_count must be an integer, got 9.0" in err
 
     def test_manifest_from_another_layout_exits_1_with_one_line(self, tmp_path, reference_file, capsys):
         # 96/16 and 64/32 both tile a 128-cell axis in 3 windows, so only the

@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from resmaster.config import MAX_STEPS, ConfigError, PipelineConfig, parse_config, serialize_config
@@ -189,7 +190,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("field", ["d0", "lam"])
     def test_constructor_reports_integer_beyond_float_range(self, field):
         with pytest.raises(ConfigError, match=f"^invalid configuration: {field} must be a number "
-                                              "in float range, got a larger integer$"):
+                                              "in float range, got an integer of 1329 bits$"):
             PipelineConfig(**{field: 10**400})
 
     def test_json_integer_beyond_float_range_is_reported(self, tmp_path):
@@ -300,6 +301,13 @@ class TestTilingPairs:
                                               "or a list of one or two integers, got ") as err:
             PipelineConfig(**{field: value})
         assert "\n" not in str(err.value)
+
+    def test_numpy_numbers_are_stored_as_python_ones(self):
+        config = PipelineConfig(height=np.int64(32), window=np.int64(64), d0=np.float32(0.5))
+        assert config == PipelineConfig(height=32, window=64, d0=0.5)
+        assert (type(config.height), type(config.window), type(config.d0)) == (int, tuple, float)
+        assert all(type(v) is int for v in config.window)
+        json.dumps(serialize_config(config))
 
     def test_a_non_positive_pair_names_the_field(self):
         with pytest.raises(ConfigError, match=r"window must be >= 1, got \(0, 64\)"):

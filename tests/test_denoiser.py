@@ -101,7 +101,7 @@ class TestAnalyticGaussianDenoiser:
             analytic_gaussian_denoiser(0.0, -1.0)
         with pytest.raises(ValueError, match="^mean must be finite, got nan$"):
             analytic_gaussian_denoiser(np.nan, 1.0)
-        with pytest.raises(ValueError, match="^std must be finite and >= 0, got 1000"):
+        with pytest.raises(ValueError, match="^std must be a number in float range, got an integer of 1329 bits$"):
             analytic_gaussian_denoiser(0.0, 10**400)
 
     def test_every_real_kind_of_one_value_gives_the_same_bytes(self, rng):

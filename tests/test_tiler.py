@@ -149,13 +149,18 @@ class TestPatchLayout:
         ((12, 12), (4, 4), (4, np.True_), "stride"),
         ((12, 12), "44", (4, 4), "window"),
         ((12, 12), (4, 4, 4), (4, 4), "window"),
-        (12, (4, 4), (4, 4), "grid"),
+        ([], (4, 4), (4, 4), "grid"),
     ])
-    def test_rejects_pairs_that_are_not_two_integers(self, grid, window, stride, field):
+    def test_rejects_values_that_spell_no_pair(self, grid, window, stride, field):
         with pytest.raises(GeometryError) as err:
             PatchLayout(grid, window, stride)
         message = str(err.value)
-        assert message.startswith(f"{field} must be a pair of integers, got ") and "\n" not in message
+        assert message.startswith(f"{field} must be one integer or a list of one or two integers, got ")
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("spelling", [12, [12], (12,), np.int64(12), [12, 12]])
+    def test_one_integer_or_a_list_of_one_or_two_spells_a_pair(self, spelling):
+        assert PatchLayout(spelling, 4, [4]) == PatchLayout((12, 12), (4, 4), (4, 4))
 
     def test_numpy_integers_are_stored_as_ints(self):
         layout = PatchLayout((np.int64(12), np.int32(12)), (np.uint8(4), 4), [4, np.int16(4)])
@@ -593,10 +598,11 @@ class TestBicubicUpsample:
             tracemalloc.stop()
         assert peak < 2.5 * out.nbytes, peak / out.nbytes
 
-    @pytest.mark.parametrize("dims", [(12.7, 8.9), ("9", 9), (9, 9.0), (None, 9)])
-    def test_non_integer_output_dims_are_a_one_line_error(self, rng, dims):
+    @pytest.mark.parametrize("dims, name", [((12.7, 8.9), "out_h"), (("9", 9), "out_h"),
+                                            ((9, 9.0), "out_w"), ((None, 9), "out_h")])
+    def test_non_integer_output_dims_are_a_one_line_error(self, rng, dims, name):
         g = rng.normal(size=(4, 4, 1))
-        with pytest.raises(ValueError, match="^output dims must be integers") as excinfo:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got ") as excinfo:
             bicubic_upsample(g, *dims)
         assert "\n" not in str(excinfo.value)
 
