@@ -4,6 +4,8 @@ reference, splitting the spectrum into a low band and a high band.
 
 Larger cutoffs swap more of the reference's spectrum into every step, so the
 low band locks on while high-band energy (the generated detail) shrinks.
+The script exits 1 unless both the low-band error and the high-band energy
+strictly fall as the cutoff rises.
 
     python3 scripts/guidance_sweep.py --cutoffs 0.2 0.4 0.8 1.6
 """
@@ -53,6 +55,7 @@ def main() -> int:
     den = analytic_gaussian_denoiser(0.0, 1.0)
 
     print(f"{'cutoff':>8} {'low-band err':>14} {'high-band energy':>18}")
+    rows = []
     for d0 in args.cutoffs:
         config = PipelineConfig(height=16, width=16, channels=1, scale=4, window=32, stride=16,
                                 steps=args.steps, seed=args.seed, d0=d0)
@@ -62,6 +65,13 @@ def main() -> int:
         err /= np.sqrt((np.abs(f_ref[low]) ** 2).sum())
         energy = float((np.abs(f_out[high]) ** 2).sum() / f_out[high].size)
         print(f"{d0:>8.2f} {err:>13.3%} {energy:>18.4f}")
+        rows.append((d0, err, energy))
+    rows.sort()
+    if not all(err < last_err and energy < last_energy
+               for (_, last_err, last_energy), (_, err, energy) in zip(rows, rows[1:])):
+        print("guidance check failed: the low-band error and the high-band energy must "
+              "both strictly fall as the cutoff rises", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .tiler import MAX_PATCHES
-from .util import as_grid, as_int, as_real, read_json_object, require_finite
+from .util import as_grid, as_int, as_real, read_json_object, require_finite, shown
 
 log = logging.getLogger(__name__)
 
@@ -35,6 +35,9 @@ MANIFEST_KEYS = ("version", "global_prompt", "instruction", "patch_count", "layo
 # Token counts and width of the stub encoders' embeddings; the toy denoiser's
 # condition width is the same EMBED_DIM.
 TEXT_TOKENS, IMAGE_TOKENS, EMBED_DIM = 8, 4, 16
+
+# The text stub hashes its seed as a signed 64-bit integer.
+SEED_LIMIT = 2**63
 
 _IMAGE_STUB_STREAM = 0x1A9E  # namespaces the projection-matrix draw
 _POOL_BINS = 8
@@ -83,14 +86,16 @@ def _hash_floats(payload: bytes, count: int) -> np.ndarray:
 
 def embed_text_stub(text: str, tokens: int, dim: int, seed: int) -> np.ndarray:
     """A (tokens, dim) array of deterministic unit-norm rows hashed from
-    (seed, row index, text).
+    (seed, row index, text). ``seed`` lies in [0, SEED_LIMIT).
 
     The hash path uses fixed-width integers only, so outputs are identical
     across platforms.
     """
     if not isinstance(text, str) or text == "":
         raise ValueError("text must be a non-empty string")
-    tokens, dim, seed = as_int(tokens, "tokens", 1), as_int(dim, "dim", 1), as_int(seed, "seed")
+    tokens, dim, seed = as_int(tokens, "tokens", 1), as_int(dim, "dim", 1), as_int(seed, "seed", 0)
+    if seed >= SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**63), got {shown(seed)}")
     rows = np.empty((tokens, dim))
     encoded = text.encode("utf-8")
     for r in range(tokens):

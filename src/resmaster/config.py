@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from .conditioning import SEED_LIMIT
 from .schedule import make_geometric_schedule, make_linear_schedule
 from .spectral import valid_cutoff
 from .tiler import GeometryError, PatchLayout
@@ -22,9 +23,6 @@ DENOISER_CHOICES = ("analytic", "toy")
 # "geometric" log-spaces the noise-variance ladder, which short runs need to
 # resolve fine-scale data; "linear" is the classic long-schedule convention.
 SCHEDULE_CHOICES = ("geometric", "linear")
-
-# Seeds are hashed as signed 64-bit integers by the embedding stubs.
-SEED_LIMIT = 2**63
 
 # Most values (cells times channels) a target grid may hold. Together with
 # the tiler's MAX_PATCHES it bounds a run before any window is planned: a
@@ -89,22 +87,24 @@ class PipelineConfig:
         for name in ("height", "width", "channels", "scale", "steps", "window", "stride"):
             value = getattr(self, name)
             if min(value if isinstance(value, tuple) else (value,)) < 1:
-                problems.append(f"{name} must be >= 1, got {value}")
+                problems.append(f"{name} must be >= 1, got {shown(value)}")
         if self.steps > MAX_STEPS:
-            problems.append(f"steps must be at most 2**16, got {self.steps}")
+            problems.append(f"steps must be at most 2**16, got {shown(self.steps)}")
         for axis, target, win, stride in zip(("height", "width"), (self.target_h, self.target_w),
                                              self.window, self.stride):
             # A window smaller than the target must leave no gap before the next.
             if 1 <= win < target and stride > win:
-                problems.append(f"{axis} axis: stride {stride} is larger than window {win}, leaving gaps")
+                problems.append(f"{axis} axis: stride {shown(stride)} is larger than window "
+                                f"{shown(win)}, leaving gaps")
         if not valid_cutoff(self.d0):
             problems.append(f"d0 must be > 0 and 1/(2*d0*d0) must be finite, got {self.d0}")
         if self.lam < 0:
             problems.append(f"lambda must be >= 0, got {self.lam}")
         if not 0 <= self.seed < SEED_LIMIT:
-            problems.append(f"seed must lie in [0, 2**63), got {self.seed}")
+            problems.append(f"seed must lie in [0, 2**63), got {shown(self.seed)}")
         if not 0 <= self.guidance_stop_step <= self.steps:
-            problems.append(f"guidance_stop must lie in [0, steps={self.steps}], got {self.guidance_stop_step}")
+            problems.append(f"guidance_stop must lie in [0, steps={shown(self.steps)}], "
+                            f"got {shown(self.guidance_stop_step)}")
         if self.denoiser not in DENOISER_CHOICES:
             problems.append(f"unknown denoiser {self.denoiser!r}; choices: {DENOISER_CHOICES}")
         if self.schedule not in SCHEDULE_CHOICES:
@@ -114,8 +114,9 @@ class PipelineConfig:
         if not problems:
             values = self.target_h * self.target_w * self.channels
             if values > MAX_GRID_VALUES:
-                problems.append(f"the {self.target_h}x{self.target_w}x{self.channels} target grid "
-                                f"holds {values} values; at most 2**31 are allowed")
+                dims = " x ".join(map(shown, (self.target_h, self.target_w, self.channels)))
+                problems.append(f"the target grid of (height * scale) x (width * scale) x channels "
+                                f"= {dims} holds {shown(values)} values; at most 2**31 are allowed")
             # The layout checks the tiling and its window count before it
             # builds a rect, so it stays cheap for a target beyond the bound.
             try:

@@ -79,20 +79,24 @@ def analytic_gaussian_denoiser(mean: float, std: float) -> _AnalyticGaussianDeno
     return _AnalyticGaussianDenoiser(mean, std)
 
 
+# The toy network's model and head widths, both fixed.
+TOY_WIDTH = 16
+
+
 class _ToyConditionedDenoiser:
     """Tiny fixed-weight network: per-cell features attend over the condition
     bundle once, and the head projection maps back to channel space, as in
     ``tanh(attend(x w_in, cond, W) w_out)``.
 
     Both projections are linear maps next to linear maps of the attention:
-    on construction the input projection ``w_in`` (channels, d_model) is
+    on construction the input projection ``w_in`` (channels, TOY_WIDTH) is
     multiplied into the query projection and the head projection ``w_out``
-    (d_head, channels) into both value projections, so ``attn`` takes its
+    (TOY_WIDTH, channels) into both value projections, so ``attn`` takes its
     queries straight from the channels and answers in them, and ``predict``
     is ``tanh(attend(cells, cond, attn))``. A cell then costs
     ``2 * tokens * channels`` multiply-adds instead of
-    ``(channels + tokens) * (d_model + d_head)``: 72 instead of 480 for 3
-    channels, 12 tokens and the default widths.
+    ``(channels + tokens) * 2 * TOY_WIDTH``: 72 instead of 480 for 3
+    channels and 12 tokens.
 
     Purely a conditioning-path exerciser; it makes no claim of denoising
     quality. Output is tanh-bounded so ancestral sampling stays stable. It
@@ -101,14 +105,12 @@ class _ToyConditionedDenoiser:
 
     prediction = "epsilon"
 
-    def __init__(self, seed: int, channels: int, d_model: int, d_head: int):
-        channels, d_model, d_head = (as_int(value, name, 1) for name, value in (
-            ("channels", channels), ("d_model", d_model), ("d_head", d_head)))
+    def __init__(self, seed: int, channels: int):
+        self.channels = channels = as_int(channels, "channels", 1)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((as_int(seed, "seed", 0), 0x70F))))
-        self.channels = channels
-        w_in = rng.normal(size=(channels, d_model)) / math.sqrt(channels)
-        net = make_attention_weights(d_model, d_head, EMBED_DIM, EMBED_DIM, rng=rng)
-        w_out = rng.normal(size=(d_head, channels)) / math.sqrt(d_head)
+        w_in = rng.normal(size=(channels, TOY_WIDTH)) / math.sqrt(channels)
+        net = make_attention_weights(TOY_WIDTH, TOY_WIDTH, EMBED_DIM, EMBED_DIM, rng=rng)
+        w_out = rng.normal(size=(TOY_WIDTH, channels)) / math.sqrt(TOY_WIDTH)
         self.attn = AttentionWeights(
             w_query=w_in @ net.w_query,
             w_key_text=net.w_key_text,
@@ -136,7 +138,5 @@ class _ToyConditionedDenoiser:
         return np.tanh(cells, out=cells if out is None else out)
 
 
-def toy_conditioned_denoiser(
-    seed: int, channels: int, d_model: int = 16, d_head: int = 16,
-) -> _ToyConditionedDenoiser:
-    return _ToyConditionedDenoiser(seed, channels, d_model, d_head)
+def toy_conditioned_denoiser(seed: int, channels: int) -> _ToyConditionedDenoiser:
+    return _ToyConditionedDenoiser(seed, channels)

@@ -62,28 +62,18 @@ class NoiseSchedule:
             raise ValueError(f"timestep t={shown(t)} out of range [1, {self.steps}]")
 
 
-def make_linear_schedule(T: int, start: float = 1e-4, end: float = 0.02) -> NoiseSchedule:
-    """Linearly spaced beta_t over T steps, from ``start`` to ``end``.
-
-    Defaults follow the common 1000-step convention (1e-4 .. 0.02) when T=1000;
-    shorter schedules reuse the same endpoints.
-    """
-    T = as_int(T, "T", minimum=1)
-    if not (0.0 < start <= end < 1.0):
-        raise ValueError(f"betas must satisfy 0 < start <= end < 1, got ({start}, {end})")
-    beta = np.linspace(start, end, T, dtype=np.float64)
-    return NoiseSchedule(beta=beta)
+def make_linear_schedule(T: int) -> NoiseSchedule:
+    """Linearly spaced beta_t over T steps, from 1e-4 to 0.02: the common
+    1000-step convention, whose endpoints shorter schedules reuse."""
+    return NoiseSchedule(beta=np.linspace(1e-4, 0.02, as_int(T, "T", minimum=1)))
 
 
-def make_geometric_schedule(
-    T: int,
-    noise_floor: float = 1e-4,
-    knee: float = 0.06,
-    terminal: float = 1.0 - 4e-5,
-) -> NoiseSchedule:
+def make_geometric_schedule(T: int) -> NoiseSchedule:
     """Short-run schedule: the cumulative noise variance (1 - alpha_bar) is
-    log-spaced from ``noise_floor`` up to ``knee``, then accelerates to
-    ``terminal`` over the last ~10% of steps.
+    log-spaced from a floor of 1e-4 up to a knee at 0.06 over the first
+    ~90% of steps, then accelerates to 1 - 4e-5 over the last
+    ``max(1, round(0.1 * T))``. A one-step schedule is that last rung alone:
+    its body is empty, and geomspace pins the endpoints.
 
     A linear beta schedule compressed to a few dozen steps places its rungs
     too coarsely around small noise variances, so ancestral sampling visibly
@@ -92,20 +82,9 @@ def make_geometric_schedule(
     counts well below the 1000-step linear convention.
     """
     T = as_int(T, "T", minimum=1)
-    if not 0.0 < noise_floor < knee < terminal < 1.0:
-        raise ValueError(
-            "ladder must satisfy 0 < noise_floor < knee < terminal < 1, got "
-            f"({noise_floor}, {knee}, {terminal})"
-        )
-    if T == 1:
-        om = np.array([terminal])
-    else:
-        tail = max(1, round(0.1 * T))
-        body = T - tail
-        om = np.concatenate(
-            [np.geomspace(noise_floor, knee, body),
-             np.geomspace(knee, terminal, tail + 1)[1:]]
-        )
+    tail = max(1, round(0.1 * T))
+    om = np.concatenate([np.geomspace(1e-4, 0.06, T - tail),
+                         np.geomspace(0.06, 1.0 - 4e-5, tail + 1)[1:]])
     alpha_bar = 1.0 - om
     beta = 1.0 - alpha_bar / np.concatenate([[1.0], alpha_bar[:-1]])
     return NoiseSchedule(beta=beta)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .util import as_grid, check_out, require_same_shape
+from .util import as_grid, as_real, check_out, require_same_shape
 
 
 def valid_cutoff(d0: float) -> bool:
@@ -57,7 +57,10 @@ def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, d0: float,
     so the output inherits the reference's per-channel mean. It is computed
     as ``estimate + L_H (reference - estimate) L_W^T`` per channel. Only
     that final sum writes to ``out``, so ``out`` may be ``estimate``.
+    ``d0`` is a real number other than a bool (``util.as_real``) for which
+    ``valid_cutoff`` holds.
     """
+    d0 = as_real(d0, "d0")
     estimate = as_grid(estimate, "estimate")
     reference = as_grid(reference, "reference")
     require_same_shape(estimate, reference, "estimate", "reference")

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .util import as_grid, as_int, as_int_pair
+from .util import as_grid, as_int, as_int_pair, shown
 
 
 class GeometryError(ValueError):
@@ -84,7 +84,7 @@ class PatchLayout:
         # Positions per axis from the range ends, since len() overflows past sys.maxsize.
         count = ((tops.stop - 1) // tops.step + 1) * ((lefts.stop - 1) // lefts.step + 1)
         if count > MAX_PATCHES:
-            raise GeometryError(f"the tiling has {count} windows; at most 2**16 are allowed")
+            raise GeometryError(f"the tiling has {shown(count)} windows; at most 2**16 are allowed")
         rects = RectGrid([(top, window[0]) for top in tops], [(left, window[1]) for left in lefts])
         for name, value in zip(("grid", "window", "stride", "rects"), (grid, window, stride, rects)):
             object.__setattr__(self, name, value)
@@ -145,16 +145,17 @@ def _axis_covers(grid: int, window: int, stride: int) -> np.ndarray:
 
 def _axis_positions(grid: int, win: int, stride: int, axis: str) -> range:
     if win < 1 or win > grid:
-        raise GeometryError(f"{axis} axis: window {win} must lie in [1, grid {grid}]")
+        raise GeometryError(f"{axis} axis: window {shown(win)} must lie in [1, grid {shown(grid)}]")
     if stride < 1:
-        raise GeometryError(f"{axis} axis: stride {stride} must be >= 1")
+        raise GeometryError(f"{axis} axis: stride {shown(stride)} must be >= 1")
     span = grid - win
     if span % stride != 0:
         suggestion = _nearest_valid_stride(span, stride, win)
         raise GeometryError(
-            f"{axis} axis: (grid {grid} - window {win}) = {span} is not divisible "
-            f"by stride {stride}; " + ("a valid stride divides it" if suggestion is None
-                                       else f"nearest valid stride is {suggestion}")
+            f"{axis} axis: (grid {shown(grid)} - window {shown(win)}) = {shown(span)} is not "
+            f"divisible by stride {shown(stride)}; " + (
+                "a valid stride divides it" if suggestion is None
+                else f"nearest valid stride is {shown(suggestion)}")
         )
     return range(0, span + 1, stride)
 
@@ -181,7 +182,7 @@ def extract_patch(g: np.ndarray, rect: Rect) -> np.ndarray:
     g = as_grid(g, "grid")
     top, left, h, w = rect
     if top < 0 or left < 0 or h < 1 or w < 1 or top + h > g.shape[0] or left + w > g.shape[1]:
-        raise ValueError(f"rect {tuple(rect)} out of bounds for grid {g.shape[:2]}")
+        raise ValueError(f"rect {shown(tuple(rect))} out of bounds for grid {g.shape[:2]}")
     return g[top : top + h, left : left + w, :].copy()
 
 

@@ -37,12 +37,13 @@ def require_finite(arr: np.ndarray, name: str) -> None:
 
 def shown(value) -> str:
     """A refused value on one line: its repr, with each integer wider than 64
-    bits, in a list or tuple too, as its bit width (repr fails past 4300 digits)."""
+    bits, in a list or tuple too, as its sign and bit width (repr fails past
+    4300 digits)."""
     if isinstance(value, (list, tuple)):
         items = ", ".join(map(shown, value))
         return f"[{items}]" if isinstance(value, list) else f"({items}{',' * (len(value) == 1)})"
     if isinstance(value, numbers.Integral) and int(value).bit_length() > 64:
-        return f"an integer of {int(value).bit_length()} bits"
+        return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
     return " ".join(repr(value).split())
 
 

@@ -4,11 +4,12 @@ Everything here deliberately avoids the library's code paths: transforms are
 direct summations over every cell (no FFT), masks are scalar loops,
 resampling is a scalar kernel sum, attention is a double loop, and schedule
 formulas are re-evaluated in extended precision, or cell by cell in scalar
-floats from the betas alone. The one vectorised form, ``bicubic_einsum``,
-is the library's earlier bicubic, kept as the bytes its per-axis passes
-must reproduce. ``sample_direct`` is the one oracle built on the library: it
-runs the sampler's stages, whose arithmetic their own oracles pin, in the
-plainest order on fresh arrays, so it pins the sampler's structure.
+floats from the betas alone. The vectorised forms ``bicubic_einsum`` and
+``geometric_betas_direct`` are the library's earlier bicubic and geometric
+schedule, kept as the bytes their successors must reproduce.
+``sample_direct`` is the one oracle built on the library: it runs the
+sampler's stages, whose arithmetic their own oracles pin, in the plainest
+order on fresh arrays, so it pins the sampler's structure.
 """
 
 from __future__ import annotations
@@ -272,6 +273,22 @@ def attention_direct(x, text, image, lam, w) -> np.ndarray:
             for j, e in enumerate(exps):
                 out[row] += weight * (e / total) * values[j]
     return out
+
+
+def geometric_betas_direct(T: int) -> np.ndarray:
+    """The geometric schedule's betas as the factory once spelled them, with
+    a branch of its own for one step: the noise variance 1 - abar climbs
+    log-spaced from 1e-4 to 0.06 over the body, then to 1 - 4e-5 over the
+    tail of max(1, round(0.1 T)) steps."""
+    if T == 1:
+        om = np.array([1.0 - 4e-5])
+    else:
+        tail = max(1, round(0.1 * T))
+        body = T - tail
+        om = np.concatenate([np.geomspace(1e-4, 0.06, body),
+                             np.geomspace(0.06, 1.0 - 4e-5, tail + 1)[1:]])
+    alpha_bar = 1.0 - om
+    return 1.0 - alpha_bar / np.concatenate([[1.0], alpha_bar[:-1]])
 
 
 def cumprod_decimal(betas: np.ndarray) -> Decimal:

@@ -54,6 +54,17 @@ class TestEmbedTextStub:
         with pytest.raises(ValueError):
             embed_text_stub("x", 4, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, -2**63 - 1, 2**63, 10**5000],
+                             ids=["-1", "-2**63-1", "2**63", "10**5000"])
+    def test_a_seed_outside_0_to_2_to_the_63_is_refused_naming_it(self, seed):
+        with pytest.raises(ValueError, match="^seed must ") as err:
+            embed_text_stub("x", 2, 4, seed=seed)
+        assert "\n" not in str(err.value)
+
+    def test_the_seed_range_ends_are_hashed_as_signed_64_bit_integers(self):
+        for seed in (0, 2**63 - 1):
+            assert embed_text_stub("x", 2, 4, seed=seed).shape == (2, 4)
+
     @given(st.text(min_size=1, max_size=40), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_embedding_is_pure(self, text, seed):

@@ -187,16 +187,16 @@ class TestToyConditionedDenoiser:
         z_t = rng.normal(size=(9, 4, 2))
         assert den.predict(z_t, 2, self._bundle(), s).shape == z_t.shape
 
-    @pytest.mark.parametrize("d_model, d_head", [(16, 16), (8, 4)])
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_equals_the_unfolded_network(self, rng, channels, d_model, d_head):
+    def test_equals_the_unfolded_network(self, rng, channels):
         s = make_linear_schedule(10)
-        den = toy_conditioned_denoiser(5, channels, d_model, d_head)
-        # The constructor's draws, in its order, from its stream.
+        den = toy_conditioned_denoiser(5, channels)
+        # The constructor's draws, in its order, from its stream, at its
+        # fixed model and head width of 16.
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence((5, 0x70F))))
-        w_in = gen.normal(size=(channels, d_model)) / np.sqrt(channels)
-        net = make_attention_weights(d_model, d_head, 16, 16, rng=gen)
-        w_out = gen.normal(size=(d_head, channels)) / np.sqrt(d_head)
+        w_in = gen.normal(size=(channels, 16)) / np.sqrt(channels)
+        net = make_attention_weights(16, 16, 16, 16, rng=gen)
+        w_out = gen.normal(size=(16, channels)) / np.sqrt(16)
         z_t = rng.normal(size=(6, 7, channels))
         bundle = self._bundle()
         unfolded = np.tanh(attend(z_t.reshape(-1, channels) @ w_in, bundle, net) @ w_out)

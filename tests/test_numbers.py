@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from resmaster.attention import make_attention_weights
 from resmaster.conditioning import ConditionBundle, embed_text_stub
+from resmaster.config import ConfigError, PipelineConfig
 from resmaster.denoiser import analytic_gaussian_denoiser, toy_conditioned_denoiser
 from resmaster.noise import standard_normal_field
 from resmaster.schedule import make_geometric_schedule, make_linear_schedule
+from resmaster.tiler import GeometryError, PatchLayout
 from resmaster.util import as_int, as_int_pair, as_real
 
 _numpy_scalars = st.one_of(
@@ -98,3 +100,30 @@ def test_an_integer_beyond_float_range_is_named_by_its_bit_width():
     with pytest.raises(ValueError, match="^lam must be a number in float range, "
                                          "got an integer of 16610 bits$"):
         ConditionBundle(np.full((2, 3), 0.5), np.ones((1, 3)), lam=10**5000)
+
+
+# Each integer field of the config and the name its refusals use.
+_CONFIG_INTEGERS = {"height": "height", "width": "width", "channels": "channels",
+                    "scale": "scale", "steps": "steps", "seed": "seed",
+                    "guidance_stop_step": "guidance_stop", "window": "window", "stride": "stride"}
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("field", _CONFIG_INTEGERS)
+def test_a_config_integer_of_5000_digits_is_refused_naming_its_field(field, sign):
+    with pytest.raises(ConfigError) as err:
+        PipelineConfig(**{field: sign * 10**5000})
+    message = str(err.value)
+    assert "\n" not in message and _CONFIG_INTEGERS[field] in message
+    assert "integer of 166" in message  # 10**5000 has 16610 bits, scaled up to 16615
+    assert ("a negative integer" in message) == (sign < 0)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("field", ["grid", "window", "stride"])
+def test_a_tiling_integer_of_5000_digits_is_a_one_line_geometry_error(field, sign):
+    pairs = {"grid": (64, 64), "window": (8, 8), "stride": (8, 8)}
+    pairs[field] = (sign * 10**5000, 8)
+    with pytest.raises(GeometryError) as err:
+        PatchLayout(**pairs)
+    assert "\n" not in str(err.value) and "bits" in str(err.value)

@@ -16,6 +16,7 @@ from resmaster.schedule import (
 from oracles import (
     cumprod_decimal,
     forward_diffuse_scalar,
+    geometric_betas_direct,
     posterior_coefficients_decimal,
     posterior_step_scalar,
     predict_x0_decimal,
@@ -28,12 +29,12 @@ ABAR_1000_LINEAR = 4.035829765375685e-05
 
 class TestMakeLinearSchedule:
     def test_two_step_products(self):
-        s = make_linear_schedule(2, 0.1, 0.2)
+        s = NoiseSchedule(np.linspace(0.1, 0.2, 2))
         np.testing.assert_allclose(s.beta, [0.1, 0.2], rtol=0, atol=0)
         np.testing.assert_allclose(s.alpha_bar, [0.9, 0.72], rtol=1e-15)
 
     def test_single_step(self):
-        s = make_linear_schedule(1, 0.02, 0.02)
+        s = NoiseSchedule(np.linspace(0.02, 0.02, 1))
         np.testing.assert_allclose(s.alpha_bar, [0.98], rtol=1e-15)
 
     def test_long_schedule_against_decimal_oracle(self):
@@ -42,19 +43,20 @@ class TestMakeLinearSchedule:
         assert oracle == pytest.approx(ABAR_1000_LINEAR, rel=1e-14)
         assert s.alpha_bar[-1] == pytest.approx(oracle, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "T,start,end",
-        [(0, 1e-4, 0.02), (-3, 1e-4, 0.02), (10, 0.0, 0.02), (10, 1e-4, 1.0), (10, 0.02, 0.01)],
-    )
-    def test_rejects_bad_arguments(self, T, start, end):
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_rejects_bad_arguments(self, T):
         with pytest.raises(ValueError):
-            make_linear_schedule(T, start, end)
+            make_linear_schedule(T)
+
+    @pytest.mark.parametrize("T", [*range(1, 65), 200, 1000])
+    def test_betas_are_the_linspace_from_1e_4_to_0_02(self, T):
+        assert make_linear_schedule(T).beta.tobytes() == np.linspace(1e-4, 0.02, T).tobytes()
 
     @given(T=st.integers(1, 300), lo=st.floats(1e-6, 0.3), hi=st.floats(1e-6, 0.3))
     @settings(max_examples=30, deadline=None)
     def test_alpha_bar_strictly_decreasing(self, T, lo, hi):
         start, end = min(lo, hi), max(lo, hi)
-        s = make_linear_schedule(T, start, end)
+        s = NoiseSchedule(np.linspace(start, end, T))
         assert (s.alpha_bar > 0).all() and (s.alpha_bar < 1).all()
         if T > 1:
             assert (np.diff(s.alpha_bar) < 0).all()
@@ -91,7 +93,7 @@ class TestMakeGeometricSchedule:
         assert (np.diff(om) > 0).all()
 
     def test_body_is_log_spaced(self):
-        s = make_geometric_schedule(50, noise_floor=1e-4, knee=0.06)
+        s = make_geometric_schedule(50)
         om = 1.0 - s.alpha_bar
         body = om[om <= 0.06 * (1 + 1e-9)]
         ratios = body[1:] / body[:-1]
@@ -106,10 +108,10 @@ class TestMakeGeometricSchedule:
     def test_rejects_bad_ladder(self):
         with pytest.raises(ValueError):
             make_geometric_schedule(0)
-        with pytest.raises(ValueError):
-            make_geometric_schedule(10, noise_floor=0.1, knee=0.05)
-        with pytest.raises(ValueError):
-            make_geometric_schedule(10, terminal=1.0)
+
+    @pytest.mark.parametrize("T", [*range(1, 65), 200, 1000])
+    def test_betas_equal_the_two_branch_ladder(self, T):
+        assert make_geometric_schedule(T).beta.tobytes() == geometric_betas_direct(T).tobytes()
 
 
 def test_alpha_bar_prev_is_alpha_bar_one_step_earlier_from_one():
@@ -170,7 +172,7 @@ class TestForwardDiffuse:
         np.testing.assert_allclose(out, np.sqrt(s.alpha_bar[6]) * z0, rtol=0, atol=0)
 
     def test_near_identity_limit_for_tiny_beta(self, rng):
-        s = make_linear_schedule(1, 1e-12, 1e-12)
+        s = NoiseSchedule(np.linspace(1e-12, 1e-12, 1))
         z0 = rng.normal(size=(4, 4, 1))
         eps = rng.normal(size=(4, 4, 1))
         assert np.abs(forward_diffuse(z0, 1, eps, s) - z0).max() < 1e-5
@@ -178,7 +180,7 @@ class TestForwardDiffuse:
     def test_matches_stepwise_chain_with_matched_noises(self, rng):
         # Compose the one-step transitions and fold their noises into the
         # single equivalent draw; the closed marginal form must agree.
-        s = make_linear_schedule(3, 0.1, 0.3)
+        s = NoiseSchedule(np.linspace(0.1, 0.3, 3))
         z0 = rng.normal(size=(6, 6, 2))
         eps_steps = [rng.normal(size=z0.shape) for _ in range(3)]
         z = z0

@@ -152,6 +152,26 @@ class TestSwapLowFrequency:
             rtol=0, atol=1e-8,
         )
 
+    @pytest.mark.parametrize("d0, message", [
+        (True, "d0 must be a real number, got True"),
+        ("0.8", "d0 must be a real number, got '0.8'"),
+        (float("nan"), "d0 must be finite, got nan"),
+        (10**5000, "d0 must be a number in float range, got an integer of 16610 bits"),
+    ], ids=["bool", "str", "nan", "10**5000"])
+    def test_d0_is_checked_as_a_real_number_before_the_filter(self, monkeypatch, d0, message):
+        monkeypatch.setattr("resmaster.spectral._lowpass_matrix",
+                            lambda n, d0: pytest.fail("filter built"))
+        g = np.ones((4, 4, 1))
+        with pytest.raises(ValueError) as err:
+            swap_low_frequency(g, g, d0)
+        assert str(err.value) == message
+
+    def test_an_integer_or_numpy_d0_swaps_as_its_float(self, rng):
+        est, ref = rng.normal(size=(6, 5, 2)), rng.normal(size=(6, 5, 2))
+        expected = swap_low_frequency(est, ref, 1.0)
+        for d0 in (1, np.float32(1.0), np.int64(1)):
+            assert np.array_equal(swap_low_frequency(est, ref, d0), expected)
+
     def test_rejects_shape_mismatches(self, rng):
         with pytest.raises(ValueError):
             swap_low_frequency(rng.normal(size=(8, 8, 2)), rng.normal(size=(8, 8, 3)), 0.8)

@@ -131,7 +131,7 @@ class TestPatchLayout:
         with pytest.raises(GeometryError, match=r"the tiling has 65792 windows; at most 2\*\*16"):
             PatchLayout((257, 256), (1, 1), (1, 1))
         # Far beyond sys.maxsize windows, and still refused at once.
-        with pytest.raises(GeometryError, match=f"the tiling has {(10**20 + 1) ** 2} windows"):
+        with pytest.raises(GeometryError, match="the tiling has an integer of 133 bits windows"):
             PatchLayout((10**20 + 1, 10**20 + 1), (1, 1), (1, 1))
 
     def test_rejects_degenerate_windows_and_strides(self):
