@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from resmaster.cli import main as cli
 from resmaster.netpbm import read_image
+from resmaster.spectral import band_diagnostics
 from resmaster.tiler import bicubic_upsample
 
 # Guidance limits on the output against the upsampled reference: the
@@ -29,18 +30,6 @@ from resmaster.tiler import bicubic_upsample
 # 11% and 5e-3.
 LOWBAND_LIMIT = 0.02
 MEAN_GAP_LIMIT = 1e-3
-
-
-def band_error(output, reference_up, radius=0.2):
-    h, w = output.shape[:2]
-    u = np.arange(h); v = np.arange(w)
-    fu = np.minimum(u, h - u) / h
-    fv = np.minimum(v, w - v) / w
-    band = np.sqrt(2.0 * (fu[:, None] ** 2 + fv[None, :] ** 2)) <= radius
-    f_out = np.fft.fft2(output, axes=(0, 1))
-    f_ref = np.fft.fft2(reference_up, axes=(0, 1))
-    gap = np.sqrt(((np.abs(f_out[band]) - np.abs(f_ref[band])) ** 2).sum())
-    return gap / np.sqrt((np.abs(f_ref[band]) ** 2).sum())
 
 
 def run(workdir: Path, scale: int, steps: int, seed: int) -> int:
@@ -79,7 +68,7 @@ def run(workdir: Path, scale: int, steps: int, seed: int) -> int:
     ref = read_image(reference)
     out = read_image(output)
     up = bicubic_upsample(ref, out.shape[0], out.shape[1])
-    lowband = band_error(out, up)
+    lowband, _ = band_diagnostics(out, up)
     mean_gap = np.abs(out.mean(axis=(0, 1)) - up.mean(axis=(0, 1))).max()
     print()
     print(f"reference: {reference}  ({ref.shape[1]}x{ref.shape[0]})")

@@ -9,7 +9,6 @@ band for the reference's with a separable Gaussian low-pass.
 from .attention import AttentionWeights, attend, make_attention_weights, softmax_rows
 from .conditioning import (
     CAPTION_INSTRUCTION,
-    CaptionManifest,
     ConditionBundle,
     ManifestError,
     embed_text_stub,

@@ -20,6 +20,7 @@ thread.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import weakref
 from dataclasses import dataclass
@@ -47,19 +48,11 @@ class AttentionWeights:
     w_value_image: np.ndarray # (image_dim, d_value)
 
     def __post_init__(self):
-        mats = {
-            "w_query": self.w_query,
-            "w_key_text": self.w_key_text,
-            "w_value_text": self.w_value_text,
-            "w_key_image": self.w_key_image,
-            "w_value_image": self.w_value_image,
-        }
         frozen = {}
-        for name, m in mats.items():
-            arr = np.asarray(m, dtype=np.float64)
+        for name in (f.name for f in dataclasses.fields(self)):
+            arr = np.array(getattr(self, name), dtype=np.float64)
             if arr.ndim != 2:
                 raise ValueError(f"{name} must be a matrix, got shape {arr.shape}")
-            arr = arr.copy()
             arr.flags.writeable = False
             frozen[name] = arr
         d_head = frozen["w_query"].shape[1]

@@ -112,7 +112,7 @@ def _cmd_lowres(args) -> int:
 
 def _cmd_plan(args) -> int:
     layout = _reference_and_config(args)[1].layout
-    skeleton = manifest_skeleton(global_prompt="", layout_dict=layout.to_dict())
+    skeleton = manifest_skeleton(layout)
     if args.manifest:
         save_manifest(skeleton, args.manifest)
         log.info("wrote manifest skeleton with %d patch slots to %s", layout.patch_count, args.manifest)
@@ -124,7 +124,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_upscale(args) -> int:
     reference, config = _reference_and_config(args)
-    captions = load_caption_manifest(args.manifest, config.layout.to_dict())
+    captions = load_caption_manifest(args.manifest, config.layout)
     denoiser = _make_denoiser(config)
     result = resmaster_generate(reference, captions, denoiser, config)
     write_image(result, args.out)

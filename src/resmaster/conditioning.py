@@ -13,12 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .tiler import MAX_PATCHES
+from .tiler import MAX_PATCHES, PatchLayout
 from .util import as_grid, as_int, as_real, read_json_object, require_finite, shown
 
 log = logging.getLogger(__name__)
@@ -157,35 +157,20 @@ def _image_projection(seed: int, tokens: int, dim: int, features: int) -> np.nda
     return projection
 
 
-@dataclass(frozen=True)
-class CaptionManifest:
-    """Global prompt plus per-patch captions keyed by patch index."""
-
-    global_prompt: str
-    patch_count: int
-    captions: dict[int, str] = field(default_factory=dict)
-    instruction: str = CAPTION_INSTRUCTION
-
-    def caption_for(self, index: int) -> str:
-        if not 0 <= index < self.patch_count:
-            raise ValueError(f"patch index {index} out of range [0, {self.patch_count})")
-        caption = self.captions.get(index, "")
-        return caption if caption else self.global_prompt
-
-
-def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionManifest:
-    """Read a manifest file, filling missing or empty captions from the global prompt.
+def load_caption_manifest(path, layout: PatchLayout) -> list[str]:
+    """One caption per window of ``layout``, in rect order, from the manifest
+    file at ``path``, with the global prompt in every slot it leaves empty.
 
     Raises ManifestError, on one line naming the file, on a file that
     ``util.read_json_object`` cannot read as an object (a blank one reads as
     {} and fails the version check), on a version other than
-    MANIFEST_VERSION or a key not in MANIFEST_KEYS, on a patch count that is
-    not an integer, lies outside [1, tiler.MAX_PATCHES] or disagrees with
-    the ``patch_count`` of ``expected_layout`` (a run's
-    ``PatchLayout.to_dict()``), on a ``layout`` block that differs from
-    ``expected_layout`` (the first differing field is named), or when a patch
-    would fall back to an empty global prompt. That error and the fallback's
-    warning name ten uncaptioned patches at most, and their count.
+    MANIFEST_VERSION or a key not in MANIFEST_KEYS, on a global prompt or
+    instruction that is not a string, on a patch count that is not an
+    integer, lies outside [1, tiler.MAX_PATCHES] or disagrees with
+    ``layout``'s, on a ``layout`` block that differs from
+    ``layout.to_dict()`` (the first differing field is named), or when a
+    patch would fall back to an empty global prompt. That error and the
+    fallback's warning name ten uncaptioned patches at most, and their count.
     """
     doc = read_json_object(path, "manifest", ManifestError)
     version = doc.get("version")
@@ -198,8 +183,7 @@ def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionM
     global_prompt = doc.get("global_prompt", "")
     if not isinstance(global_prompt, str):
         raise ManifestError(f"manifest {path}: global_prompt must be a string")
-    instruction = doc.get("instruction", CAPTION_INSTRUCTION)
-    if not isinstance(instruction, str):
+    if not isinstance(doc.get("instruction", CAPTION_INSTRUCTION), str):
         raise ManifestError(f"manifest {path}: instruction must be a string")
     raw_patches = doc.get("patches", {})
     if not isinstance(raw_patches, dict):
@@ -212,22 +196,20 @@ def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionM
     except ValueError as exc:
         raise ManifestError(f"manifest {path}: {exc}") from None
     if not 1 <= patch_count <= MAX_PATCHES:
-        raise ManifestError(f"manifest {path}: patch_count must be in [1, {MAX_PATCHES}], got {patch_count}")
-    if expected_layout is not None and patch_count != expected_layout["patch_count"]:
-        raise ManifestError(
-            f"manifest {path} describes {patch_count} patches "
-            f"but the layout has {expected_layout['patch_count']}"
-        )
-    layout = doc.get("layout")
-    if expected_layout is not None and layout is not None:
-        if not isinstance(layout, dict):
-            raise ManifestError(f"manifest {path}: layout must be an object, got {type(layout).__name__}")
-        for key, want in expected_layout.items():
-            if layout.get(key) != want:
-                raise ManifestError(f"manifest {path}: layout {key} {layout.get(key)!r} "
+        raise ManifestError(f"manifest {path}: patch_count must be in [1, {MAX_PATCHES}], got {shown(patch_count)}")
+    if patch_count != layout.patch_count:
+        raise ManifestError(f"manifest {path} describes {patch_count} patches "
+                            f"but the layout has {layout.patch_count}")
+    block = doc.get("layout")
+    if block is not None:
+        if not isinstance(block, dict):
+            raise ManifestError(f"manifest {path}: layout must be an object, got {type(block).__name__}")
+        for key, want in layout.to_dict().items():
+            if block.get(key) != want:
+                raise ManifestError(f"manifest {path}: layout {key} {block.get(key)!r} "
                                     f"does not match the run's {want!r}; re-run plan with its settings")
 
-    captions: dict[int, str] = {}
+    captions = [""] * patch_count
     for key, value in raw_patches.items():
         # Only the canonical spelling, so no two keys name the same patch.
         try:
@@ -239,37 +221,31 @@ def load_caption_manifest(path, expected_layout: dict | None = None) -> CaptionM
             raise ManifestError(f"manifest {path}: patch key {key!r} is not an integer index "
                                 "in canonical form")
         if not 0 <= index < patch_count:
-            raise ManifestError(
-                f"manifest {path}: patch index {index} out of range [0, {patch_count})"
-            )
+            raise ManifestError(f"manifest {path}: patch index {shown(index)} out of range [0, {patch_count})")
         if not isinstance(value, str):
             raise ManifestError(f"manifest {path}: caption for patch {index} must be a string")
         captions[index] = value
 
-    missing = [i for i in range(patch_count) if not captions.get(i, "")]
+    missing = [i for i, caption in enumerate(captions) if not caption]
     if missing:
         named = f"{len(missing)} of {patch_count} patches {missing[:_NAMED_MISSING]}"
         named += " ..." if len(missing) > _NAMED_MISSING else ""
         if not global_prompt:
             raise ManifestError(f"manifest {path}: {named} have no caption and the global prompt is empty")
         log.warning("manifest %s: %s have no caption; falling back to the global prompt", path, named)
-    return CaptionManifest(
-        global_prompt=global_prompt,
-        patch_count=patch_count,
-        captions=captions,
-        instruction=instruction,
-    )
+    return [caption or global_prompt for caption in captions]
 
 
-def manifest_skeleton(global_prompt: str, layout_dict: dict) -> dict:
-    """JSON-ready manifest skeleton with one empty caption slot per patch."""
+def manifest_skeleton(layout: PatchLayout) -> dict:
+    """JSON-ready manifest skeleton for a run tiled by ``layout``, with an
+    empty global prompt and one empty caption slot per window."""
     return {
         "version": MANIFEST_VERSION,
-        "global_prompt": global_prompt,
+        "global_prompt": "",
         "instruction": CAPTION_INSTRUCTION,
-        "patch_count": layout_dict["patch_count"],
-        "layout": layout_dict,
-        "patches": {str(i): "" for i in range(layout_dict["patch_count"])},
+        "patch_count": layout.patch_count,
+        "layout": layout.to_dict(),
+        "patches": {str(i): "" for i in range(layout.patch_count)},
     }
 
 

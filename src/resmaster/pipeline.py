@@ -11,7 +11,7 @@ window covering the whole grid. Outputs are bit-identical for a given seed.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .conditioning import (
     EMBED_DIM,
     IMAGE_TOKENS,
     TEXT_TOKENS,
-    CaptionManifest,
     ConditionBundle,
     embed_text_stub,
     encode_image_prompt_stub,
@@ -106,16 +105,17 @@ def generate_low_res(
 
 def build_patch_bundles(
     reference_patches: Iterable[np.ndarray],
-    captions: CaptionManifest,
+    captions: Sequence[str],
     config: PipelineConfig,
 ) -> list[ConditionBundle]:
-    """One condition bundle per patch: a (TEXT_TOKENS, EMBED_DIM) caption
-    embedding plus an (IMAGE_TOKENS, EMBED_DIM) image-prompt embedding of the
-    matching reference patch. The patches are read one at a time, so a
-    generator can make each and drop it before the next."""
+    """One condition bundle per patch: a (TEXT_TOKENS, EMBED_DIM) embedding of
+    its caption plus an (IMAGE_TOKENS, EMBED_DIM) image-prompt embedding of
+    the patch. The patches are read one at a time, so a generator can make
+    each and drop it before the next; a count unlike the captions' raises
+    zip's one-line ValueError."""
     bundles = []
-    for i, patch in enumerate(reference_patches):
-        text = embed_text_stub(captions.caption_for(i), TEXT_TOKENS, EMBED_DIM, config.seed)
+    for patch, caption in zip(reference_patches, captions, strict=True):
+        text = embed_text_stub(caption, TEXT_TOKENS, EMBED_DIM, config.seed)
         image = encode_image_prompt_stub(patch, IMAGE_TOKENS, EMBED_DIM, config.seed)
         bundles.append(ConditionBundle(text=text, image=image, lam=config.lam))
     return bundles
@@ -123,7 +123,7 @@ def build_patch_bundles(
 
 def resmaster_generate(
     reference: np.ndarray,
-    captions: CaptionManifest,
+    captions: Sequence[str],
     denoiser: Denoiser,
     config: PipelineConfig,
     patch_hook: Callable[[int, int, np.ndarray], None] | None = None,
@@ -146,10 +146,8 @@ def resmaster_generate(
             f"({config.height}, {config.width}, {config.channels})"
         )
     layout = config.layout
-    if captions.patch_count != layout.patch_count:
-        raise ValueError(
-            f"caption manifest has {captions.patch_count} patches, layout needs {layout.patch_count}"
-        )
+    if len(captions) != layout.patch_count:
+        raise ValueError(f"{len(captions)} captions given, the layout has {layout.patch_count} windows")
 
     upsampled = bicubic_upsample(reference, config.target_h, config.target_w)
     bundles = build_patch_bundles((extract_patch(upsampled, r) for r in layout.rects),

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import as_grid, as_int, check_out, require_same_shape, shown
+from .util import as_grid, as_int, as_real, check_out, require_same_shape, shown
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,14 @@ class NoiseSchedule:
     alpha_bar_prev: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        beta = np.array(self.beta, dtype=np.float64)
+        beta = self.beta
+        # Arrays of integers or reals, as the factories pass, skip the per-entry number rule.
+        if not (isinstance(beta, np.ndarray) and beta.dtype.kind in "iuf"):
+            items = beta.tolist() if isinstance(beta, np.ndarray) else beta
+            if not isinstance(items, (list, tuple)):
+                raise ValueError(f"beta must be a list, tuple or array of real numbers, got {type(items).__name__}")
+            beta = [as_real(b, f"beta[{i}]") for i, b in enumerate(items)]
+        beta = np.array(beta, dtype=np.float64)
         if beta.ndim != 1 or beta.size < 1:
             raise ValueError("beta must be a 1-D array of length >= 1")
         if not ((beta > 0.0).all() and (beta < 1.0).all()):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import attend, make_attention_weights, softmax_rows
-from .conditioning import CaptionManifest, ConditionBundle, embed_text_stub, encode_image_prompt_stub
+from .conditioning import ConditionBundle, embed_text_stub, encode_image_prompt_stub
 from .config import PipelineConfig
 from .denoiser import analytic_gaussian_denoiser
 from .noise import standard_normal_field
@@ -69,7 +69,7 @@ def _checks(seed: int):
 
     config = PipelineConfig(height=8, width=8, channels=1, scale=2, window=8, stride=8,
                             steps=8, seed=seed)
-    captions = CaptionManifest(global_prompt="selftest scene", patch_count=4)
+    captions = ["selftest scene"] * 4
     den = analytic_gaussian_denoiser(0.5, 0.1)
     reference = np.full((8, 8, 1), 0.5) + 0.01 * rng.normal(size=(8, 8, 1))
     one = resmaster_generate(reference, captions, den, config)

@@ -23,12 +23,20 @@ import numpy as np
 
 from .util import as_grid, as_real, check_out, require_same_shape
 
+BAND_RADIUS = 0.2  # band_diagnostics' low band is D <= BAND_RADIUS
+
 
 def valid_cutoff(d0: float) -> bool:
     """Whether ``d0`` can be a low-pass cutoff: positive, with 1/(2 d0^2)
     finite (below about 5e-155 the filter's exponent is 0/0 at DC or
     overflows)."""
     return d0 > 0.0 and 2.0 * d0 * d0 > 0.0 and math.isfinite(1.0 / float(2.0 * d0 * d0))
+
+
+def _frequencies(n: int) -> np.ndarray:
+    """The normalized frequencies min(k, n - k) / n of an axis of length n."""
+    k = np.arange(n)
+    return np.minimum(k, n - k) / n
 
 
 @lru_cache(maxsize=128)
@@ -39,8 +47,7 @@ def _lowpass_matrix(n: int, d0: float) -> np.ndarray:
     if not valid_cutoff(d0):
         raise ValueError(f"cutoff d0 must be > 0 and 1/(2*d0*d0) must be finite, got {d0}")
     d0 = float(d0)
-    k = np.arange(n)
-    f = np.minimum(k, n - k) / n
+    k, f = np.arange(n), _frequencies(n)
     column = np.fft.irfft(np.exp(-(f * f) / (d0 * d0))[: n // 2 + 1], n)
     matrix = column[(k[:, None] - k[None, :]) % n]
     matrix.flags.writeable = False
@@ -77,3 +84,22 @@ def swap_low_frequency(estimate: np.ndarray, reference: np.ndarray, d0: float,
         out = np.empty_like(estimate)
     np.add(estimate.transpose(2, 0, 1), low, out=out.transpose(2, 0, 1))
     return out
+
+
+def band_diagnostics(output: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
+    """From the per-channel spectra F_out and F_ref of ``output`` and
+    ``reference``, two grids of one shape: the low band's relative error
+    ||F_out| - |F_ref|| / ||F_ref|| (2-norms over its bins and channels; a
+    ValueError if F_ref is 0 there), and the high band's mean power |F_out|^2
+    per bin and channel (0 on a grid too small to have one)."""
+    output, reference = as_grid(output, "output"), as_grid(reference, "reference")
+    require_same_shape(output, reference, "output", "reference")
+    fu, fv = map(_frequencies, output.shape[:2])
+    low = np.sqrt(2.0 * (fu[:, None] ** 2 + fv[None, :] ** 2)) <= BAND_RADIUS
+    f_out, f_ref = np.fft.fft2(output, axes=(0, 1)), np.fft.fft2(reference, axes=(0, 1))
+    out_low, ref_low, out_high = np.abs(f_out[low]), np.abs(f_ref[low]), np.abs(f_out[~low])
+    ref_norm = np.sqrt((ref_low ** 2).sum())
+    if ref_norm == 0.0:
+        raise ValueError("reference has a zero low band, so no relative error is defined")
+    error = np.sqrt(((out_low - ref_low) ** 2).sum()) / ref_norm
+    return float(error), float((out_high ** 2).sum() / max(out_high.size, 1))

@@ -4,7 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from resmaster.tiler import PatchLayout
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# The run layout of a 128x128 target tiled by 64/32 windows: 9 patches.
+RUN_LAYOUT = PatchLayout((128, 128), (64, 64), (32, 32))
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import pytest
 
 from resmaster.attention import attend, make_attention_weights, softmax_rows
 from resmaster.cli import main
-from resmaster.conditioning import CaptionManifest, ConditionBundle
+from resmaster.conditioning import ConditionBundle
 from resmaster.config import PipelineConfig
 from resmaster.denoiser import analytic_gaussian_denoiser
 from resmaster.netpbm import write_image
@@ -171,7 +171,7 @@ def test_criterion_08_end_to_end_structural_guidance():
                               steps=50, d0=0.8, lam=0.8)
         reference = smooth_reference(32, 32, 3)
         den = analytic_gaussian_denoiser(0.0, 1.0)
-        captions = CaptionManifest(global_prompt="structural guidance check", patch_count=9)
+        captions = ["structural guidance check"] * 9
         upsampled = bicubic_upsample(reference, 128, 128)
 
         runs = []

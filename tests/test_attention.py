@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resmaster.attention import AttentionWeights, attend, make_attention_weights, softmax_rows
-from resmaster.conditioning import CaptionManifest, ConditionBundle
+from resmaster.conditioning import ConditionBundle
 from resmaster.config import PipelineConfig
 from resmaster.denoiser import toy_conditioned_denoiser
 from resmaster.pipeline import generate_low_res, resmaster_generate
@@ -198,7 +198,7 @@ class TestContextPerBundle:
         reference = np.random.default_rng(2).uniform(size=(16, 16, 3))
         den = toy_conditioned_denoiser(3, channels=3)
         for run in (1, 2):
-            resmaster_generate(reference, CaptionManifest("a hill", 9), den, config)
+            resmaster_generate(reference, ["a hill"] * 9, den, config)
             # Nine windows, five steps: one context per window's bundle and run.
             assert len(built) == 9 * run and len(set(built[-9:])) == 9
             assert len(den.attn._contexts) == 0

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from resmaster.conditioning import (
-    CaptionManifest,
     ConditionBundle,
     embed_text_stub,
     encode_image_prompt_stub,
@@ -193,8 +192,7 @@ def test_a_sampling_step_allocates_under_two_grids():
 
     tracemalloc.start()
     try:
-        resmaster_generate(reference, CaptionManifest(global_prompt="flat", patch_count=1), den,
-                           config, patch_hook=hook)
+        resmaster_generate(reference, ["flat"], den, config, patch_hook=hook)
     finally:
         tracemalloc.stop()
     assert len(readings) == 11
@@ -236,7 +234,7 @@ def test_a_guided_run_holds_a_few_grids_whatever_its_window_count():
     assert config.layout.patch_count == 225
     reference = np.random.default_rng(1).uniform(size=(128, 128, 3))
     den = analytic_gaussian_denoiser(0.5, 0.2)
-    captions = CaptionManifest(global_prompt="many windows", patch_count=225)
+    captions = ["many windows"] * 225
     first_window = []
 
     def hook(t, i, z0):
@@ -263,9 +261,7 @@ def test_a_toy_predict_into_out_holds_five_windows():
     # attend reads as its queries and overwrites with its output; a copy of
     # the window view and attend's own result came to 6.02.
     den = toy_conditioned_denoiser(3, channels=3)
-    bundle = build_patch_bundles([np.full((64, 64, 3), 0.5)],
-                                 CaptionManifest(global_prompt="toy", patch_count=1),
-                                 PipelineConfig())[0]
+    bundle = build_patch_bundles([np.full((64, 64, 3), 0.5)], ["toy"], PipelineConfig())[0]
     window = np.random.default_rng(2).normal(size=(128, 128, 3))[32:96, 32:96]
     out = np.empty((64, 64, 3))
     want = den.predict(window, 9, bundle, S)  # also builds the bundle's attention context

@@ -240,6 +240,30 @@ class TestUpscale:
         assert code == 0
         assert read_image(out).shape == (32, 32, 3)
 
+    def test_a_missing_or_empty_caption_reads_as_the_global_prompt(self, tmp_path, reference_file):
+        manifest = self._plan_and_fill(tmp_path, reference_file)
+        doc = json.loads(manifest.read_text())
+        (tmp_path / "toy.json").write_text(json.dumps({"denoiser": "toy"}))
+
+        def upscale(**slots):
+            # Windows 1, 4 and 7 of 9 take the given captions; 1 is left out
+            # of the manifest when it has none.
+            patches = {str(i): f"desk detail {i}" for i in range(9)}
+            patches.update({str(i): slots.get(f"w{i}", "") for i in (1, 4, 7)})
+            if not patches["1"]:
+                del patches["1"]
+            manifest.write_text(json.dumps({**doc, "patches": patches}))
+            out = tmp_path / "o.ppm"
+            assert main(["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                         "--config", str(tmp_path / "toy.json"), "--scale", "2", "--window", "16",
+                         "--stride", "8", "--steps", "3", "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        prompt = doc["global_prompt"]
+        fallen_back = upscale()
+        assert fallen_back == upscale(w1=prompt, w4=prompt, w7=prompt)
+        assert fallen_back != upscale(w4="a cluttered shelf")
+
     def test_lowres_rejects_toy_denoiser(self, tmp_path, capsys):
         config = tmp_path / "toy.json"
         config.write_text(json.dumps({"denoiser": "toy"}))

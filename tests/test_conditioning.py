@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from resmaster.conditioning import (
     CAPTION_INSTRUCTION,
     MANIFEST_KEYS,
-    CaptionManifest,
     ConditionBundle,
     ManifestError,
     _hash_floats,
@@ -23,6 +22,7 @@ from resmaster.conditioning import (
 )
 from resmaster.tiler import MAX_PATCHES, PatchLayout
 
+from conftest import RUN_LAYOUT
 from oracles import hash_floats_direct, pooled_means_direct
 
 
@@ -197,10 +197,6 @@ class TestBundleValidation:
         assert bundle != ConditionBundle(text, image) and bundle == bundle
 
 
-# The run layout of a 128x128 target tiled by 64/32 windows: 9 patches.
-RUN_LAYOUT = PatchLayout((128, 128), (64, 64), (32, 32)).to_dict()
-
-
 class TestCaptionManifest:
     def _write(self, tmp_path, doc):
         path = tmp_path / "caps.json"
@@ -220,18 +216,15 @@ class TestCaptionManifest:
 
     def test_loads_full_manifest(self, tmp_path):
         path = self._write(tmp_path, self._doc())
-        manifest = load_caption_manifest(path, expected_layout=RUN_LAYOUT)
-        assert manifest.patch_count == 9
-        assert manifest.caption_for(4) == "patch 4"
-        assert manifest.instruction == CAPTION_INSTRUCTION
+        assert load_caption_manifest(path, RUN_LAYOUT) == [f"patch {i}" for i in range(9)]
 
     def test_missing_entry_falls_back_with_warning(self, tmp_path, caplog):
         doc = self._doc()
         del doc["patches"]["4"]
         path = self._write(tmp_path, doc)
         with caplog.at_level(logging.WARNING):
-            manifest = load_caption_manifest(path, expected_layout=RUN_LAYOUT)
-        assert manifest.caption_for(4) == "wide scene"
+            captions = load_caption_manifest(path, RUN_LAYOUT)
+        assert captions == [f"patch {i}" if i != 4 else "wide scene" for i in range(9)]
         assert any("[4]" in rec.getMessage() for rec in caplog.records)
 
     def test_the_warning_names_ten_missing_patches_and_the_count(self, tmp_path, caplog):
@@ -239,7 +232,7 @@ class TestCaptionManifest:
         doc["patches"] = {"3": "a caption"}
         path = self._write(tmp_path, doc)
         with caplog.at_level(logging.WARNING):
-            load_caption_manifest(path)
+            load_caption_manifest(path, PatchLayout((96, 96), (32, 32), (16, 16)))
         (message,) = [rec.getMessage() for rec in caplog.records]
         assert message == (f"manifest {path}: 24 of 25 patches [0, 1, 2, 4, 5, 6, 7, 8, 9, 10] ... "
                            "have no caption; falling back to the global prompt")
@@ -249,24 +242,38 @@ class TestCaptionManifest:
         with pytest.raises(ManifestError, match=re.escape(
                 f"manifest {path}: 12 of 12 patches [0, 1, 2, 3, 4, 5, 6, 7, 8, 9] ... have no "
                 "caption and the global prompt is empty")):
-            load_caption_manifest(path)
+            load_caption_manifest(path, PatchLayout((64, 80), (32, 32), (16, 16)))
 
     @pytest.mark.parametrize("count", [0, -5, MAX_PATCHES + 1, 3 * 10**6])
     def test_a_patch_count_outside_the_tiler_bound_is_refused(self, tmp_path, count):
         path = self._write(tmp_path, self._doc(patch_count=count))
         with pytest.raises(ManifestError, match=re.escape(
                 f"manifest {path}: patch_count must be in [1, {MAX_PATCHES}], got {count}") + "$"):
-            load_caption_manifest(path)
+            load_caption_manifest(path, RUN_LAYOUT)
+
+    def test_huge_integers_are_shown_by_their_width(self, tmp_path):
+        # A 101-digit count or index would otherwise be printed in full.
+        path = self._write(tmp_path, self._doc(patch_count=10**100))
+        with pytest.raises(ManifestError, match=re.escape(
+                f"manifest {path}: patch_count must be in [1, {MAX_PATCHES}], "
+                "got an integer of 333 bits") + "$"):
+            load_caption_manifest(path, RUN_LAYOUT)
+        doc = self._doc()
+        doc["patches"][str(10**100)] = "stray"
+        path = self._write(tmp_path, doc)
+        with pytest.raises(ManifestError, match=re.escape(
+                f"manifest {path}: patch index an integer of 333 bits out of range [0, 9)") + "$"):
+            load_caption_manifest(path, RUN_LAYOUT)
 
     def test_malformed_json_names_position(self, tmp_path):
         path = tmp_path / "caps.json"
         path.write_text('{"version": 1,\n  "global_prompt": oops}')
         with pytest.raises(ManifestError, match="line 2"):
-            load_caption_manifest(path)
+            load_caption_manifest(path, RUN_LAYOUT)
 
     def test_a_malformed_file_is_one_line_naming_it(self, malformed_json):
         with pytest.raises(ManifestError) as err:
-            load_caption_manifest(malformed_json, expected_layout=RUN_LAYOUT)
+            load_caption_manifest(malformed_json, RUN_LAYOUT)
         message = str(err.value)
         assert f"manifest {malformed_json}" in message and "\n" not in message
 
@@ -274,7 +281,7 @@ class TestCaptionManifest:
         path = tmp_path / "caps.json"
         path.write_text(" \n")
         with pytest.raises(ManifestError, match="unsupported version None"):
-            load_caption_manifest(path)
+            load_caption_manifest(path, RUN_LAYOUT)
 
     def test_an_unknown_key_is_refused_naming_it(self, tmp_path):
         # A misspelt layout block would otherwise skip the layout check.
@@ -284,37 +291,37 @@ class TestCaptionManifest:
         with pytest.raises(ManifestError, match="^manifest .*: unknown key 'layuot'; the keys are "
                                                 "version, global_prompt, instruction, patch_count, "
                                                 "layout, patches$"):
-            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
+            load_caption_manifest(path, RUN_LAYOUT)
 
     def test_non_string_instruction_rejected(self, tmp_path):
         path = self._write(tmp_path, self._doc(instruction=[1, {"a": None}]))
         with pytest.raises(ManifestError, match="^manifest .*: instruction must be a string$"):
-            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
+            load_caption_manifest(path, RUN_LAYOUT)
 
     def test_count_mismatch_rejected(self, tmp_path):
         path = self._write(tmp_path, self._doc(n=4))
         with pytest.raises(ManifestError, match="4 patches but the layout has 9"):
-            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
+            load_caption_manifest(path, RUN_LAYOUT)
 
     @pytest.mark.parametrize("count, shown", [(9.0, "9.0"), ("9", "'9'"), (True, "True"), ([9], "[9]")])
     def test_non_integer_count_rejected_naming_value(self, tmp_path, count, shown):
         path = self._write(tmp_path, self._doc(patch_count=count))
         with pytest.raises(ManifestError, match=f": patch_count must be an integer, got {re.escape(shown)}$"):
-            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
+            load_caption_manifest(path, RUN_LAYOUT)
 
     def test_empty_caption_with_empty_global_rejected(self, tmp_path):
         doc = self._doc(global_prompt="")
         doc["patches"]["2"] = ""
         path = self._write(tmp_path, doc)
         with pytest.raises(ManifestError, match="global prompt is empty"):
-            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
+            load_caption_manifest(path, RUN_LAYOUT)
 
     def test_out_of_range_index_rejected(self, tmp_path):
         doc = self._doc()
         doc["patches"]["99"] = "stray"
         path = self._write(tmp_path, doc)
         with pytest.raises(ManifestError, match="out of range"):
-            load_caption_manifest(path)
+            load_caption_manifest(path, RUN_LAYOUT)
 
     @pytest.mark.parametrize("key", ["01", "+1", " 1", "1 ", "1_0", "\u0663", "-0", "1.0", "one"])
     def test_non_canonical_patch_key_rejected_naming_it(self, tmp_path, key):
@@ -325,36 +332,30 @@ class TestCaptionManifest:
         path = self._write(tmp_path, doc)
         with pytest.raises(ManifestError, match=f"^manifest .*: patch key {re.escape(repr(key))} "
                                                 "is not an integer index in canonical form$"):
-            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
+            load_caption_manifest(path, RUN_LAYOUT)
 
     def test_skeleton_roundtrips_through_loader(self, tmp_path):
-        layout = PatchLayout((128, 128), (64, 64), (32, 32))
-        doc = manifest_skeleton("busy market street", layout.to_dict())
+        doc = manifest_skeleton(RUN_LAYOUT)
         assert tuple(doc) == MANIFEST_KEYS
-        assert doc["instruction"] == CAPTION_INSTRUCTION
-        assert len(doc["patches"]) == 9
+        assert doc["global_prompt"] == "" and doc["instruction"] == CAPTION_INSTRUCTION
+        assert doc["patch_count"] == 9 and doc["layout"] == RUN_LAYOUT.to_dict()
+        assert doc["patches"] == {str(i): "" for i in range(9)}
+        doc["global_prompt"] = "busy market street"
         path = tmp_path / "skel.json"
         save_manifest(doc, path)
-        manifest = load_caption_manifest(path, expected_layout=RUN_LAYOUT)
-        assert manifest.caption_for(0) == "busy market street"
+        assert load_caption_manifest(path, RUN_LAYOUT) == ["busy market street"] * 9
 
     def test_layout_block_must_match_the_run(self, tmp_path):
         other = PatchLayout((128, 128), (96, 96), (16, 16)).to_dict()
         path = self._write(tmp_path, self._doc(layout=other))
         with pytest.raises(ManifestError, match=r"layout window \[96, 96\] does not match"):
-            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
-        path = self._write(tmp_path, self._doc(layout=RUN_LAYOUT))
-        assert load_caption_manifest(path, expected_layout=RUN_LAYOUT).patch_count == 9
+            load_caption_manifest(path, RUN_LAYOUT)
+        path = self._write(tmp_path, self._doc(layout=RUN_LAYOUT.to_dict()))
+        assert load_caption_manifest(path, RUN_LAYOUT) == [f"patch {i}" for i in range(9)]
         path = self._write(tmp_path, self._doc(layout=[64, 32]))
         with pytest.raises(ManifestError, match="layout must be an object"):
-            load_caption_manifest(path, expected_layout=RUN_LAYOUT)
+            load_caption_manifest(path, RUN_LAYOUT)
 
     def test_manifest_without_layout_block_is_accepted(self, tmp_path):
         path = self._write(tmp_path, self._doc())
-        assert load_caption_manifest(path, expected_layout=RUN_LAYOUT).patch_count == 9
-
-    def test_in_memory_manifest_index_bounds(self):
-        manifest = CaptionManifest(global_prompt="g", patch_count=2)
-        assert manifest.caption_for(1) == "g"
-        with pytest.raises(ValueError):
-            manifest.caption_for(2)
+        assert load_caption_manifest(path, RUN_LAYOUT) == [f"patch {i}" for i in range(9)]

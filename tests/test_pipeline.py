@@ -1,11 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from resmaster.conditioning import CaptionManifest
 from resmaster.denoiser import analytic_gaussian_denoiser, toy_conditioned_denoiser
 from resmaster.config import PipelineConfig
 from resmaster.noise import standard_normal_field
@@ -106,7 +106,7 @@ class TestResmasterGenerate:
         return PipelineConfig(**base)
 
     def _captions(self, n):
-        return CaptionManifest(global_prompt="pipeline test scene", patch_count=n)
+        return ["pipeline test scene"] * n
 
     def test_full_mask_single_patch_reproduces_reference(self, rng):
         config = self._config(scale=1, window=16, stride=16,
@@ -175,6 +175,15 @@ class TestResmasterGenerate:
         (bundle,) = build_patch_bundles([ref], self._captions(1), self._config())
         assert bundle.text.shape == (8, 16)
         assert bundle.image.shape == (4, 16)
+
+    @pytest.mark.parametrize("patches, captions, message", [
+        (2, 9, "zip() argument 2 is longer than argument 1"),
+        (2, 1, "zip() argument 2 is shorter than argument 1"),
+    ])
+    def test_patches_and_captions_must_agree_in_number(self, patches, captions, message):
+        ref = smooth_reference(16, 16, 2)
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            build_patch_bundles((ref for _ in range(patches)), self._captions(captions), self._config())
 
     @pytest.mark.parametrize("steps", [3, 7])
     def test_windows_are_read_in_place(self, monkeypatch, steps):
@@ -281,7 +290,7 @@ class TestResmasterGenerate:
         with pytest.raises(ValueError):
             resmaster_generate(ref, self._captions(9), CountingDenoiser(),
                                self._config(height=8))  # reference dims disagree
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^4 captions given, the layout has 9 windows$"):
             resmaster_generate(ref, self._captions(4), CountingDenoiser(), self._config())
         assert calls["n"] == 0
 
@@ -343,7 +352,7 @@ class TestUnguidedUpscaleIsTheLowResSampler:
                                       window=(grid_h, grid_w), stride=(grid_h, grid_w))
         den = analytic_gaussian_denoiser(0.3, 0.5)
         ref = smooth_reference(config.height, config.width, 2)
-        captions = CaptionManifest(global_prompt="tiling", patch_count=config.layout.patch_count)
+        captions = ["tiling"] * config.layout.patch_count
         np.testing.assert_array_equal(resmaster_generate(ref, captions, den, config),
                                       generate_low_res(den, None, low_res), strict=True)
 
@@ -358,7 +367,7 @@ class TestGuidedVarianceOracle:
                                 steps=20, seed=0, d0=0.8)
         ref = smooth_reference(16, 16, 1)
         den = analytic_gaussian_denoiser(0.0, 1.0)
-        captions = CaptionManifest(global_prompt="variance check", patch_count=1)
+        captions = ["variance check"]
         runs = []
         for seed in range(12):
             cfg = dataclasses.replace(config, seed=seed)
@@ -402,7 +411,7 @@ class TestSamplerEqualsTheDirectOracle:
         reference = np.random.default_rng(config.seed).uniform(
             size=(config.height, config.width, config.channels))
         layout = config.layout
-        captions = CaptionManifest(global_prompt="a harbour", patch_count=layout.patch_count)
+        captions = ["a harbour"] * layout.patch_count
         upsampled = bicubic_upsample(reference, config.target_h, config.target_w)
         bundles = build_patch_bundles((extract_patch(upsampled, r) for r in layout.rects),
                                       captions, config)

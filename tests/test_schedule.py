@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,27 @@ class TestMakeLinearSchedule:
         for beta in ([1e-17], [0.1, 1e-17], [1.0], [0.1, 1.0], [], [[0.1]]):
             with pytest.raises(ValueError):
                 NoiseSchedule(beta=np.array(beta))
+
+    @pytest.mark.parametrize("beta, message", [
+        (["a"], "beta[0] must be a real number, got 'a'"),
+        ([10**400], "beta[0] must be a number in float range, got an integer of 1329 bits"),
+        ([0.1 + 0j], "beta[0] must be a real number, got (0.1+0j)"),
+        ({"a": 1}, "beta must be a list, tuple or array of real numbers, got dict"),
+        ([0.1, [0.2, 0.3]], "beta[1] must be a real number, got [0.2, 0.3]"),
+        (["0.1"], "beta[0] must be a real number, got '0.1'"),
+        (np.array(["0.1"]), "beta[0] must be a real number, got '0.1'"),
+    ], ids=["text", "huge-integer", "complex", "dict", "ragged", "numeric-text", "text-array"])
+    def test_malformed_betas_are_refused_in_one_line_naming_beta(self, beta, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            NoiseSchedule(beta)
+
+    def test_real_arrays_skip_the_per_entry_check_and_lists_read_the_same(self, monkeypatch):
+        listed = NoiseSchedule([0.1, np.float32(0.2), 0.3]).beta
+        monkeypatch.setattr("resmaster.schedule.as_real", lambda *args: pytest.fail("per-entry check"))
+        make_linear_schedule(2**16)
+        make_geometric_schedule(2**16)
+        arrayed = NoiseSchedule(np.array([0.1, np.float32(0.2), 0.3])).beta
+        assert listed.tobytes() == arrayed.tobytes()
 
     def test_alpha_and_alpha_bar_are_derived_not_passed(self):
         s = NoiseSchedule(beta=np.array([0.1, 0.2]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resmaster.spectral import _lowpass_matrix, swap_low_frequency
+from resmaster.spectral import BAND_RADIUS, _lowpass_matrix, band_diagnostics, swap_low_frequency
 
 from oracles import dft2d_direct, gaussian_mask_direct, idft2d_direct, swap_direct
 
@@ -246,3 +246,31 @@ class TestChannelMajorSwap:
         view = grid[1 : height + 1, 2 : width + 2]
         assert swap_low_frequency(view, ref, d0, out=view) is view
         np.testing.assert_array_equal(view, want)
+
+
+class TestBandDiagnostics:
+    H, W = 24, 40  # no bin of this grid lies on the band edge
+
+    def _high_bins(self):
+        """The bins with D > BAND_RADIUS, counted one by one."""
+        return sum(2.0 * ((min(u, self.H - u) / self.H) ** 2 + (min(v, self.W - v) / self.W) ** 2)
+                   > BAND_RADIUS ** 2 for u in range(self.H) for v in range(self.W))
+
+    def test_a_high_band_cosine_leaves_the_low_band_and_shows_as_high_band_power(self):
+        u, v = np.arange(self.H)[:, None, None], np.arange(self.W)[None, :, None]
+        # Bin (1, 1) lies in the low band (D = 0.069) and (6, 0) in the high band (D = 0.354).
+        reference = 0.5 + 0.1 * np.cos(2 * np.pi * (u / self.H + v / self.W)) * np.ones((1, 1, 2))
+        amp = 0.03
+        cosine = amp * np.cos(2 * np.pi * 6 * u / self.H) * np.ones((1, self.W, 2))
+        low, high = band_diagnostics(reference + cosine, reference)
+        assert low < 1e-14
+        # The cosine puts amp * H * W / 2 into bins (6, 0) and (H - 6, 0) of each channel.
+        assert high == pytest.approx(2 * (amp * self.H * self.W / 2) ** 2 / self._high_bins(), rel=1e-12)
+        assert band_diagnostics(reference, reference)[1] < 1e-20
+
+    def test_the_low_band_error_is_relative_to_the_reference(self):
+        reference = np.random.default_rng(5).uniform(size=(self.H, self.W, 3))
+        assert band_diagnostics(1.5 * reference, reference)[0] == pytest.approx(0.5, rel=1e-13)
+        with pytest.raises(ValueError, match="zero low band"):
+            band_diagnostics(reference, np.zeros_like(reference))
+        assert band_diagnostics(np.ones((1, 1, 1)), np.ones((1, 1, 1))) == (0.0, 0.0)  # no high band
