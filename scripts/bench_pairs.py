@@ -20,9 +20,9 @@ file holds each run's value in pair order, the median, minimum and
 quartiles, and the side's win fraction: the share of pairs in which it read
 strictly better than the other side (ties count for neither). Each metric
 also carries ``claim_rule_met``, the verdict of the rule a claimed gain must
-pass: in the metric's better direction the change wins at least nine tenths
-of the pairs, and its median beats the base's by more than the base's
-interquartile range. The file also holds the machine facts that perfbench
+pass: there are at least MIN_PAIRS pairs, in the metric's better direction
+the change wins at least nine tenths of them, and its median beats the
+base's by more than the base's interquartile range. The file also holds the machine facts that perfbench
 prints, failed and attempted operation counts, and whether every run was
 correct. The working tree's commit and whether it had uncommitted changes
 are read before the first run; ``tree_changed_during_run`` records whether
@@ -41,6 +41,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+# Fewer pairs give no verdict: with one, the base's quartiles coincide, so
+# any single win would beat its zero spread.
+MIN_PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -89,8 +92,11 @@ def better(a: float, b: float, direction: str) -> bool:
 
 
 def claim_rule_met(base: dict, change: dict, direction: str) -> bool:
-    """Whether the change wins at least nine tenths of the pairs and its
-    median beats the base's by more than the base's interquartile range."""
+    """Whether there are at least MIN_PAIRS pairs, the change wins at least
+    nine tenths of them and its median beats the base's by more than the
+    base's interquartile range."""
+    if len(change["runs"]) < MIN_PAIRS:
+        return False
     gap = base["median"] - change["median"]
     if direction != "lower":
         gap = -gap

@@ -175,10 +175,10 @@ def load_caption_manifest(path, layout: PatchLayout) -> list[str]:
     doc = read_json_object(path, "manifest", ManifestError)
     version = doc.get("version")
     if version != MANIFEST_VERSION:
-        raise ManifestError(f"manifest {path}: unsupported version {version!r} (expected {MANIFEST_VERSION})")
+        raise ManifestError(f"manifest {path}: unsupported version {shown(version)} (expected {MANIFEST_VERSION})")
     unknown = [key for key in doc if key not in MANIFEST_KEYS]
     if unknown:
-        raise ManifestError(f"manifest {path}: unknown key {', '.join(map(repr, unknown))}; "
+        raise ManifestError(f"manifest {path}: unknown key {', '.join(map(shown, unknown))}; "
                             f"the keys are {', '.join(MANIFEST_KEYS)}")
     global_prompt = doc.get("global_prompt", "")
     if not isinstance(global_prompt, str):
@@ -206,8 +206,8 @@ def load_caption_manifest(path, layout: PatchLayout) -> list[str]:
             raise ManifestError(f"manifest {path}: layout must be an object, got {type(block).__name__}")
         for key, want in layout.to_dict().items():
             if block.get(key) != want:
-                raise ManifestError(f"manifest {path}: layout {key} {block.get(key)!r} "
-                                    f"does not match the run's {want!r}; re-run plan with its settings")
+                raise ManifestError(f"manifest {path}: layout {key} {shown(block.get(key))} "
+                                    f"does not match the run's {shown(want)}; re-run plan with its settings")
 
     captions = [""] * patch_count
     for key, value in raw_patches.items():
@@ -218,7 +218,7 @@ def load_caption_manifest(path, layout: PatchLayout) -> list[str]:
         except ValueError:
             canonical = False
         if not canonical:
-            raise ManifestError(f"manifest {path}: patch key {key!r} is not an integer index "
+            raise ManifestError(f"manifest {path}: patch key {shown(key)} is not an integer index "
                                 "in canonical form")
         if not 0 <= index < patch_count:
             raise ManifestError(f"manifest {path}: patch index {shown(index)} out of range [0, {patch_count})")

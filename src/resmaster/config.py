@@ -30,8 +30,9 @@ SCHEDULE_CHOICES = ("geometric", "linear")
 MAX_GRID_VALUES = 2**31
 
 # Most sampling steps a run may take. A run starts by building its schedule,
-# a few arrays of per-step values: 3.7 MB at 2**16 steps and 57 MB at 10**6,
-# where the linear schedule's alpha_bar also stops decreasing.
+# a few arrays of per-step values: 5.8 MB at peak (2.6 MB held) at 2**16
+# steps and 88 MB at 10**6, where the linear schedule's alpha_bar also stops
+# decreasing.
 MAX_STEPS = 2**16
 
 
@@ -106,9 +107,9 @@ class PipelineConfig:
             problems.append(f"guidance_stop must lie in [0, steps={shown(self.steps)}], "
                             f"got {shown(self.guidance_stop_step)}")
         if self.denoiser not in DENOISER_CHOICES:
-            problems.append(f"unknown denoiser {self.denoiser!r}; choices: {DENOISER_CHOICES}")
+            problems.append(f"unknown denoiser {shown(self.denoiser)}; choices: {DENOISER_CHOICES}")
         if self.schedule not in SCHEDULE_CHOICES:
-            problems.append(f"unknown schedule {self.schedule!r}; choices: {SCHEDULE_CHOICES}")
+            problems.append(f"unknown schedule {shown(self.schedule)}; choices: {SCHEDULE_CHOICES}")
         if self.model_std < 0:
             problems.append(f"model_std must be >= 0, got {self.model_std}")
         if not problems:
@@ -163,7 +164,7 @@ def _from_json(doc: dict, problems: list[str]) -> dict:
         if key in _KINDS:
             values[key] = value
         else:
-            problems.append(f"unknown configuration key {key!r}")
+            problems.append(f"unknown configuration key {shown(key)}")
     return values
 
 
@@ -186,7 +187,7 @@ def parse_config(path=None, cli_overrides: dict | None = None,
     doc = {} if path is None else read_json_object(path, "config", ConfigError)
     version = doc.pop("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
-        problems.append(f"unsupported config version {version!r} (expected {CONFIG_VERSION})")
+        problems.append(f"unsupported config version {shown(version)} (expected {CONFIG_VERSION})")
 
     values = _from_json(doc, problems)
     values.update(_from_json(cli_overrides or {}, problems))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .util import as_grid, require_finite
+from .util import as_grid, require_finite, shown
 
 
 class ImageFormatError(ValueError):
@@ -54,7 +54,7 @@ class _Tokenizer:
         try:
             return int(tok)
         except ValueError:
-            raise _parse_error(self.path, start, f"expected integer {what}, got {tok!r}")
+            raise _parse_error(self.path, start, f"expected integer {what}, got {shown(tok)}")
 
 
 def read_image(path) -> np.ndarray:
@@ -68,15 +68,15 @@ def read_image(path) -> np.ndarray:
     elif magic == b"P5":
         channels = 1
     else:
-        raise _parse_error(path, 0, f"unsupported magic {magic!r} (expected P5 or P6)")
+        raise _parse_error(path, 0, f"unsupported magic {shown(magic)} (expected P5 or P6)")
     width = tok.integer("width")
     height = tok.integer("height")
     maxval_at = tok.pos
     maxval = tok.integer("maxval")
     if width < 1 or height < 1:
-        raise _parse_error(path, 0, f"invalid dimensions {width}x{height}")
+        raise _parse_error(path, 0, f"invalid dimensions {shown(width)}x{shown(height)}")
     if maxval != 255:
-        raise _parse_error(path, maxval_at, f"unsupported maxval {maxval} (only 255)")
+        raise _parse_error(path, maxval_at, f"unsupported maxval {shown(maxval)} (only 255)")
     if tok.pos >= len(data) or data[tok.pos] not in b" \t\r\n":
         raise _parse_error(path, tok.pos, "expected single whitespace byte before pixel data")
     payload_start = tok.pos + 1

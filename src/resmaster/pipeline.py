@@ -29,7 +29,7 @@ from .noise import INIT_STEP, standard_normal_field
 from .schedule import posterior_step, predict_x0
 from .spectral import swap_low_frequency
 from .tiler import PatchLayout, bicubic_upsample, extract_patch, fuse_patches
-from .util import as_grid
+from .util import as_grid, require_finite
 
 # What a denoiser's ``predict`` may return: the noise, or the clean estimate.
 PREDICTIONS = ("epsilon", "sample")
@@ -45,7 +45,7 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
     are fused and the grid takes one ancestral step with noise substream
     ``(seed, t)``; the final step (t = 1) returns the fused estimate and
     draws nothing. A one-window layout covers the whole grid, so its
-    estimate needs no fusion.
+    estimate needs no fusion. A grid with a non-finite entry is refused.
 
     The denoiser's ``prediction`` is read once, before the first step: an
     ``"epsilon"`` prediction is turned into the clean estimate with
@@ -88,6 +88,7 @@ def _sample(denoiser: Denoiser, conds: list[ConditionBundle | None], layout: Pat
         noise = standard_normal_field(config.seed, t, shape) if t > 1 else None
         z = posterior_step(z, z0, t, noise, s, out=z)
         del z0, noise  # consumed by the step; dropped before the next fusion and draw
+    require_finite(z, "the sampled grid")
     return z
 
 
@@ -140,6 +141,7 @@ def resmaster_generate(
     during the call.
     """
     reference = as_grid(reference, "reference")
+    require_finite(reference, "reference")
     if reference.shape != (config.height, config.width, config.channels):
         raise ValueError(
             f"reference shape {reference.shape} does not match config dims "

@@ -2,8 +2,8 @@
 estimate, and the posterior sampling step.
 
 Timesteps are 1-based: t ranges over 1..T, and the cumulative product
-``alpha_bar`` at t=0 is defined as 1 (the first entry of ``alpha_bar_prev``)
-so the final (t=1) step is well formed. Each stage checks t once.
+``alpha_bar`` at t=0 is defined as 1 so the final (t=1) step is well formed.
+Each stage checks t once.
 Noise is always supplied by the caller. ``predict_x0`` and ``posterior_step``
 write their result into a caller-owned grid passed as ``out=``, which may be
 the one input each names. ``posterior_step`` also forms its clean-estimate
@@ -23,16 +23,18 @@ from .util import as_grid, as_int, as_real, check_out, require_same_shape, shown
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step variances beta_t; alpha_t = 1 - beta_t, alpha_bar_t, their
-    cumulative product, and alpha_bar_prev, alpha_bar at t-1 with the
-    boundary value alpha_bar_0 = 1, are derived from them as read-only
-    arrays. Entry t - 1 of each array belongs to timestep t; callers check t
-    with ``check_t`` once and then read the entries they need."""
+    """Per-step variances beta_t and read-only arrays derived from them:
+    alpha_bar_t, the cumulative product of alpha_t = 1 - beta_t (with
+    alpha_bar_0 = 1), and the DDPM posterior of z_{t-1} given z_t and z0, of
+    mean coef_z0 * z0 + coef_zt * z_t and standard deviation step_std.
+    Entry t - 1 of each array belongs to timestep t; callers check t with
+    ``check_t`` once and then read the entries they need."""
 
     beta: np.ndarray
-    alpha: np.ndarray = field(init=False)
     alpha_bar: np.ndarray = field(init=False)
-    alpha_bar_prev: np.ndarray = field(init=False)
+    coef_z0: np.ndarray = field(init=False)
+    coef_zt: np.ndarray = field(init=False)
+    step_std: np.ndarray = field(init=False)
 
     def __post_init__(self):
         beta = self.beta
@@ -54,9 +56,12 @@ class NoiseSchedule:
             raise ValueError("alpha_bar must lie in (0, 1)")
         if alpha_bar.size > 1 and not (np.diff(alpha_bar) < 0.0).all():
             raise ValueError("alpha_bar must be strictly decreasing")
-        alpha_bar_prev = np.concatenate([[1.0], alpha_bar[:-1]])
-        for name, arr in (("beta", beta), ("alpha", alpha), ("alpha_bar", alpha_bar),
-                          ("alpha_bar_prev", alpha_bar_prev)):
+        prev = np.concatenate([[1.0], alpha_bar[:-1]])
+        coef_z0 = np.sqrt(prev) * beta / (1.0 - alpha_bar)
+        coef_zt = np.sqrt(alpha) * (1.0 - prev) / (1.0 - alpha_bar)
+        step_std = np.sqrt((1.0 - prev) / (1.0 - alpha_bar) * beta)
+        for name, arr in (("beta", beta), ("alpha_bar", alpha_bar), ("coef_z0", coef_z0),
+                          ("coef_zt", coef_zt), ("step_std", step_std)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -130,18 +135,16 @@ def posterior_step(
     """One ancestral step: sample the Gaussian posterior of z_{t-1} given z_t and
     a clean estimate.
 
-    Mean is the usual convex combination
-    ``sqrt(abar_{t-1}) * beta_t / (1 - abar_t) * z0' +
-    sqrt(alpha_t) * (1 - abar_{t-1}) / (1 - abar_t) * z_t``
-    with variance ``(1 - abar_{t-1}) / (1 - abar_t) * beta_t``. The caller
-    provides the standard-normal draw so the step stays deterministic; at
-    t = 1, which uses no noise, ``noise`` may be None. The sum is formed as
+    Mean is the convex combination ``coef_z0 * z0' + coef_zt * z_t`` and the
+    standard deviation is ``step_std``, the schedule's entries for t. The
+    caller provides the standard-normal draw so the step stays deterministic;
+    at t = 1, which uses no noise, ``noise`` may be None. The sum is formed as
     ``coef_zt * z_t``, plus the ``z0'`` term, plus the noise term, so ``out``
     may be ``z_t``; it must not overlap ``z0_prime`` or ``noise``.
 
     Before t = 1 the step consumes ``z0_prime`` and ``noise``: it scales each
     in place into its term, so afterwards they hold ``coef_z0 * z0'`` and
-    ``sqrt(var) * noise``, and it allocates no grid of its own when given
+    ``step_std * noise``, and it allocates no grid of its own when given
     ``out``. So the two must not overlap each other. At t = 1 both are left
     as they are.
     """
@@ -163,17 +166,10 @@ def posterior_step(
         # in floats would round the coefficient off 1, so return the estimate
         # directly.
         return np.positive(z0_prime, out=out)
-    abar_t = float(s.alpha_bar[t - 1])
-    abar_prev = float(s.alpha_bar_prev[t - 1])
-    beta_t = float(s.beta[t - 1])
-    alpha_t = float(s.alpha[t - 1])
-    coef_z0 = math.sqrt(abar_prev) * beta_t / (1.0 - abar_t)
-    coef_zt = math.sqrt(alpha_t) * (1.0 - abar_prev) / (1.0 - abar_t)
-    var = (1.0 - abar_prev) / (1.0 - abar_t) * beta_t
     # IEEE addition commutes, so these are the bytes of
-    # coef_z0 * z0' + coef_zt * z_t + sqrt(var) * noise. z_t is read in full
+    # coef_z0 * z0' + coef_zt * z_t + step_std * noise. z_t is read in full
     # before z0_prime or noise, which may share its memory, is written.
-    out = np.multiply(z_t, coef_zt, out=out)
-    out += np.multiply(z0_prime, coef_z0, out=z0_prime)
-    out += np.multiply(noise, math.sqrt(var), out=noise)
+    out = np.multiply(z_t, float(s.coef_zt[t - 1]), out=out)
+    out += np.multiply(z0_prime, float(s.coef_z0[t - 1]), out=z0_prime)
+    out += np.multiply(noise, float(s.step_std[t - 1]), out=noise)
     return out

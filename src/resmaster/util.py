@@ -35,12 +35,21 @@ def require_finite(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite entries")
 
 
+# The longest a refused value is shown; the rest is cut and its length given.
+SHOWN_CHARS = 200
+
+
 def shown(value) -> str:
     """A refused value on one line: its repr, with each integer wider than 64
     bits, in a list or tuple too, as its sign and bit width (repr fails past
-    4300 digits)."""
+    4300 digits), cut after SHOWN_CHARS characters with the full length."""
+    text = _one_line(value)
+    return text if len(text) <= SHOWN_CHARS else f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+
+
+def _one_line(value) -> str:
     if isinstance(value, (list, tuple)):
-        items = ", ".join(map(shown, value))
+        items = ", ".join(map(_one_line, value))
         return f"[{items}]" if isinstance(value, list) else f"({items}{',' * (len(value) == 1)})"
     if isinstance(value, numbers.Integral) and int(value).bit_length() > 64:
         return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"

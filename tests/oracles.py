@@ -357,15 +357,22 @@ def predict_x0_scalar(z_t, eps_hat, t, beta) -> np.ndarray:
     return _per_element(lambda z, e: (z - math.sqrt(1.0 - abar) * e) / math.sqrt(abar), z_t, eps_hat)
 
 
+def posterior_coefficients_scalar(beta, t: int):
+    """(z0' coefficient, z_t coefficient, standard deviation) of the ancestral
+    step at 1-based step t, in scalar floats with math."""
+    beta_t, alpha_t, abar, abar_prev = schedule_scalars(beta, t)
+    coef_z0 = math.sqrt(abar_prev) * beta_t / (1.0 - abar)
+    coef_zt = math.sqrt(alpha_t) * (1.0 - abar_prev) / (1.0 - abar)
+    sigma = math.sqrt((1.0 - abar_prev) / (1.0 - abar) * beta_t)
+    return coef_z0, coef_zt, sigma
+
+
 def posterior_step_scalar(z_t, z0_prime, t, noise, beta) -> np.ndarray:
     """The ancestral step's closed form, one cell at a time with math; at t = 1
     the step is the clean estimate itself."""
     if t == 1:
         return np.array(z0_prime, dtype=np.float64)
-    beta_t, alpha_t, abar, abar_prev = schedule_scalars(beta, t)
-    coef_z0 = math.sqrt(abar_prev) * beta_t / (1.0 - abar)
-    coef_zt = math.sqrt(alpha_t) * (1.0 - abar_prev) / (1.0 - abar)
-    sigma = math.sqrt((1.0 - abar_prev) / (1.0 - abar) * beta_t)
+    coef_z0, coef_zt, sigma = posterior_coefficients_scalar(beta, t)
     return _per_element(lambda z, x0, n: coef_z0 * x0 + coef_zt * z + sigma * n,
                         z_t, z0_prime, noise)
 

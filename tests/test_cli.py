@@ -395,6 +395,67 @@ class TestUpscale:
         assert "axis" in capsys.readouterr().err
 
 
+def _config_run(doc, command="plan"):
+    """A run of ``command`` whose config file holds ``doc``."""
+    def run(tmp_path, reference_file):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        return config, ([command, "--out", str(tmp_path / "o.pgm")] if command == "lowres"
+                        else [command, "--in", str(reference_file)]) + ["--config", str(config)]
+    return run
+
+
+def _manifest_run(edit):
+    """An upscale whose planned manifest is changed by ``edit``."""
+    def run(tmp_path, reference_file):
+        manifest = tmp_path / "caps.json"
+        assert main(["plan", "--in", str(reference_file), "--manifest", str(manifest)]) == 0
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        return manifest, ["upscale", "--in", str(reference_file), "--manifest", str(manifest),
+                          "--out", str(tmp_path / "o.ppm")]
+    return run
+
+
+def _header_run(header):
+    """A plan of a reference whose netpbm header is ``header``."""
+    def run(tmp_path, reference_file):
+        image = tmp_path / "bad.pgm"
+        image.write_bytes(header + b"\n2 2\n255\n" + bytes(4))
+        return image, ["plan", "--in", str(image)]
+    return run
+
+
+OVER_LONG_INPUTS = {
+    "config-key": _config_run({"k" * 4000: 1}),
+    "denoiser": _config_run({"denoiser": "d" * 4000}),
+    "schedule": _config_run({"schedule": "s" * 4000}),
+    "config-version-text": _config_run({"version": "v" * 4000}),
+    "config-version-list": _config_run({"version": list(range(3000))}),
+    "height-list": _config_run({"height": list(range(3000))}, command="lowres"),
+    "manifest-version": _manifest_run(lambda doc: doc.update(version="v" * 5000)),
+    "manifest-layout": _manifest_run(lambda doc: doc["layout"].update(window="w" * 5000)),
+    "manifest-patch-key": _manifest_run(lambda doc: doc["patches"].update({"1" * 5000: "x"})),
+    "netpbm-magic": _header_run(b"P" * 100_000),
+    "netpbm-width": _header_run(b"P5 " + b"9" * 100_000),
+}
+
+
+@pytest.mark.parametrize("case", OVER_LONG_INPUTS)
+def test_an_over_long_refused_value_is_cut_on_its_one_line(tmp_path, reference_file, capsys, case):
+    # Each value is cut to util.SHOWN_CHARS (200) characters. Besides the
+    # input's path, a line stays within 1000 characters: a config report
+    # lists every problem, and a height list is refused as the height and
+    # as lowres's window and stride.
+    path, argv = OVER_LONG_INPUTS[case](tmp_path, reference_file)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "characters)" in err
+    assert len(err.replace(str(path), "", 1)) <= 1000, err
+
+
 class TestBlasThreads:
     def test_output_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # Toy upscale 40x40 -> 160x160 in 96/32 windows: 9216 queries per

@@ -47,7 +47,8 @@ def predicted_cell_variance(mask, config, data_std):
     v = np.ones_like(g)  # start field is unit white noise
     for t in range(s.steps, 1, -1):
         abar, abar_prev = s.alpha_bar[t - 1], 1.0 if t == 1 else s.alpha_bar[t - 2]
-        beta, alpha = s.beta[t - 1], s.alpha[t - 1]
+        beta = s.beta[t - 1]
+        alpha = 1.0 - beta
         kappa = np.sqrt(abar) * var / (abar * var + 1.0 - abar)
         c0 = np.sqrt(abar_prev) * beta / (1.0 - abar)
         ct = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar)
@@ -98,6 +99,28 @@ class TestGenerateLowRes:
         assert generate_low_res(den, None, config).shape == (6, 10, 2)
 
 
+    def test_a_denoiser_that_returns_nan_is_refused_after_the_last_step(self):
+        class NanDenoiser:
+            prediction = "sample"
+
+            def predict(self, z_t, t, cond, s, out=None):
+                return np.full(z_t.shape, np.nan)
+
+        with pytest.raises(ValueError, match="^the sampled grid contains non-finite entries$"):
+            generate_low_res(NanDenoiser(), None, grid_config(64, 64, 1, steps=5))
+
+    @pytest.mark.parametrize("model_std", [0.1, 1.0, 3.0])
+    def test_unguided_output_variance_follows_the_step_recursion(self, model_std):
+        # 128**2 independent cells; a sample variance of N cells has standard
+        # error V * sqrt(2 / (N - 1)). Seed 0 gives z = 0.12, 0.05 and -0.22;
+        # over seeds 0-399 the largest |z| is 3.9.
+        config = grid_config(128, 128, 1, model_std=model_std)
+        out = generate_low_res(analytic_gaussian_denoiser(config.model_mean, model_std), None, config)
+        predicted = predicted_cell_variance(np.zeros((128, 128)), config, data_std=model_std)
+        se = predicted * np.sqrt(2.0 / (out.size - 1))
+        assert abs(out.var(ddof=1) - predicted) < 5.0 * se
+
+
 class TestResmasterGenerate:
     def _config(self, **over):
         base = dict(height=16, width=16, channels=2, scale=2, window=16, stride=8,
@@ -107,6 +130,13 @@ class TestResmasterGenerate:
 
     def _captions(self, n):
         return ["pipeline test scene"] * n
+
+    def test_a_non_finite_reference_is_refused_naming_it(self):
+        ref = smooth_reference(16, 16, 2)
+        ref[3, 5, 1] = np.nan
+        with pytest.raises(ValueError, match="^reference contains non-finite entries$"):
+            resmaster_generate(ref, self._captions(9), analytic_gaussian_denoiser(0.0, 1.0),
+                               self._config())
 
     def test_full_mask_single_patch_reproduces_reference(self, rng):
         config = self._config(scale=1, window=16, stride=16,

@@ -1,4 +1,5 @@
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from oracles import (
     forward_diffuse_scalar,
     geometric_betas_direct,
     posterior_coefficients_decimal,
+    posterior_coefficients_scalar,
     posterior_step_scalar,
     predict_x0_decimal,
     predict_x0_scalar,
@@ -91,20 +93,16 @@ class TestMakeLinearSchedule:
         arrayed = NoiseSchedule(np.array([0.1, np.float32(0.2), 0.3])).beta
         assert listed.tobytes() == arrayed.tobytes()
 
-    def test_alpha_and_alpha_bar_are_derived_not_passed(self):
+    @pytest.mark.parametrize("name", ["alpha_bar", "coef_z0", "coef_zt", "step_std"])
+    def test_derived_arrays_are_read_only_and_not_passed(self, name):
         s = NoiseSchedule(beta=np.array([0.1, 0.2]))
-        np.testing.assert_array_equal(s.alpha, 1.0 - s.beta)
         np.testing.assert_array_equal(s.alpha_bar, np.cumprod(1.0 - s.beta))
-        assert not (s.alpha.flags.writeable or s.alpha_bar.flags.writeable
-                    or s.alpha_bar_prev.flags.writeable)
+        derived = getattr(s, name)
+        assert derived.shape == s.beta.shape and not derived.flags.writeable
         with pytest.raises(ValueError):
-            s.alpha_bar_prev[0] = 0.5
+            derived[0] = 0.5
         with pytest.raises(TypeError):
-            NoiseSchedule(beta=np.array([0.1, 0.2]), alpha=np.array([0.9, 0.8]))
-        with pytest.raises(TypeError):
-            NoiseSchedule(beta=np.array([0.1, 0.2]), alpha_bar=np.array([0.9, 0.5]))
-        with pytest.raises(TypeError):
-            NoiseSchedule(beta=np.array([0.1, 0.2]), alpha_bar_prev=np.array([1.0, 0.9]))
+            NoiseSchedule(beta=np.array([0.1, 0.2]), **{name: np.array([0.9, 0.5])})
 
 
 class TestMakeGeometricSchedule:
@@ -137,11 +135,11 @@ class TestMakeGeometricSchedule:
         assert make_geometric_schedule(T).beta.tobytes() == geometric_betas_direct(T).tobytes()
 
 
-def test_alpha_bar_prev_is_alpha_bar_one_step_earlier_from_one():
+def test_the_first_step_starts_from_alpha_bar_0_equal_to_one():
+    # 1 - alpha_bar_0 is exactly 0, so the first step keeps none of z_t and draws no noise.
     for s in (make_linear_schedule(1000), make_geometric_schedule(7), make_geometric_schedule(1)):
-        assert s.alpha_bar_prev.shape == s.alpha_bar.shape
-        assert s.alpha_bar_prev[0] == 1.0
-        np.testing.assert_array_equal(s.alpha_bar_prev[1:], s.alpha_bar[:-1])
+        assert s.coef_zt[0] == 0.0 and s.step_std[0] == 0.0
+        assert s.coef_z0[0] == pytest.approx(1.0, rel=1e-11)
 
 
 SCHEDULES = {
@@ -162,6 +160,20 @@ def test_stages_are_bit_equal_to_the_scalar_formulas(name):
         # posterior_step consumes its clean estimate and noise, so it gets copies.
         assert np.array_equal(posterior_step(a, b.copy(), t, c.copy(), s),
                               posterior_step_scalar(a, b, t, c, s.beta))
+
+
+@pytest.mark.parametrize("name", SCHEDULES)
+def test_step_coefficients_equal_the_scalar_and_decimal_formulas(name):
+    # Bit-equal to the per-step scalar floats. The Decimal values differ by the
+    # rounding of 1 - beta_t near 1, which 1 / (1 - abar_t) magnifies: up to
+    # 4.2e-13 relative on geometric-50, so the bound is 1e-12.
+    s = SCHEDULES[name]()
+    scalar = [posterior_coefficients_scalar(s.beta, t) for t in range(1, s.steps + 1)]
+    assert np.stack([s.coef_z0, s.coef_zt, s.step_std], axis=1).tobytes() == np.array(scalar).tobytes()
+    for t, coefficients in enumerate(scalar, start=1):
+        c0, ct, var = posterior_coefficients_decimal(s.beta, t)
+        for got, want in zip(coefficients, (c0, ct, var.sqrt())):
+            assert abs(Decimal(got) - want) <= Decimal("1e-12") * want, (t, got, want)
 
 
 STAGE_CALLS = {
@@ -210,7 +222,7 @@ class TestForwardDiffuse:
         for t in range(1, 4):
             z = np.sqrt(1.0 - s.beta[t - 1]) * z + np.sqrt(s.beta[t - 1]) * eps_steps[t - 1]
         b1, b2, b3 = (s.beta[t - 1] for t in (1, 2, 3))
-        a2, a3 = (s.alpha[t - 1] for t in (2, 3))
+        a2, a3 = (1.0 - s.beta[t - 1] for t in (2, 3))
         combined = (
             np.sqrt(b3) * eps_steps[2]
             + np.sqrt(a3 * b2) * eps_steps[1]
