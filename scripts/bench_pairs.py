@@ -22,11 +22,13 @@ strictly better than the other side (ties count for neither). Each metric
 also carries ``claim_rule_met``, the verdict of the rule a claimed gain must
 pass: there are at least MIN_PAIRS pairs, in the metric's better direction
 the change wins at least nine tenths of them, and its median beats the
-base's by more than the base's interquartile range. The file also holds the machine facts that perfbench
-prints, failed and attempted operation counts, and whether every run was
-correct. The working tree's commit and whether it had uncommitted changes
-are read before the first run; ``tree_changed_during_run`` records whether
-``git status --porcelain`` read differently once the runs were done.
+base's by more than the base's interquartile range and, on a metric in MB,
+by more than MEMORY_FLOOR_MB, the floor recorded as ``claim_floor``. The
+file also holds the machine facts that perfbench prints, failed and
+attempted operation counts, and whether every run was correct. The working
+tree's commit and whether it had uncommitted changes are read before the
+first run; ``tree_changed_during_run`` records whether ``git status
+--porcelain`` read differently once the runs were done.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ SIDES = ("base", "change")
 # Fewer pairs give no verdict: with one, the base's quartiles coincide, so
 # any single win would beat its zero spread.
 MIN_PAIRS = 10
+# Least median gain in MB a memory claim needs: identical files run from two
+# directories read 0.08-0.25 MB apart in peak RSS on tile9-toy.
+MEMORY_FLOOR_MB = 0.5
 
 
 def git(*args: str) -> str:
@@ -91,16 +96,16 @@ def better(a: float, b: float, direction: str) -> bool:
     return a < b if direction == "lower" else a > b
 
 
-def claim_rule_met(base: dict, change: dict, direction: str) -> bool:
+def claim_rule_met(base: dict, change: dict, direction: str, floor: float = 0.0) -> bool:
     """Whether there are at least MIN_PAIRS pairs, the change wins at least
-    nine tenths of them and its median beats the base's by more than the
-    base's interquartile range."""
+    nine tenths of them and its median beats the base's by more than both
+    the base's interquartile range and ``floor``."""
     if len(change["runs"]) < MIN_PAIRS:
         return False
     gap = base["median"] - change["median"]
     if direction != "lower":
         gap = -gap
-    return change["win_frac"] >= 0.9 and gap > base["q3"] - base["q1"]
+    return change["win_frac"] >= 0.9 and gap > max(base["q3"] - base["q1"], floor)
 
 
 def main(argv=None) -> int:
@@ -172,12 +177,14 @@ def main(argv=None) -> int:
         }
         for name, meta in metrics.items():
             values = {s: [r["metrics"][name]["value"] for r in sides[s]] for s in SIDES}
-            entry["metrics"][name] = {"unit": meta["unit"], "better": meta["better"]}
+            floor = MEMORY_FLOOR_MB if meta["unit"] == "MB" else 0.0
+            entry["metrics"][name] = {"unit": meta["unit"], "better": meta["better"],
+                                      "claim_floor": floor}
             for side, other in (SIDES, SIDES[::-1]):
                 wins = sum(better(a, b, meta["better"]) for a, b in zip(values[side], values[other]))
                 entry["metrics"][name][side] = summary(values[side], wins)
             entry["metrics"][name]["claim_rule_met"] = claim_rule_met(
-                entry["metrics"][name]["base"], entry["metrics"][name]["change"], meta["better"])
+                entry["metrics"][name]["base"], entry["metrics"][name]["change"], meta["better"], floor)
         doc["workloads"][workload] = entry
 
     args.out.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tiler import MAX_PATCHES, PatchLayout
+from .tiler import PatchLayout
 from .util import as_grid, as_int, as_real, read_json_object, require_finite, shown
 
 log = logging.getLogger(__name__)
@@ -166,11 +166,11 @@ def load_caption_manifest(path, layout: PatchLayout) -> list[str]:
     {} and fails the version check), on a version other than
     MANIFEST_VERSION or a key not in MANIFEST_KEYS, on a global prompt or
     instruction that is not a string, on a patch count that is not an
-    integer, lies outside [1, tiler.MAX_PATCHES] or disagrees with
-    ``layout``'s, on a ``layout`` block that differs from
-    ``layout.to_dict()`` (the first differing field is named), or when a
-    patch would fall back to an empty global prompt. That error and the
-    fallback's warning name ten uncaptioned patches at most, and their count.
+    integer or differs from ``layout``'s, on a ``layout`` block that
+    differs from ``layout.to_dict()`` (the first differing field is named),
+    or when a patch would fall back to an empty global prompt. That error
+    and the fallback's warning name ten uncaptioned patches at most, and
+    their count.
     """
     doc = read_json_object(path, "manifest", ManifestError)
     version = doc.get("version")
@@ -195,10 +195,9 @@ def load_caption_manifest(path, layout: PatchLayout) -> list[str]:
         patch_count = as_int(patch_count, "patch_count")
     except ValueError as exc:
         raise ManifestError(f"manifest {path}: {exc}") from None
-    if not 1 <= patch_count <= MAX_PATCHES:
-        raise ManifestError(f"manifest {path}: patch_count must be in [1, {MAX_PATCHES}], got {shown(patch_count)}")
+    # A layout holds 1 to tiler.MAX_PATCHES windows, so no other count passes.
     if patch_count != layout.patch_count:
-        raise ManifestError(f"manifest {path} describes {patch_count} patches "
+        raise ManifestError(f"manifest {path} describes {shown(patch_count)} patches "
                             f"but the layout has {layout.patch_count}")
     block = doc.get("layout")
     if block is not None:

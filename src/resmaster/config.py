@@ -103,7 +103,7 @@ class PipelineConfig:
             problems.append(f"lambda must be >= 0, got {self.lam}")
         if not 0 <= self.seed < SEED_LIMIT:
             problems.append(f"seed must lie in [0, 2**63), got {shown(self.seed)}")
-        if not 0 <= self.guidance_stop_step <= self.steps:
+        if 1 <= self.steps <= MAX_STEPS and not 0 <= self.guidance_stop_step <= self.steps:
             problems.append(f"guidance_stop must lie in [0, steps={shown(self.steps)}], "
                             f"got {shown(self.guidance_stop_step)}")
         if self.denoiser not in DENOISER_CHOICES:
@@ -159,13 +159,8 @@ _CHECKS = {int: as_int, float: as_real, tuple: as_int_pair, str: _as_str}
 def _from_json(doc: dict, problems: list[str]) -> dict:
     """Field values from a JSON object, with every key that is not a field
     reported as unknown."""
-    values = {}
-    for key, value in doc.items():
-        if key in _KINDS:
-            values[key] = value
-        else:
-            problems.append(f"unknown configuration key {shown(key)}")
-    return values
+    problems.extend(f"unknown configuration key {shown(key)}" for key in doc if key not in _KINDS)
+    return {key: value for key, value in doc.items() if key in _KINDS}
 
 
 def parse_config(path=None, cli_overrides: dict | None = None,
@@ -177,8 +172,9 @@ def parse_config(path=None, cli_overrides: dict | None = None,
     empty or missing file means all defaults. With ``one_window`` the
     config is tiled by one window covering its (height, width) grid at scale
     1, whatever the file and overrides set for scale, window and stride: the
-    grid that ``generate_low_res`` samples. Raises ConfigError naming a
-    file that ``util.read_json_object`` cannot read as an object, or else
+    grid that ``generate_low_res`` samples, once both sizes are integers >= 1
+    (else the bad size alone is refused). Raises ConfigError naming a file
+    that ``util.read_json_object`` cannot read as an object, or else
     carrying the problems found: unknown keys here, else wrong kinds,
     integers beyond float range, non-finite floats, violated invariants and
     impossible patch geometry from the PipelineConfig constructor.
@@ -195,8 +191,12 @@ def parse_config(path=None, cli_overrides: dict | None = None,
     if problems:
         raise ConfigError(problem_report(problems))
     if one_window:
-        h, w = values.get("height", PipelineConfig.height), values.get("width", PipelineConfig.width)
-        values.update(scale=1, window=(h, w), stride=(h, w))
+        try:
+            window = tuple(as_int(values.get(k, getattr(PipelineConfig, k)), k, 1)
+                           for k in ("height", "width"))
+        except ValueError:
+            window = PipelineConfig.window
+        values.update(scale=1, window=window, stride=window)
     return PipelineConfig(**values)
 
 

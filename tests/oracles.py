@@ -10,6 +10,8 @@ schedule, kept as the bytes their successors must reproduce.
 ``sample_direct`` is the one oracle built on the library: it runs the
 sampler's stages, whose arithmetic their own oracles pin, in the plainest
 order on fresh arrays, so it pins the sampler's structure.
+``predicted_cell_variance`` is the sampler's law on Gaussian data: a scalar
+variance recursion per frequency bin, from the schedule's betas alone.
 """
 
 from __future__ import annotations
@@ -407,3 +409,31 @@ def hash_floats_direct(payload: bytes, count: int) -> np.ndarray:
         u = int.from_bytes(raw[8 * i : 8 * i + 8], "big")
         out[i] = 2.0 * ((u >> 11) * 2.0 ** -53) - 1.0
     return out
+
+
+def predicted_cell_variance(mask, config, data_std):
+    """Exact per-cell output variance for a single-patch guided run.
+
+    Every pipeline operation is linear and diagonal per frequency bin, so the
+    across-seed variance obeys a scalar recursion per bin; averaging the final
+    per-bin variances gives the per-cell variance of the (stationary) output
+    field. Independent of the pipeline code path.
+    """
+    s = config.make_schedule()
+    var = data_std ** 2
+    g = np.asarray(mask).reshape(-1)
+    v = np.ones_like(g)  # start field is unit white noise
+    for t in range(s.steps, 1, -1):
+        abar, abar_prev = s.alpha_bar[t - 1], 1.0 if t == 1 else s.alpha_bar[t - 2]
+        beta = s.beta[t - 1]
+        alpha = 1.0 - beta
+        kappa = np.sqrt(abar) * var / (abar * var + 1.0 - abar)
+        c0 = np.sqrt(abar_prev) * beta / (1.0 - abar)
+        ct = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar)
+        btilde = (1.0 - abar_prev) / (1.0 - abar) * beta
+        gain = c0 * kappa * (1.0 - g) + ct
+        v = gain ** 2 * v + btilde
+    abar1 = s.alpha_bar[0]
+    kappa1 = np.sqrt(abar1) * var / (abar1 * var + 1.0 - abar1)
+    v_out = ((1.0 - g) * kappa1) ** 2 * v
+    return float(v_out.mean())

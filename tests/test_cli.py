@@ -446,14 +446,39 @@ OVER_LONG_INPUTS = {
 def test_an_over_long_refused_value_is_cut_on_its_one_line(tmp_path, reference_file, capsys, case):
     # Each value is cut to util.SHOWN_CHARS (200) characters. Besides the
     # input's path, a line stays within 1000 characters: a config report
-    # lists every problem, and a height list is refused as the height and
-    # as lowres's window and stride.
+    # lists every problem.
     path, argv = OVER_LONG_INPUTS[case](tmp_path, reference_file)
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "characters)" in err
     assert len(err.replace(str(path), "", 1)) <= 1000, err
+
+
+# (command, config file, flags, the one problem): the problem's first word
+# is the field at fault, which no other rule names as well.
+ONE_FAULT_INPUTS = {
+    "lowres-height-list": ("lowres", {"height": [0, 1, 2]}, [], "height must be an integer, got [0, 1, 2]"),
+    "lowres-height-bool": ("lowres", {"height": True}, [], "height must be an integer, got True"),
+    "lowres-height-zero": ("lowres", {"height": 0}, [], "height must be >= 1, got 0"),
+    "lowres-negative-steps": ("lowres", {}, ["--steps", "-5"], "steps must be >= 1, got -5"),
+    "upscale-zero-steps": ("upscale", {}, ["--steps", "0", "--guidance-stop", "3"],
+                           "steps must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_FAULT_INPUTS)
+def test_a_bad_value_is_refused_once_by_the_rule_that_owns_it(tmp_path, reference_file, capsys,
+                                                               case):
+    command, doc, flags, problem = ONE_FAULT_INPUTS[case]
+    _, argv = _config_run(doc, command)(tmp_path, reference_file)
+    if command == "upscale":
+        argv += ["--manifest", str(tmp_path / "caps.json"), "--out", str(tmp_path / "o.ppm")]
+    capsys.readouterr()
+    assert main(argv + flags) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: invalid configuration: {problem}\n"
+    assert err.count(problem.split()[0]) == 1
 
 
 class TestBlasThreads:

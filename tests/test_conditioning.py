@@ -246,17 +246,19 @@ class TestCaptionManifest:
 
     @pytest.mark.parametrize("count", [0, -5, MAX_PATCHES + 1, 3 * 10**6])
     def test_a_patch_count_outside_the_tiler_bound_is_refused(self, tmp_path, count):
+        # No layout holds such a count, so the mismatch refuses it before the
+        # per-patch list is built and the nine patch keys are checked against it.
         path = self._write(tmp_path, self._doc(patch_count=count))
         with pytest.raises(ManifestError, match=re.escape(
-                f"manifest {path}: patch_count must be in [1, {MAX_PATCHES}], got {count}") + "$"):
+                f"manifest {path} describes {count} patches but the layout has 9") + "$"):
             load_caption_manifest(path, RUN_LAYOUT)
 
     def test_huge_integers_are_shown_by_their_width(self, tmp_path):
         # A 101-digit count or index would otherwise be printed in full.
         path = self._write(tmp_path, self._doc(patch_count=10**100))
         with pytest.raises(ManifestError, match=re.escape(
-                f"manifest {path}: patch_count must be in [1, {MAX_PATCHES}], "
-                "got an integer of 333 bits") + "$"):
+                f"manifest {path} describes an integer of 333 bits patches "
+                "but the layout has 9") + "$"):
             load_caption_manifest(path, RUN_LAYOUT)
         doc = self._doc()
         doc["patches"][str(10**100)] = "stray"

@@ -13,7 +13,7 @@ from resmaster.pipeline import build_patch_bundles, generate_low_res, resmaster_
 from resmaster.schedule import posterior_step
 from resmaster.tiler import PatchLayout, bicubic_upsample, extract_patch
 
-from oracles import gaussian_mask_direct, sample_direct
+from oracles import gaussian_mask_direct, predicted_cell_variance, sample_direct
 
 
 def smooth_reference(h, w, channels, mean=0.5, amp=0.2):
@@ -31,34 +31,6 @@ def grid_config(h, w, channels, **over):
     """A config whose reference grid is (h, w, channels), tiled by one window."""
     return PipelineConfig(height=h, width=w, channels=channels, scale=1,
                           window=(h, w), stride=(h, w), **over)
-
-
-def predicted_cell_variance(mask, config, data_std):
-    """Exact per-cell output variance for a single-patch guided run.
-
-    Every pipeline operation is linear and diagonal per frequency bin, so the
-    across-seed variance obeys a scalar recursion per bin; averaging the final
-    per-bin variances gives the per-cell variance of the (stationary) output
-    field. Independent of the pipeline code path.
-    """
-    s = config.make_schedule()
-    var = data_std ** 2
-    g = np.asarray(mask).reshape(-1)
-    v = np.ones_like(g)  # start field is unit white noise
-    for t in range(s.steps, 1, -1):
-        abar, abar_prev = s.alpha_bar[t - 1], 1.0 if t == 1 else s.alpha_bar[t - 2]
-        beta = s.beta[t - 1]
-        alpha = 1.0 - beta
-        kappa = np.sqrt(abar) * var / (abar * var + 1.0 - abar)
-        c0 = np.sqrt(abar_prev) * beta / (1.0 - abar)
-        ct = np.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar)
-        btilde = (1.0 - abar_prev) / (1.0 - abar) * beta
-        gain = c0 * kappa * (1.0 - g) + ct
-        v = gain ** 2 * v + btilde
-    abar1 = s.alpha_bar[0]
-    kappa1 = np.sqrt(abar1) * var / (abar1 * var + 1.0 - abar1)
-    v_out = ((1.0 - g) * kappa1) ** 2 * v
-    return float(v_out.mean())
 
 
 class TestGenerateLowRes:
