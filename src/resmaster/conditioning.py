@@ -1,11 +1,11 @@
 """Per-patch conditioning: deterministic stub encoders and caption manifests.
 
 The stub encoders stand in for real text/image encoders so the conditioning
-pathway is fully exercisable without pretrained models; both are pure
-functions of their inputs and a seed, and return plain (tokens, dim) arrays.
-Real encoders can be dropped in by passing their arrays to ``ConditionBundle``.
-Per-patch captions come from a manifest file a user can fill with genuine
-captioner output.
+pathway runs without pretrained models. Both are pure functions of their
+input and a seed, and return the shapes fixed below: (TEXT_TOKENS, EMBED_DIM)
+for a caption and (IMAGE_TOKENS, EMBED_DIM) for a patch. Real encoders can be
+dropped in by passing their arrays to ``ConditionBundle``. Per-patch captions
+come from a manifest file a user can fill with genuine captioner output.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class ConditionBundle:
 
     text: np.ndarray
     image: np.ndarray
-    lam: float = 0.8
+    lam: float
 
     def __post_init__(self):
         for name in ("text", "image"):
@@ -84,23 +84,23 @@ def _hash_floats(payload: bytes, count: int) -> np.ndarray:
     return 2.0 * ((raw >> 11) * 2.0 ** -53) - 1.0
 
 
-def embed_text_stub(text: str, tokens: int, dim: int, seed: int) -> np.ndarray:
-    """A (tokens, dim) array of deterministic unit-norm rows hashed from
-    (seed, row index, text). ``seed`` lies in [0, SEED_LIMIT).
+def embed_text_stub(text: str, seed: int) -> np.ndarray:
+    """A (TEXT_TOKENS, EMBED_DIM) array of deterministic unit-norm rows
+    hashed from (seed, row index, text). ``seed`` lies in [0, SEED_LIMIT).
 
     The hash path uses fixed-width integers only, so outputs are identical
     across platforms.
     """
     if not isinstance(text, str) or text == "":
         raise ValueError("text must be a non-empty string")
-    tokens, dim, seed = as_int(tokens, "tokens", 1), as_int(dim, "dim", 1), as_int(seed, "seed", 0)
+    seed = as_int(seed, "seed", 0)
     if seed >= SEED_LIMIT:
         raise ValueError(f"seed must lie in [0, 2**63), got {shown(seed)}")
-    rows = np.empty((tokens, dim))
+    rows = np.empty((TEXT_TOKENS, EMBED_DIM))
     encoded = text.encode("utf-8")
-    for r in range(tokens):
+    for r in range(TEXT_TOKENS):
         payload = seed.to_bytes(8, "big", signed=True) + r.to_bytes(4, "big") + encoded
-        row = _hash_floats(payload, dim)
+        row = _hash_floats(payload, EMBED_DIM)
         rows[r] = row / np.linalg.norm(row)
     return rows
 
@@ -137,22 +137,22 @@ def _pool_slices(n: int) -> list[tuple[int, int]]:
     return slices
 
 
-def encode_image_prompt_stub(patch: np.ndarray, tokens: int, dim: int, seed: int) -> np.ndarray:
-    """Project patch features to (tokens, dim) with a seeded fixed random matrix."""
-    tokens, dim, seed = as_int(tokens, "tokens", 1), as_int(dim, "dim", 1), as_int(seed, "seed", 0)
+def encode_image_prompt_stub(patch: np.ndarray, seed: int) -> np.ndarray:
+    """Project patch features to (IMAGE_TOKENS, EMBED_DIM) with a seeded fixed random matrix."""
+    seed = as_int(seed, "seed", 0)
     feats = patch_features(patch)
-    projection = _image_projection(seed, tokens, dim, feats.size)
-    return (projection @ feats).reshape(tokens, dim)
+    projection = _image_projection(seed, feats.size)
+    return (projection @ feats).reshape(IMAGE_TOKENS, EMBED_DIM)
 
 
 @lru_cache(maxsize=32)
-def _image_projection(seed: int, tokens: int, dim: int, features: int) -> np.ndarray:
-    """The stub's (tokens * dim, features) projection. It does not depend on
-    the patch, so it is drawn once per key and returned read-only; copy
-    before mutating."""
-    ss = np.random.SeedSequence((seed, _IMAGE_STUB_STREAM, tokens, dim, features))
+def _image_projection(seed: int, features: int) -> np.ndarray:
+    """The stub's (IMAGE_TOKENS * EMBED_DIM, features) projection. It does not
+    depend on the patch, so it is drawn once per key and returned read-only;
+    copy before mutating."""
+    ss = np.random.SeedSequence((seed, _IMAGE_STUB_STREAM, IMAGE_TOKENS, EMBED_DIM, features))
     rng = np.random.Generator(np.random.Philox(ss))
-    projection = rng.normal(size=(tokens * dim, features)) / np.sqrt(features)
+    projection = rng.normal(size=(IMAGE_TOKENS * EMBED_DIM, features)) / np.sqrt(features)
     projection.flags.writeable = False
     return projection
 

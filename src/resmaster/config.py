@@ -100,11 +100,11 @@ class PipelineConfig:
         if not valid_cutoff(self.d0):
             problems.append(f"d0 must be > 0 and 1/(2*d0*d0) must be finite, got {self.d0}")
         if self.lam < 0:
-            problems.append(f"lambda must be >= 0, got {self.lam}")
+            problems.append(f"lam must be >= 0, got {self.lam}")
         if not 0 <= self.seed < SEED_LIMIT:
             problems.append(f"seed must lie in [0, 2**63), got {shown(self.seed)}")
         if 1 <= self.steps <= MAX_STEPS and not 0 <= self.guidance_stop_step <= self.steps:
-            problems.append(f"guidance_stop must lie in [0, steps={shown(self.steps)}], "
+            problems.append(f"guidance_stop_step must lie in [0, steps={shown(self.steps)}], "
                             f"got {shown(self.guidance_stop_step)}")
         if self.denoiser not in DENOISER_CHOICES:
             problems.append(f"unknown denoiser {shown(self.denoiser)}; choices: {DENOISER_CHOICES}")

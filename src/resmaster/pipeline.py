@@ -15,14 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .conditioning import (
-    EMBED_DIM,
-    IMAGE_TOKENS,
-    TEXT_TOKENS,
-    ConditionBundle,
-    embed_text_stub,
-    encode_image_prompt_stub,
-)
+from .conditioning import ConditionBundle, embed_text_stub, encode_image_prompt_stub
 from .config import PipelineConfig
 from .denoiser import Denoiser
 from .noise import INIT_STEP, standard_normal_field
@@ -116,8 +109,8 @@ def build_patch_bundles(
     zip's one-line ValueError."""
     bundles = []
     for patch, caption in zip(reference_patches, captions, strict=True):
-        text = embed_text_stub(caption, TEXT_TOKENS, EMBED_DIM, config.seed)
-        image = encode_image_prompt_stub(patch, IMAGE_TOKENS, EMBED_DIM, config.seed)
+        text = embed_text_stub(caption, config.seed)
+        image = encode_image_prompt_stub(patch, config.seed)
         bundles.append(ConditionBundle(text=text, image=image, lam=config.lam))
     return bundles
 

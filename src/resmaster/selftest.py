@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import attend, make_attention_weights, softmax_rows
-from .conditioning import ConditionBundle, embed_text_stub, encode_image_prompt_stub
+from .conditioning import EMBED_DIM, ConditionBundle, embed_text_stub, encode_image_prompt_stub
 from .config import PipelineConfig
 from .denoiser import analytic_gaussian_denoiser
 from .noise import standard_normal_field
@@ -46,9 +46,9 @@ def _checks(seed: int):
     patches = [extract_patch(g, r) for r in layout.rects]
     yield "fuse of extracted patches is identity", bool(np.array_equal(fuse_patches(patches, layout), g))
 
-    weights = make_attention_weights(4, 4, 3, 3, seed=seed)
-    text = embed_text_stub("selftest", 2, 3, seed)
-    image = encode_image_prompt_stub(g, 2, 3, seed)
+    weights = make_attention_weights(4, 4, EMBED_DIM, EMBED_DIM, seed=seed)
+    text = embed_text_stub("selftest", seed)
+    image = encode_image_prompt_stub(g, seed)
     x = rng.normal(size=(5, 4))
     q = x @ weights.w_query / np.sqrt(weights.d_head)
     formula = (softmax_rows(q @ (text @ weights.w_key_text).T) @ (text @ weights.w_value_text)

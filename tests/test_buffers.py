@@ -29,8 +29,8 @@ S = make_geometric_schedule(20)
 
 
 def toy_bundle():
-    text = embed_text_stub("a stone bridge", 4, 16, 0)
-    image = encode_image_prompt_stub(np.full((6, 6, 3), 0.5), 2, 16, 0)
+    text = embed_text_stub("a stone bridge", 0)
+    image = encode_image_prompt_stub(np.full((6, 6, 3), 0.5), 0)
     return ConditionBundle(text, image, 0.8)
 
 

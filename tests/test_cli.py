@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -548,3 +550,20 @@ class TestUsage:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "all checks passed" in out
+
+
+def test_the_readme_walkthrough_runs_as_written(tmp_path, monkeypatch):
+    # The commands are read from README's block, so a flag that drifts fails here.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## CLI walkthrough", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [argv for line in lines if (argv := shlex.split(line, comments=True))]
+    assert [argv[:2] for argv in commands] == [["resmaster", "lowres"], ["resmaster", "plan"],
+                                               ["resmaster", "upscale"]]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if argv[1] == "upscale":
+            _fill_manifest(tmp_path / "caps.json")  # step 3, the edit
+        assert main(argv[1:]) == 0
+    assert read_image(tmp_path / "big.ppm").shape == (128, 128, 3)

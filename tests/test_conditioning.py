@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from resmaster.conditioning import (
     CAPTION_INSTRUCTION,
+    EMBED_DIM,
+    IMAGE_TOKENS,
     MANIFEST_KEYS,
+    TEXT_TOKENS,
     ConditionBundle,
     ManifestError,
     _hash_floats,
@@ -28,49 +31,51 @@ from oracles import hash_floats_direct, pooled_means_direct
 
 class TestEmbedTextStub:
     def test_deterministic(self):
-        a = embed_text_stub("a red bicycle", 6, 12, seed=5)
-        b = embed_text_stub("a red bicycle", 6, 12, seed=5)
+        a = embed_text_stub("a red bicycle", seed=5)
+        b = embed_text_stub("a red bicycle", seed=5)
         np.testing.assert_array_equal(a, b)
 
     def test_rows_have_unit_norm(self):
-        emb = embed_text_stub("northern lights over a lake", 8, 16, seed=0)
+        emb = embed_text_stub("northern lights over a lake", seed=0)
         np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_different_texts_differ(self):
-        a = embed_text_stub("a", 4, 8, seed=1)
-        b = embed_text_stub("b", 4, 8, seed=1)
+        a = embed_text_stub("a", seed=1)
+        b = embed_text_stub("b", seed=1)
         assert np.abs(a - b).max() > 0
 
     def test_different_seeds_differ(self):
-        a = embed_text_stub("same words", 4, 8, seed=1)
-        b = embed_text_stub("same words", 4, 8, seed=2)
+        a = embed_text_stub("same words", seed=1)
+        b = embed_text_stub("same words", seed=2)
         assert np.abs(a - b).max() > 0
 
-    def test_rejects_empty_text_and_bad_dims(self):
+    def test_rejects_empty_text(self):
         with pytest.raises(ValueError):
-            embed_text_stub("", 4, 8, seed=0)
-        with pytest.raises(ValueError):
-            embed_text_stub("x", 0, 8, seed=0)
-        with pytest.raises(ValueError):
-            embed_text_stub("x", 4, 0, seed=0)
+            embed_text_stub("", seed=0)
 
     @pytest.mark.parametrize("seed", [-1, -2**63 - 1, 2**63, 10**5000],
                              ids=["-1", "-2**63-1", "2**63", "10**5000"])
     def test_a_seed_outside_0_to_2_to_the_63_is_refused_naming_it(self, seed):
         with pytest.raises(ValueError, match="^seed must ") as err:
-            embed_text_stub("x", 2, 4, seed=seed)
+            embed_text_stub("x", seed=seed)
         assert "\n" not in str(err.value)
 
     def test_the_seed_range_ends_are_hashed_as_signed_64_bit_integers(self):
         for seed in (0, 2**63 - 1):
-            assert embed_text_stub("x", 2, 4, seed=seed).shape == (2, 4)
+            assert embed_text_stub("x", seed=seed).shape == (TEXT_TOKENS, EMBED_DIM)
 
     @given(st.text(min_size=1, max_size=40), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_embedding_is_pure(self, text, seed):
-        a = embed_text_stub(text, 3, 5, seed)
-        b = embed_text_stub(text, 3, 5, seed)
+        a = embed_text_stub(text, seed)
+        b = embed_text_stub(text, seed)
         np.testing.assert_array_equal(a, b)
+
+
+def test_the_stubs_return_the_shapes_the_module_fixes(rng):
+    assert (TEXT_TOKENS, IMAGE_TOKENS, EMBED_DIM) == (8, 4, 16)
+    assert embed_text_stub("a caption", seed=0).shape == (TEXT_TOKENS, EMBED_DIM)
+    assert encode_image_prompt_stub(rng.normal(size=(12, 9, 3)), seed=0).shape == (IMAGE_TOKENS, EMBED_DIM)
 
 
 class TestHashFloats:
@@ -92,16 +97,16 @@ class TestEncodeImagePromptStub:
 
     def test_identical_patches_give_identical_embeddings(self, rng):
         patch = rng.normal(size=(12, 9, 3))
-        a = encode_image_prompt_stub(patch, 4, 16, seed=0)
-        b = encode_image_prompt_stub(patch.copy(), 4, 16, seed=0)
+        a = encode_image_prompt_stub(patch, seed=0)
+        b = encode_image_prompt_stub(patch.copy(), seed=0)
         np.testing.assert_array_equal(a, b)
 
     def test_single_cell_change_propagates(self, rng):
         patch = rng.normal(size=(12, 9, 3))
         other = patch.copy()
         other[5, 5, 1] += 0.5
-        a = encode_image_prompt_stub(patch, 4, 16, seed=0)
-        b = encode_image_prompt_stub(other, 4, 16, seed=0)
+        a = encode_image_prompt_stub(patch, seed=0)
+        b = encode_image_prompt_stub(other, seed=0)
         assert np.abs(a - b).max() > 0
 
     @pytest.mark.parametrize("shape", [(8, 8), (16, 24), (64, 64), (128, 64), (12, 9), (3, 2),
@@ -115,35 +120,31 @@ class TestEncodeImagePromptStub:
                                       pooled_means_direct(patch).reshape(-1), strict=True)
 
     def test_small_patches_supported(self, rng):
-        emb = encode_image_prompt_stub(rng.normal(size=(3, 2, 1)), 2, 4, seed=0)
-        assert emb.shape == (2, 4)
+        emb = encode_image_prompt_stub(rng.normal(size=(3, 2, 1)), seed=0)
+        assert emb.shape == (IMAGE_TOKENS, EMBED_DIM)
         assert np.isfinite(emb).all()
-
-    def test_rejects_bad_dims(self, rng):
-        with pytest.raises(ValueError):
-            encode_image_prompt_stub(rng.normal(size=(4, 4, 1)), 0, 4, seed=0)
 
     def test_projection_is_drawn_once_per_key_and_read_only(self, rng):
         from resmaster.conditioning import _image_projection
 
         patch = rng.normal(size=(12, 9, 3))
         feats = patch_features(patch)
-        projection = _image_projection(4, 2, 16, feats.size)
-        assert projection is _image_projection(4, 2, 16, feats.size)
+        projection = _image_projection(4, feats.size)
+        assert projection is _image_projection(4, feats.size)
         assert not projection.flags.writeable
         # The draw the stub made for every patch before it was cached.
         gen = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence((4, 0x1A9E, 2, 16, feats.size))))
-        drawn = gen.normal(size=(32, feats.size)) / np.sqrt(feats.size)
+            np.random.SeedSequence((4, 0x1A9E, 4, 16, feats.size))))
+        drawn = gen.normal(size=(64, feats.size)) / np.sqrt(feats.size)
         np.testing.assert_array_equal(projection, drawn)
-        np.testing.assert_array_equal(encode_image_prompt_stub(patch, 2, 16, seed=4),
-                                      (drawn @ feats).reshape(2, 16))
+        np.testing.assert_array_equal(encode_image_prompt_stub(patch, seed=4),
+                                      (drawn @ feats).reshape(4, 16))
 
 
 class TestBundleValidation:
     def test_lambda_must_be_nonnegative(self):
-        text = embed_text_stub("x", 2, 4, 0)
-        image = encode_image_prompt_stub(np.ones((4, 4, 1)), 2, 4, 0)
+        text = embed_text_stub("x", 0)
+        image = encode_image_prompt_stub(np.ones((4, 4, 1)), 0)
         ConditionBundle(text, image, 0.0)
         with pytest.raises(ValueError):
             ConditionBundle(text, image, -0.1)
@@ -172,9 +173,9 @@ class TestBundleValidation:
     def test_text_row_norm_bounds_enforced(self):
         image = np.ones((1, 3))
         with pytest.raises(ValueError, match=re.escape("row norms must lie in (0, 10]")):
-            ConditionBundle(np.zeros((2, 3)), image)
+            ConditionBundle(np.zeros((2, 3)), image, 0.8)
         with pytest.raises(ValueError, match=re.escape("row norms must lie in (0, 10]")):
-            ConditionBundle(np.full((2, 3), 50.0), image)
+            ConditionBundle(np.full((2, 3), 50.0), image, 0.8)
 
     @pytest.mark.parametrize("name", ["text", "image"])
     @pytest.mark.parametrize("value, message", [
@@ -185,16 +186,16 @@ class TestBundleValidation:
     def test_arrays_must_be_finite_nonempty_matrices(self, name, value, message):
         arrays = {"text": np.full((2, 3), 0.5), "image": np.ones((1, 3)), name: value}
         with pytest.raises(ValueError, match=re.escape(f"{name} embedding {message}")):
-            ConditionBundle(**arrays)
+            ConditionBundle(**arrays, lam=0.8)
 
     def test_keeps_read_only_float64_copies(self):
         text, image = np.full((2, 3), 0.5), np.ones((1, 3), dtype=np.float32)
-        bundle = ConditionBundle(text, image)
+        bundle = ConditionBundle(text, image, 0.8)
         for kept, given in ((bundle.text, text), (bundle.image, image)):
             assert kept.dtype == np.float64 and not kept.flags.writeable
             assert not np.shares_memory(kept, given) and given.flags.writeable
             np.testing.assert_array_equal(kept, given)
-        assert bundle != ConditionBundle(text, image) and bundle == bundle
+        assert bundle != ConditionBundle(text, image, 0.8) and bundle == bundle
 
 
 class TestCaptionManifest:

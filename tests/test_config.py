@@ -48,7 +48,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(path, {})
         message = str(err.value)
-        assert "d0" in message and "lambda" in message and "scale" in message
+        assert "d0" in message and "lam must be >= 0" in message and "scale" in message
 
     def test_geometry_error_names_axis(self):
         with pytest.raises(ConfigError, match="width axis"):
@@ -172,7 +172,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             PipelineConfig(d0=-1, lam=-2, scale=0)
         message = str(err.value)
-        assert "d0" in message and "lambda" in message and "scale" in message
+        assert "d0" in message and "lam must be >= 0" in message and "scale" in message
         assert "\n" not in message
 
     @pytest.mark.parametrize("field, value", [
@@ -234,7 +234,8 @@ class TestParseConfig:
             parse_config(None, {"schedule": "cosine"})
 
     @pytest.mark.parametrize("field, value, message", [
-        ("guidance_stop_step", 51, r"guidance_stop must lie in \[0, steps=50\], got 51"),
+        ("guidance_stop_step", 51, r"guidance_stop_step must lie in \[0, steps=50\], got 51"),
+        ("lam", -0.5, r"lam must be >= 0, got -0.5"),
         ("denoiser", "unet", r"unknown denoiser 'unet'; choices: \('analytic', 'toy'\)"),
         ("model_std", -0.5, r"model_std must be >= 0, got -0.5"),
     ])

@@ -129,8 +129,8 @@ class TestAncestralMarginal:
 
 class TestToyConditionedDenoiser:
     def _bundle(self, lam=0.8, caption="a stone bridge", seed=0):
-        text = embed_text_stub(caption, 4, 16, seed)
-        image = encode_image_prompt_stub(np.full((6, 6, 3), 0.5), 2, 16, seed)
+        text = embed_text_stub(caption, seed)
+        image = encode_image_prompt_stub(np.full((6, 6, 3), 0.5), seed)
         return ConditionBundle(text, image, lam)
 
     def test_deterministic(self, rng):
@@ -146,9 +146,9 @@ class TestToyConditionedDenoiser:
         s = make_linear_schedule(10)
         den = toy_conditioned_denoiser(3, channels=2)
         z_t = rng.normal(size=(4, 4, 2))
-        text = embed_text_stub("same caption", 4, 16, 0)
-        image_a = encode_image_prompt_stub(np.full((5, 5, 1), 0.2), 2, 16, 0)
-        image_b = encode_image_prompt_stub(np.full((5, 5, 1), 0.9), 2, 16, 0)
+        text = embed_text_stub("same caption", 0)
+        image_a = encode_image_prompt_stub(np.full((5, 5, 1), 0.2), 0)
+        image_b = encode_image_prompt_stub(np.full((5, 5, 1), 0.9), 0)
         out_a = den.predict(z_t, 4, ConditionBundle(text, image_a, 0.0), s)
         out_b = den.predict(z_t, 4, ConditionBundle(text, image_b, 0.0), s)
         np.testing.assert_array_equal(out_a, out_b)
@@ -218,7 +218,7 @@ class TestToyConditionedDenoiser:
             return _query_block(tokens, width)
 
         monkeypatch.setattr(attention, "_query_block", recorded)
-        bundle = ConditionBundle(embed_text_stub("a stone bridge", 8, 16, 0),
-                                 encode_image_prompt_stub(np.full((6, 6, 3), 0.5), 4, 16, 0), 0.8)
+        bundle = ConditionBundle(embed_text_stub("a stone bridge", 0),
+                                 encode_image_prompt_stub(np.full((6, 6, 3), 0.5), 0), 0.8)
         den.predict(rng.normal(size=(64, 64, 3)), 4, bundle, make_linear_schedule(10))
         assert sizes == [(12, 3)]

@@ -83,7 +83,7 @@ def test_a_pair_is_one_integer_or_a_list_or_tuple_of_one_or_two(spelling):
     ("T", lambda: make_linear_schedule(True)),
     ("T", lambda: make_geometric_schedule(True)),
     ("seed", lambda: standard_normal_field(1.5, 0, (2, 2, 1))),
-    ("seed", lambda: embed_text_stub("x", 2, 4, seed=1.5)),
+    ("seed", lambda: embed_text_stub("x", seed=1.5)),
     ("channels", lambda: toy_conditioned_denoiser(0, 3.0)),
     ("d_model", lambda: make_attention_weights(2.0, 2, 2, 2)),
 ], ids=["check_t", "linear", "geometric", "noise", "text-stub", "toy", "attention"])
